@@ -42,7 +42,7 @@ type Node struct {
 // Hash identifies the node.
 func (n *Node) Hash() types.Digest {
 	bd := n.Batch.Digest()
-	return types.DigestConcat([]byte("hs-node"), u64(uint64(n.Round)), n.ParentHash[:], bd[:], n.Justify.Node[:])
+	return types.DigestConcat([]byte("hs-node"), types.U64(uint64(n.Round)), n.ParentHash[:], bd[:], n.Justify.Node[:])
 }
 
 // Proposal is the round leader's broadcast.
@@ -85,15 +85,6 @@ type NodeBundle struct {
 	Nodes []Node
 }
 
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-	return b
-}
-
 func init() {
 	wire.Register(func() wire.Message { return &Proposal{} })
 	wire.Register(func() wire.Message { return &Vote{} })
@@ -117,7 +108,6 @@ type Options struct {
 	// out and the rotating pacemaker recovers on the next honest leader.
 	// Nil means honest.
 	Adversary *protocol.AdversarySpec
-	Tick      time.Duration
 	// Pipeline is the number of client requests the paper grants HotStuff
 	// in the no-out-of-order experiment (Fig 9k allows 4, one per phase of
 	// the chained pipeline). It only affects the harness; the replica
@@ -161,8 +151,6 @@ type Replica struct {
 	curTimeout time.Duration
 
 	genesisHash types.Digest
-
-	tick time.Duration
 }
 
 // New creates a HotStuff replica.
@@ -172,15 +160,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	r := &Replica{
 		rt:         rt,
 		adv:        opts.Adversary,
@@ -192,7 +171,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		sentNV:     make(map[types.View]bool),
 		roundStart: time.Now(),
 		curTimeout: cfg.ViewTimeout,
-		tick:       tick,
 	}
 	// The genesis node anchors the chain; its QC is implicit (round 0).
 	genesis := &Node{Round: 0}
@@ -224,32 +202,9 @@ func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 // Round returns the current round (racy while running; for tests).
 func (r *Replica) Round() types.View { return r.curRound }
 
-// Run processes messages until ctx is cancelled. Inbound messages pass
-// through the parallel authentication pipeline (verify.go); outbound
-// proposals, vote shares, checkpoint votes, and reply MACs are signed on
-// the egress pipeline, whose Local channel loops the leader's own vote back
-// onto the loop. The loop below performs no asymmetric crypto of its own in
-// either direction on the normal-case path.
+// Run processes messages until ctx is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	ticker := time.NewTicker(r.tick)
-	defer ticker.Stop()
-	inbox := r.rt.StartPipeline(ctx, r.verifyInbound)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			r.rt.Metrics.MessagesIn.Add(1)
-			r.dispatch(env)
-		case fn := <-r.rt.Egress.Local():
-			fn()
-		case <-ticker.C:
-			r.onTick()
-		}
-	}
+	r.rt.Run(ctx, r.verifyInbound, r.dispatch, r.onTick)
 }
 
 func (r *Replica) dispatch(env network.Envelope) {
@@ -730,8 +685,7 @@ func (r *Replica) pruneNodes() {
 
 // --- pacemaker ---
 
-func (r *Replica) onTick() {
-	now := time.Now()
+func (r *Replica) onTick(now time.Time) {
 	cfg := r.rt.Cfg
 	// Snapshot state transfer runs on every tick: a replica whose node-chain
 	// gap has been pruned by every peer needs it to rejoin at all.

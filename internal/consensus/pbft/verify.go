@@ -50,43 +50,6 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 			return false
 		}
 		return rt.Pipeline.VerifyShareFor(rt.TS, kindCommit, m.View, m.Seq, m.Share)
-	case *VCRequest:
-		env.Msg = ownVCRequest(m, env.Owned)
-		return true
-	case *NVPropose:
-		if env.Owned {
-			for i := range m.Requests {
-				ownVCRequest(&m.Requests[i], true)
-			}
-			return true
-		}
-		cp := *m
-		cp.Requests = make([]VCRequest, len(m.Requests))
-		for i := range m.Requests {
-			cp.Requests[i] = *ownVCRequest(&m.Requests[i], false)
-		}
-		env.Msg = &cp
-		return true
 	}
 	return true
-}
-
-// ownVCRequest gives the replica its own copy of the prepared entries so
-// digest memoization stays local — wire-decoded (owned) requests memoize in
-// place. Signatures and certificates are validated by the view-change path
-// on the event loop (rare, off the normal case).
-func ownVCRequest(m *VCRequest, owned bool) *VCRequest {
-	if owned {
-		for i := range m.Prepared {
-			m.Prepared[i].Batch.MemoizeDigests()
-		}
-		return m
-	}
-	cp := *m
-	cp.Prepared = append([]PreparedEntry(nil), m.Prepared...)
-	for i := range cp.Prepared {
-		cp.Prepared[i].Batch = cp.Prepared[i].Batch.Clone()
-		cp.Prepared[i].Batch.MemoizeDigests()
-	}
-	return &cp
 }

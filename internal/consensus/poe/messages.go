@@ -15,8 +15,12 @@
 // The client treats a transaction as executed once it has identical INFORM
 // messages from nf = n − f distinct replicas: its proof-of-execution.
 // Execution is speculative — non-divergent because every replica has
-// view-committed (prepared) before executing — and the view-change algorithm
-// (Fig 5) rolls back any speculative suffix not carried into the new view.
+// view-committed (prepared) before executing.
+//
+// View change (Fig 5) runs on the shared protocol.Skeleton. PoE's rules: a
+// VC-REQUEST carries the certified batches executed since the stable
+// checkpoint, and the new view starts from the longest such prefix among nf
+// requests — replicas roll back any speculative suffix it does not contain.
 package poe
 
 import (
@@ -60,54 +64,8 @@ type Certify struct {
 	Cert   []byte
 }
 
-// VCRequest is the view-change request VC-REQUEST(v, E): it announces the
-// failure of view View's primary and carries the sender's execution summary
-// E — every batch executed after its stable checkpoint, each justified by
-// its certificate. VC-REQUESTs are signed (they are forwarded inside
-// NV-PROPOSE and must not be forgeable, §II-E).
-type VCRequest struct {
-	From      types.ReplicaID
-	View      types.View // the failed view; the request asks for View+1
-	StableSeq types.SeqNum
-	Executed  []types.ExecRecord
-	Sig       []byte
-}
-
-// SignedPayload returns the bytes covered by the view-change signature.
-func (m *VCRequest) SignedPayload() []byte {
-	parts := [][]byte{
-		[]byte("poe-vcrequest"),
-		u64(uint64(m.From)), u64(uint64(m.View)), u64(uint64(m.StableSeq)),
-	}
-	for i := range m.Executed {
-		e := &m.Executed[i]
-		parts = append(parts, u64(uint64(e.Seq)), u64(uint64(e.View)), e.Digest[:], e.Proof)
-	}
-	d := types.DigestConcat(parts...)
-	return d[:]
-}
-
-// NVPropose is the new primary's NV-PROPOSE(v+1, m1, …, mnf) message: the
-// set of nf view-change requests from which every replica deterministically
-// derives the new view's starting state.
-type NVPropose struct {
-	NewView  types.View
-	Requests []VCRequest
-}
-
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-	return b
-}
-
 func init() {
 	wire.Register(func() wire.Message { return &Propose{} })
 	wire.Register(func() wire.Message { return &Support{} })
 	wire.Register(func() wire.Message { return &Certify{} })
-	wire.Register(func() wire.Message { return &VCRequest{} })
-	wire.Register(func() wire.Message { return &NVPropose{} })
 }

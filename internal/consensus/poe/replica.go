@@ -2,6 +2,7 @@ package poe
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"github.com/poexec/poe/internal/consensus/protocol"
@@ -9,13 +10,6 @@ import (
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/storage"
 	"github.com/poexec/poe/internal/types"
-)
-
-type status int
-
-const (
-	statusNormal status = iota
-	statusViewChange
 )
 
 // Byzantine lets tests inject arbitrary malicious primary behaviour
@@ -42,9 +36,6 @@ type Options struct {
 	Adversary *protocol.AdversarySpec
 	// Byz injects custom malicious behaviour for tests; nil means honest.
 	Byz Byzantine
-	// Tick overrides the housekeeping interval (defaults to a quarter of
-	// the view timeout).
-	Tick time.Duration
 }
 
 // specByz adapts the declarative cross-protocol adversary spec to PoE's
@@ -67,51 +58,21 @@ func (s specByz) ProposeTo(to types.ReplicaID, p *Propose) *Propose {
 func (s specByz) SilenceCertify(seq types.SeqNum) bool { return s.spec.SilenceCert(seq) }
 
 // Replica is one PoE replica: the backup role of Fig 3 plus, when
-// id = v mod n, the primary role, plus the view-change algorithm of Fig 5.
-// All state is confined to the Run goroutine.
+// id = v mod n, the primary role. The view-change algorithm of Fig 5 and the
+// failure detector are the embedded skeleton's; the rules PoE gives it are
+// at the end of this file. All state is confined to the Run goroutine.
 type Replica struct {
+	*protocol.Skeleton
 	rt  *protocol.Runtime
 	byz Byzantine
 
-	view        types.View
-	status      status
 	nextPropose types.SeqNum
 	slots       map[types.SeqNum]*slot
-
-	// failure detection
-	pendingReqs  map[types.Digest]pendingReq
-	lastProgress time.Time
-	curTimeout   time.Duration
-
-	// execHigh is the highest executed client sequence number per client.
-	// Pipelined clients retry by broadcast, and a retry of an already
-	// executed request can reach a backup after afterExecution cleared that
-	// request's pending entry — without this watermark the late copy would
-	// be tracked as pending forever, age past curTimeout once load stops,
-	// and drive spurious view changes until the stale set drains. The reply
-	// cache cannot stand in for it: it keeps only the latest reply per
-	// client, so retries of older in-flight sequences miss it.
-	execHigh map[types.ClientID]uint64
-
-	// view-change state
-	vcTarget   types.View // view we are trying to move to while in statusViewChange
-	vcStarted  time.Time
-	vcResent   time.Time
-	vcExecMark types.SeqNum // last executed seq when the view change started
-	vcVotes    map[types.View]map[types.ReplicaID]*VCRequest
-	sentVC     map[types.View]bool
-	lastNV     *NVPropose // cached by the new primary for late joiners
-
-	// catchup marks a replica restarted from durable state: the first tick
-	// proactively fetches past the recovered prefix.
-	catchup bool
 
 	// strongQ holds STRONG reads the primary deferred because its executed
 	// head still trailed its proposals; drained after every execution burst
 	// and on the tick, with a bounded wait before falling back to ordering.
 	strongQ protocol.StrongReads
-
-	tick time.Duration
 }
 
 type slot struct {
@@ -122,13 +83,7 @@ type slot struct {
 	supported   bool
 	shares      map[types.ReplicaID]crypto.Share
 	committed   bool
-	pendingCert *Certify  // certify that arrived before the proposal
-	created     time.Time // when this slot appeared (failure-detection grace)
-}
-
-type pendingReq struct {
-	req   types.Request
-	since time.Time
+	pendingCert *Certify // certify that arrived before the proposal
 }
 
 // New creates a PoE replica bound to a transport. Call Run to start it.
@@ -138,50 +93,18 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	byz := opts.Byz
 	if byz == nil && opts.Adversary != nil {
 		byz = specByz{opts.Adversary}
 	}
 	r := &Replica{
-		rt:           rt,
-		byz:          byz,
-		nextPropose:  rt.Exec.LastExecuted() + 1,
-		slots:        make(map[types.SeqNum]*slot),
-		pendingReqs:  make(map[types.Digest]pendingReq),
-		execHigh:     make(map[types.ClientID]uint64),
-		lastProgress: time.Now(),
-		curTimeout:   cfg.ViewTimeout,
-		vcVotes:      make(map[types.View]map[types.ReplicaID]*VCRequest),
-		sentVC:       make(map[types.View]bool),
-		tick:         tick,
+		rt:          rt,
+		byz:         byz,
+		nextPropose: rt.Exec.LastExecuted() + 1,
+		slots:       make(map[types.SeqNum]*slot),
 	}
+	r.Skeleton = protocol.NewSkeleton(rt, r)
 	rt.Sync.AfterInstall = r.afterInstall
-	if rt.RecoveredSeq > 0 {
-		// Crash-restart: resume sequencing after the recovered prefix and
-		// rejoin in the view of the last durably executed batch — the
-		// cluster may have moved further, but the ordinary view-change
-		// catch-up handles that, exactly as it does for a replica that
-		// missed the view change in the dark. The first tick issues a
-		// Fetch so the replica closes the gap to the live cluster even if
-		// no new proposals arrive to reveal it.
-		r.view = rt.Exec.Chain().Head().View
-		r.catchup = true
-	}
-	if rt.Store != nil {
-		// Durable (re)start — including a wiped rejoin that recovered
-		// nothing: ask peers whether a snapshot is needed rather than wait
-		// for checkpoint votes an idle cluster will never emit.
-		rt.Sync.Probe()
-	}
 	return r, nil
 }
 
@@ -190,46 +113,17 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 // read-mostly while the replica runs.
 func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 
-// View returns the replica's current view (for tests; racy while running).
-func (r *Replica) View() types.View { return r.view }
-
-// Run processes messages until the context is cancelled. Inbound messages
-// pass through the parallel authentication pipeline: their authenticators
-// are verified on worker goroutines and invalid messages are dropped.
-// Outbound messages leave unsigned through the egress pipeline, which
-// computes authenticators off-loop and releases sends in submission order;
-// its Local channel carries the deferred self-votes (own SUPPORT share,
-// own checkpoint vote) back onto the loop. The loop below — the replica
-// state machine — therefore performs no asymmetric crypto in either
-// direction on the normal-case path.
+// Run processes messages until the context is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	ticker := time.NewTicker(r.tick)
-	defer ticker.Stop()
-	inbox := r.rt.StartPipeline(ctx, r.verifyInbound)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			r.rt.Metrics.MessagesIn.Add(1)
-			r.dispatch(env)
-		case fn := <-r.rt.Egress.Local():
-			fn()
-		case <-ticker.C:
-			r.onTick()
-		}
-	}
+	r.rt.Run(ctx, r.verifyInbound, r.dispatch, r.onTick)
 }
 
 func (r *Replica) dispatch(env network.Envelope) {
 	switch m := env.Msg.(type) {
 	case *protocol.ClientRequest:
-		r.onClientRequest(env.From, &m.Req)
+		r.OnClientRequest(env.From, &m.Req)
 	case *protocol.ForwardRequest:
-		r.onForwardRequest(&m.Req)
+		r.OnForwardRequest(&m.Req)
 	case *protocol.ReadRequest:
 		r.onReadRequest(&m.Req)
 	case *protocol.LeaseGrant:
@@ -252,55 +146,11 @@ func (r *Replica) dispatch(env network.Envelope) {
 		r.rt.Sync.OnOffer(m)
 	case *protocol.SnapshotChunk:
 		r.rt.Sync.OnChunk(m)
-	case *VCRequest:
-		r.onVCRequest(m)
-	case *NVPropose:
-		r.onNVPropose(env.From, m)
+	case *protocol.VCRequest:
+		r.OnVCRequest(m)
+	case *protocol.NVPropose:
+		r.OnNVPropose(env.From, m)
 	}
-}
-
-func (r *Replica) isPrimary() bool { return r.rt.Cfg.IsPrimary(r.view) }
-
-func (r *Replica) primaryNode() types.NodeID {
-	return types.ReplicaNode(r.rt.Cfg.Primary(r.view))
-}
-
-// --- client requests ---
-
-func (r *Replica) onClientRequest(from types.NodeID, req *types.Request) {
-	// Origin and signature were checked by the authentication pipeline.
-	if !from.IsClient() || req.Txn.Client != from.Client() {
-		return
-	}
-	if r.rt.ReplayReply(req) {
-		return
-	}
-	if r.status != statusNormal {
-		// Remember the request; it is re-forwarded once the new view starts.
-		r.trackPending(req)
-		return
-	}
-	if r.isPrimary() {
-		r.rt.Batcher.Add(*req)
-		r.proposeReady(false)
-		return
-	}
-	// A client only contacts a backup when it suspects the primary: forward
-	// the request and start the failure-detection timer (§II-B).
-	r.trackPending(req)
-	fwd := &protocol.ForwardRequest{Req: *req}
-	r.rt.Net.Send(r.primaryNode(), fwd)
-}
-
-func (r *Replica) onForwardRequest(req *types.Request) {
-	if r.status != statusNormal || !r.isPrimary() {
-		return
-	}
-	if r.rt.ReplayReply(req) {
-		return
-	}
-	r.rt.Batcher.Add(*req)
-	r.proposeReady(false)
 }
 
 // --- hybrid-consistency read path ---
@@ -315,21 +165,21 @@ func (r *Replica) onReadRequest(req *types.Request) {
 		// Any replica answers from its executed (speculative) prefix, in any
 		// status: the reply is tagged with the serving (seq, state digest)
 		// and re-answered through the repair path if a rollback truncates it.
-		r.rt.ServeLocalRead(req, types.ConsistencySpeculative, r.view)
+		r.rt.ServeLocalRead(req, types.ConsistencySpeculative, r.View())
 	case types.ConsistencyStrong:
 		if r.tryServeStrong(req) {
 			return
 		}
-		if r.isPrimary() && r.status == statusNormal {
+		if r.IsPrimary() && r.Normal() {
 			// Lease held but the executed head trails the proposals (or the
 			// lease is one renewal short): park the read; afterExecution
 			// drains it the moment the head catches up.
 			r.strongQ.Defer(req, time.Now())
 			return
 		}
-		r.fallbackRead(req)
+		r.FallbackRead(req)
 	default:
-		r.fallbackRead(req)
+		r.FallbackRead(req)
 	}
 }
 
@@ -342,32 +192,17 @@ func (r *Replica) onReadRequest(req *types.Request) {
 // when the lease cannot be validated the read simply pays for ordering, so
 // linearizability never rests on clock synchronization.
 func (r *Replica) tryServeStrong(req *types.Request) bool {
-	if !r.isPrimary() || r.status != statusNormal {
+	if !r.IsPrimary() || !r.Normal() {
 		return false
 	}
 	if r.rt.Exec.LastExecuted()+1 != r.nextPropose {
 		return false
 	}
-	if !r.rt.Lease.HolderValid(r.view) {
+	if !r.rt.Lease.HolderValid(r.View()) {
 		return false
 	}
-	r.rt.ServeLocalRead(req, types.ConsistencyStrong, r.view)
+	r.rt.ServeLocalRead(req, types.ConsistencyStrong, r.View())
 	return true
-}
-
-// fallbackRead routes a tiered read through the ordering pipeline: the
-// primary batches it like any write; a backup forwards it. Fallback reads are
-// dedup-exempt end to end (they use their own client-local sequence space),
-// so they pass the batcher watermark, the executor's dedup, and the reply
-// ring without colliding with writes.
-func (r *Replica) fallbackRead(req *types.Request) {
-	r.rt.Metrics.ReadFallbacks.Add(1)
-	if r.isPrimary() && r.status == statusNormal {
-		r.rt.Batcher.Add(*req)
-		r.proposeReady(false)
-		return
-	}
-	r.rt.Net.Send(r.primaryNode(), &protocol.ForwardRequest{Req: *req})
 }
 
 // drainStrongReads retries deferred STRONG reads, falling back to ordering
@@ -376,27 +211,15 @@ func (r *Replica) drainStrongReads(now time.Time) {
 	if r.strongQ.Len() == 0 {
 		return
 	}
-	r.strongQ.Drain(now, r.rt.Cfg.LeaseDuration/2, r.tryServeStrong, r.fallbackRead)
-}
-
-func (r *Replica) trackPending(req *types.Request) {
-	if req.Txn.Seq <= r.execHigh[req.Txn.Client] {
-		// Late retry of an already executed request (clients propose their
-		// sequences in order over FIFO links, so the watermark is exact).
-		return
-	}
-	d := req.Digest()
-	if _, ok := r.pendingReqs[d]; !ok {
-		r.pendingReqs[d] = pendingReq{req: *req, since: time.Now()}
-	}
+	r.strongQ.Drain(now, r.rt.Cfg.LeaseDuration/2, r.tryServeStrong, r.FallbackRead)
 }
 
 // --- primary: propose ---
 
-// proposeReady proposes as many batches as the batcher and the out-of-order
+// ProposeReady proposes as many batches as the batcher and the out-of-order
 // window allow. With force, a lingering partial batch is proposed too.
-func (r *Replica) proposeReady(force bool) {
-	if !r.isPrimary() || r.status != statusNormal {
+func (r *Replica) ProposeReady(force bool) {
+	if !r.IsPrimary() || !r.Normal() {
 		return
 	}
 	lastExec := r.rt.Exec.LastExecuted()
@@ -412,7 +235,7 @@ func (r *Replica) proposeReady(force bool) {
 func (r *Replica) propose(batch types.Batch) {
 	seq := r.nextPropose
 	r.nextPropose++
-	m := &Propose{View: r.view, Seq: seq, Batch: batch}
+	m := &Propose{View: r.View(), Seq: seq, Batch: batch}
 	r.rt.Metrics.ProposedBatches.Add(1)
 	if r.byz != nil {
 		// Byzantine variants sign inline: the attack path is not the hot
@@ -456,7 +279,7 @@ func (r *Replica) onPropose(from types.NodeID, m *Propose) {
 
 func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 	cfg := r.rt.Cfg
-	if r.status != statusNormal || m.View != r.view || from != cfg.Primary(r.view) {
+	if !r.Active(m.View) || from != r.Primary() {
 		return
 	}
 	lastExec := r.rt.Exec.LastExecuted()
@@ -492,14 +315,14 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 	sup := &Support{View: m.View, Seq: m.Seq}
 	digest := s.digest
 	macMode := cfg.Scheme == crypto.SchemeMAC || cfg.Scheme == crypto.SchemeNone
-	toPrimary := !macMode && !r.isPrimary()
-	primary := r.primaryNode()
-	collector := macMode || r.isPrimary()
+	toPrimary := !macMode && !r.IsPrimary()
+	primary := r.Primary()
+	collector := macMode || r.IsPrimary()
 	view := m.View
 	var local func()
 	if collector {
 		local = func() {
-			if r.status == statusNormal && r.view == view {
+			if r.Active(view) {
 				r.addSupport(cfg.ID, sup, s)
 			}
 		}
@@ -513,7 +336,7 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 				r.rt.Broadcast(sup)
 			} else if toPrimary {
 				// TS instantiation: SUPPORT goes to the primary only.
-				r.rt.Net.Send(primary, sup)
+				r.rt.SendReplica(primary, sup)
 			}
 		},
 		local)
@@ -536,21 +359,22 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 func (r *Replica) slot(seq types.SeqNum) *slot {
 	s, ok := r.slots[seq]
 	if !ok {
-		s = &slot{shares: make(map[types.ReplicaID]crypto.Share), created: time.Now()}
+		s = &slot{shares: make(map[types.ReplicaID]crypto.Share)}
 		r.slots[seq] = s
+		r.NoteSlot(seq)
 	}
 	return s
 }
 
 func (r *Replica) onSupport(from types.NodeID, m *Support) {
-	if !from.IsReplica() || r.status != statusNormal || m.View != r.view {
+	if !from.IsReplica() || !r.Active(m.View) {
 		return
 	}
 	if m.Share.Signer != from.Replica() {
 		return
 	}
 	cfg := r.rt.Cfg
-	collector := cfg.Scheme == crypto.SchemeMAC || cfg.Scheme == crypto.SchemeNone || r.isPrimary()
+	collector := cfg.Scheme == crypto.SchemeMAC || cfg.Scheme == crypto.SchemeNone || r.IsPrimary()
 	if !collector {
 		return
 	}
@@ -614,17 +438,14 @@ func (r *Replica) trySupported(seq types.SeqNum, s *slot) {
 	default:
 		// TS mode: the primary distributes the certificate.
 		if r.byz == nil || !r.byz.SilenceCertify(seq) {
-			r.rt.Broadcast(&Certify{View: r.view, Seq: seq, Digest: s.digest, Cert: cert})
+			r.rt.Broadcast(&Certify{View: r.View(), Seq: seq, Digest: s.digest, Cert: cert})
 		}
 		r.commitSlot(seq, s, cert)
 	}
 }
 
 func (r *Replica) onCertify(from types.NodeID, m *Certify) {
-	if !from.IsReplica() || r.status != statusNormal || m.View != r.view {
-		return
-	}
-	if from.Replica() != r.rt.Cfg.Primary(r.view) {
+	if !from.IsReplica() || !r.Active(m.View) || from.Replica() != r.Primary() {
 		return
 	}
 	s := r.slot(m.Seq)
@@ -643,7 +464,7 @@ func (r *Replica) handleCertify(m *Certify, s *slot) {
 		// replica in the dark (Example 3(2)) — so start state transfer.
 		s.pendingCert = m
 		if r.rt.TS.Verify(m.Digest[:], m.Cert) {
-			r.fetchFrom(r.rt.Exec.LastExecuted())
+			r.rt.FetchFrom(r.rt.Exec.LastExecuted())
 		}
 		return
 	}
@@ -660,7 +481,7 @@ func (r *Replica) commitSlot(seq types.SeqNum, s *slot, cert []byte) {
 		return
 	}
 	s.committed = true
-	r.lastProgress = time.Now()
+	r.Progress()
 	events := r.rt.Exec.Commit(seq, s.view, s.batch, cert)
 	r.afterExecution(events)
 }
@@ -674,172 +495,39 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 		return
 	}
 	for _, ev := range events {
-		r.lastProgress = time.Now()
-		r.rt.Metrics.ExecutedBatches.Add(1)
-		r.rt.Metrics.ExecutedTxns.Add(int64(ev.Rec.Batch.Size()))
+		r.NoteExecuted(ev.Rec)
 		r.rt.InformBatch(ev.Rec, ev.Results, false, types.ZeroDigest)
-		for i := range ev.Rec.Batch.Requests {
-			txn := &ev.Rec.Batch.Requests[i].Txn
-			if txn.Seq > r.execHigh[txn.Client] {
-				r.execHigh[txn.Client] = txn.Seq
-			}
-			delete(r.pendingReqs, ev.Rec.Batch.Requests[i].Digest())
-		}
 		delete(r.slots, ev.Rec.Seq)
 		r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
-	r.proposeReady(false)
-	if r.status == statusNormal {
+	r.ProposeReady(false)
+	if r.Normal() {
 		// Execution progress is the under-load lease carrier (renewals ride
 		// next to the checkpoint broadcast) and the moment deferred STRONG
 		// reads may have caught up.
-		r.rt.MaybeGrantLease(r.view, false)
+		r.rt.MaybeGrantLease(r.View(), false)
 		r.drainStrongReads(time.Now())
 	}
 }
 
 // --- housekeeping ---
 
-func (r *Replica) onTick() {
-	now := time.Now()
-	if r.catchup {
-		r.catchup = false
-		r.fetchFrom(r.rt.Exec.LastExecuted())
-	}
-	// Snapshot state transfer runs in every status: a replica too far behind
-	// for Fetch needs it exactly when it cannot follow the normal case.
-	r.rt.Sync.Tick(now)
-	switch r.status {
-	case statusNormal:
-		if r.isPrimary() && r.rt.Batcher.Ripe(now) {
-			r.proposeReady(true)
-		}
-		r.maybeFetch()
+func (r *Replica) onTick(now time.Time) {
+	suspecting := r.Tick(now)
+	if r.Normal() {
 		r.drainStrongReads(now)
-		suspect := r.suspectPrimary(now)
-		// A suspecting replica stops renewing its lease grant, so the
-		// primary's outstanding lease drains within one LeaseDuration.
-		r.rt.MaybeGrantLease(r.view, suspect)
-		if suspect {
-			r.startViewChange(r.view + 1)
-		}
-	case statusViewChange:
-		// Keep catching up during the view change: FetchReply commits are
-		// processed in any status.
-		r.maybeFetch()
-		// Un-suspect: if execution progressed past where it was when we
-		// suspected the primary and nobody joined our view change, the
-		// current view is demonstrably live — we were merely in the dark.
-		// Rejoin it instead of stalling in a lonely view change.
-		if r.rt.Exec.LastExecuted() > r.vcExecMark && len(r.vcVotes[r.vcTarget]) < r.rt.Cfg.FPlus1() {
-			r.resumeNormal(now)
-			r.curTimeout = r.rt.Cfg.ViewTimeout
-			return
-		}
-		if now.Sub(r.vcStarted) > r.curTimeout {
-			if len(r.vcVotes[r.vcTarget]) < r.rt.Cfg.FPlus1() {
-				// Lonely view change timed out: not even f other replicas
-				// suspect the primary, so at least one non-faulty replica is
-				// content with the current view — our own suspicion was
-				// spurious. Escalating would strand this replica dropping
-				// every message of a live view (fatal when it is needed for
-				// quorum). Return to normal — curTimeout stays doubled, so
-				// repeated spurious suspicion decays — and fetch: any slot we
-				// were suspicious about may have committed without us while
-				// we were view-changing (our share was already spent, so only
-				// the executed record can close it now).
-				r.resumeNormal(now)
-				r.fetchFrom(r.rt.Exec.LastExecuted())
-				return
-			}
-			// The view change itself failed (the next primary is also
-			// faulty or unreachable): move one view further with a doubled
-			// timeout (exponential backoff, Theorem 7).
-			r.startViewChange(r.vcTarget + 1)
-		} else if now.Sub(r.vcResent) > r.rt.Cfg.ViewTimeout {
-			r.broadcastVC(r.vcTarget)
-			r.maybeProposeNewView(r.vcTarget)
-		}
+		r.rt.MaybeGrantLease(r.View(), suspecting)
 	}
-}
-
-// resumeNormal abandons a pending view change and rejoins the current view.
-// The failure-detection clock restarts from scratch: outstanding work gets a
-// fresh full timeout of observation in normal status before it can justify
-// suspicion again — without this the still-stale marks re-trigger the view
-// change on the very next tick, leaving only a tick-wide window to actually
-// process messages.
-func (r *Replica) resumeNormal(now time.Time) {
-	r.status = statusNormal
-	r.lastProgress = now
-	for d, p := range r.pendingReqs {
-		p.since = now
-		r.pendingReqs[d] = p
-	}
-	for _, s := range r.slots {
-		s.created = now
-	}
-}
-
-// suspectPrimary reports whether outstanding work has been stuck beyond the
-// current timeout. The item itself must be older than the timeout, not just
-// lastProgress: after an idle period lastProgress is arbitrarily stale, and
-// work that arrives into that lull (the first proposal after a quiet spell,
-// a request forwarded to a freshly elected primary) must get a full timeout
-// of grace before it counts as evidence of a faulty primary. Without the
-// per-item age check the primary proposes into the lull and the very next
-// tick view-changes — before the supports for that proposal can possibly
-// have returned — stranding it in a lonely view change.
-func (r *Replica) suspectPrimary(now time.Time) bool {
-	if now.Sub(r.lastProgress) <= r.curTimeout {
-		return false
-	}
-	for _, p := range r.pendingReqs {
-		if now.Sub(p.since) > r.curTimeout {
-			return true
-		}
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	for seq, s := range r.slots {
-		if seq > lastExec && now.Sub(s.created) > r.curTimeout {
-			return true
-		}
-	}
-	if _, _, gapped := r.rt.Exec.Gap(); gapped {
-		return true
-	}
-	return false
-}
-
-// maybeFetch requests state transfer when decided batches are stuck behind
-// missing predecessors (a replica left in the dark, §II-D).
-func (r *Replica) maybeFetch() {
-	after, _, gapped := r.rt.Exec.Gap()
-	if !gapped {
-		return
-	}
-	r.fetchFrom(after)
-}
-
-// fetchFrom asks the next peer (round-robin) for executed records above
-// after.
-func (r *Replica) fetchFrom(after types.SeqNum) {
-	r.rt.FetchFrom(after)
 }
 
 func (r *Replica) onFetchReply(m *protocol.FetchReply) {
 	for i := range m.Records {
 		rec := &m.Records[i]
-		if rec.Digest != rec.Batch.Digest() {
+		if !r.rt.CertifiedRecord(rec) {
 			continue
 		}
-		h := types.ProposalDigest(rec.Seq, rec.View, rec.Digest)
-		if !r.rt.TS.Verify(h[:], rec.Proof) {
-			continue
-		}
-		events := r.rt.Exec.Commit(rec.Seq, rec.View, rec.Batch, rec.Proof)
-		r.afterExecution(events)
+		r.afterExecution(r.rt.Exec.Commit(rec.Seq, rec.View, rec.Batch, rec.Proof))
 	}
 	// Paginated transfer: a server whose head is still ahead has more pages.
 	r.rt.FetchContinue(m.Head)
@@ -854,20 +542,41 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 			delete(r.slots, seq)
 		}
 	}
-	if r.nextPropose <= snap.Seq {
-		r.nextPropose = snap.Seq + 1
-	}
-	if snap.Head.View > r.view {
-		r.view = snap.Head.View
-		r.status = statusNormal
-	}
-	r.lastProgress = time.Now()
-	r.curTimeout = r.rt.Cfg.ViewTimeout
-	// Requests executed inside the snapshot prefix never pass through
-	// afterExecution here, so their pending entries would go stale and feed
-	// the failure detector. Drop them all: clients retry anything genuinely
-	// outstanding, which re-tracks it with a fresh timer.
-	r.pendingReqs = make(map[types.Digest]pendingReq)
+	r.nextPropose = max(r.nextPropose, snap.Seq+1)
+	r.Installed(snap)
 	r.afterExecution(events)
-	r.fetchFrom(r.rt.Exec.LastExecuted())
+	r.rt.FetchFrom(r.rt.Exec.LastExecuted())
+}
+
+// --- view-change rules (protocol.Rules) ---
+//
+// A PoE VC-REQUEST carries the sender's execution summary E — every batch
+// executed after its stable checkpoint, each justified by its certificate.
+// The new view starts from E′, the longest such summary among the nf
+// requests: replicas roll back any speculatively executed batch not in E′,
+// execute the ones they miss, and continue at kmax+1 (Fig 5).
+
+// VCEntries implements protocol.Rules.
+func (r *Replica) VCEntries(executed []types.ExecRecord) []types.ExecRecord { return executed }
+
+// ValidEntries implements protocol.Rules.
+func (r *Replica) ValidEntries(m *protocol.VCRequest) bool { return r.rt.CertifiedPrefix(m) }
+
+// NewViewState implements protocol.Rules.
+func (r *Replica) NewViewState(nv *protocol.NVPropose) {
+	kmax, events, err := r.rt.AdoptLongestPrefix(nv.Requests)
+	if err != nil {
+		// nf replicas certified conflicting histories: a broken invariant.
+		panic(fmt.Sprintf("poe: view change rollback: %v", err))
+	}
+	r.EnterView(nv.NewView, kmax)
+	r.afterExecution(events)
+}
+
+// ResetSlots implements protocol.Rules.
+func (r *Replica) ResetSlots(kmax types.SeqNum) {
+	r.slots = make(map[types.SeqNum]*slot)
+	r.nextPropose = max(kmax, r.rt.Exec.LastExecuted()) + 1
+	// Reads the old primary parked can no longer be lease-served.
+	r.strongQ.FlushAll(r.FallbackRead)
 }

@@ -1,9 +1,6 @@
 package poe
 
-import (
-	"github.com/poexec/poe/internal/network"
-	"github.com/poexec/poe/internal/types"
-)
+import "github.com/poexec/poe/internal/network"
 
 // This file is PoE's hook into the parallel authentication pipeline
 // (protocol.Verifier): every inbound message's asymmetric crypto is checked
@@ -59,41 +56,6 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		// Certificates authenticate themselves (§II-E): prove it here so the
 		// handler's re-check is a memo hit.
 		return env.From.IsReplica() && rt.TS.Verify(m.Digest[:], m.Cert)
-	case *VCRequest:
-		// Signature and per-entry certificates are validated by the view-
-		// change path on the event loop (rare, off the normal case); clone so
-		// digest memoization stays replica-local — unless the envelope is
-		// already owned (wire-decoded), in which case memoize in place.
-		if env.Owned {
-			memoizeRecords(m.Executed)
-			return true
-		}
-		cp := *m
-		cp.Executed = types.CloneRecords(m.Executed)
-		memoizeRecords(cp.Executed)
-		env.Msg = &cp
-		return true
-	case *NVPropose:
-		if env.Owned {
-			for i := range m.Requests {
-				memoizeRecords(m.Requests[i].Executed)
-			}
-			return true
-		}
-		cp := *m
-		cp.Requests = append([]VCRequest(nil), m.Requests...)
-		for i := range cp.Requests {
-			cp.Requests[i].Executed = types.CloneRecords(cp.Requests[i].Executed)
-			memoizeRecords(cp.Requests[i].Executed)
-		}
-		env.Msg = &cp
-		return true
 	}
 	return true
-}
-
-func memoizeRecords(recs []types.ExecRecord) {
-	for i := range recs {
-		recs[i].Batch.MemoizeDigests()
-	}
 }

@@ -2,8 +2,10 @@
 // protocol in this repository: configuration and quorum arithmetic, the
 // client-facing message types, the ordered executor that drives the store
 // and ledger, the parallel authentication pipeline, the primary-side
-// request batcher, the checkpoint sub-protocol, and the analytic cost model
-// behind the paper's Fig 1.
+// request batcher, the checkpoint sub-protocol, the event loop, the
+// view-change state machine and failure detector of the primary-backup
+// protocols (Skeleton), and the analytic cost model behind the paper's
+// Fig 1.
 //
 // Individual protocols (poe, pbft, zyzzyva, sbft, hotstuff) build their
 // replicas on these pieces, mirroring how the paper implements all five
@@ -114,6 +116,13 @@ func (c Config) WithDefaults() Config {
 		c.LeaseDuration = c.ViewTimeout / 4
 	}
 	return c
+}
+
+// Tick is the event loop's housekeeping interval. The tick drives both
+// failure detection (needs ≲ ViewTimeout/4) and batch-linger flushing (needs
+// milliseconds).
+func (c Config) Tick() time.Duration {
+	return max(min(c.ViewTimeout/4, 10*time.Millisecond), time.Millisecond)
 }
 
 // NF returns nf = n − f, the size of the paper's large quorum.

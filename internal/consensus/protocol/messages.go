@@ -157,12 +157,12 @@ type ReadReply struct {
 func (m *ReadReply) Payload() types.Digest {
 	return types.DigestConcat(
 		[]byte("readreply"),
-		uint64Bytes(uint64(m.From)),
+		types.U64(uint64(m.From)),
 		m.Digest[:],
-		uint64Bytes(m.ClientSeq),
-		uint64Bytes(uint64(m.ExecSeq)),
+		types.U64(m.ClientSeq),
+		types.U64(uint64(m.ExecSeq)),
 		m.StateDigest[:],
-		uint64Bytes(uint64(m.View)),
+		types.U64(uint64(m.View)),
 		[]byte{byte(m.Tier), boolByte(m.Repaired)},
 		valuesDigest(m.Values),
 	)
@@ -202,10 +202,10 @@ type LeaseGrant struct {
 func (g *LeaseGrant) SignedPayload() []byte {
 	d := types.DigestConcat(
 		[]byte("leasegrant"),
-		uint64Bytes(uint64(g.From)),
-		uint64Bytes(uint64(g.View)),
-		uint64Bytes(uint64(g.Seq)),
-		uint64Bytes(uint64(g.DurationNanos)),
+		types.U64(uint64(g.From)),
+		types.U64(uint64(g.View)),
+		types.U64(uint64(g.Seq)),
+		types.U64(uint64(g.DurationNanos)),
 	)
 	return d[:]
 }
@@ -225,21 +225,52 @@ type Checkpoint struct {
 func (c *Checkpoint) SignedPayload() []byte {
 	d := types.DigestConcat(
 		[]byte("checkpoint"),
-		uint64Bytes(uint64(c.From)),
-		uint64Bytes(uint64(c.Seq)),
+		types.U64(uint64(c.From)),
+		types.U64(uint64(c.Seq)),
 		c.State[:],
 		c.Ledger[:],
 	)
 	return d[:]
 }
 
-func uint64Bytes(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
+// VCRequest is the view-change request VC-REQUEST(v, E) every
+// primary-backup protocol sends (§II-C, Fig 5): it announces the failure of
+// view View's primary and carries the sender's summary E of the order above
+// its stable checkpoint. What E holds and when it is valid is each
+// protocol's rule (Rules.VCEntries, Rules.ValidEntries). VC-REQUESTs are
+// signed: they are forwarded inside NV-PROPOSE and must not be forgeable
+// (§II-E).
+type VCRequest struct {
+	From      types.ReplicaID
+	View      types.View // the failed view; the request asks for View+1
+	StableSeq types.SeqNum
+	Entries   []types.ExecRecord
+	Sig       []byte
+}
+
+// SignedPayload returns the bytes covered by the view-change signature.
+func (m *VCRequest) SignedPayload() []byte {
+	parts := [][]byte{
+		[]byte("vc-request"),
+		types.U64(uint64(m.From)), types.U64(uint64(m.View)), types.U64(uint64(m.StableSeq)),
 	}
-	return b
+	for i := range m.Entries {
+		e := &m.Entries[i]
+		parts = append(parts, types.U64(uint64(e.Seq)), types.U64(uint64(e.View)), e.Digest[:], e.Proof)
+	}
+	d := types.DigestConcat(parts...)
+	return d[:]
+}
+
+// End returns the last sequence number a consecutive summary covers.
+func (m *VCRequest) End() types.SeqNum { return m.StableSeq + types.SeqNum(len(m.Entries)) }
+
+// NVPropose is the new primary's NV-PROPOSE(v+1, m1, …, mnf): the nf
+// view-change requests from which every replica deterministically derives
+// the new view's starting state (Rules.NewViewState).
+type NVPropose struct {
+	NewView  types.View
+	Requests []VCRequest
 }
 
 func init() {
@@ -255,4 +286,6 @@ func init() {
 	wire.Register(func() wire.Message { return &ReadRequest{} })
 	wire.Register(func() wire.Message { return &ReadReply{} })
 	wire.Register(func() wire.Message { return &LeaseGrant{} })
+	wire.Register(func() wire.Message { return &VCRequest{} })
+	wire.Register(func() wire.Message { return &NVPropose{} })
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/exec"
@@ -488,6 +489,38 @@ func (rt *Runtime) StartPipeline(ctx context.Context, verify VerifyFunc) <-chan 
 	return rt.Pipeline.Pipe(ctx, rt.Net.Inbox())
 }
 
+// Run is the event loop every replica runs until ctx is cancelled. Inbound
+// messages pass through the parallel authentication pipeline: verify checks
+// their authenticators on worker goroutines and invalid messages are
+// dropped before dispatch sees them. Outbound messages leave unsigned
+// through the egress pipeline, which computes authenticators off-loop and
+// releases sends in submission order; its Local channel carries the
+// deferred self-votes (own shares, own checkpoint vote) back onto the loop.
+// The replica state machine behind dispatch and onTick therefore performs
+// no asymmetric crypto in either direction on the normal-case path, and is
+// confined to this goroutine.
+func (rt *Runtime) Run(ctx context.Context, verify VerifyFunc, dispatch func(network.Envelope), onTick func(now time.Time)) {
+	ticker := time.NewTicker(rt.Cfg.Tick())
+	defer ticker.Stop()
+	inbox := rt.StartPipeline(ctx, verify)
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case env, ok := <-inbox:
+			if !ok {
+				return
+			}
+			rt.Metrics.MessagesIn.Add(1)
+			dispatch(env)
+		case fn := <-rt.Egress.Local():
+			fn()
+		case <-ticker.C:
+			onTick(time.Now())
+		}
+	}
+}
+
 // VerifyClientRequest checks the client's signature on a request. With
 // SchemeNone all authentication is disabled (Fig 8's "None" column). The
 // caller must own the request (see types.Request): its digest is memoized
@@ -534,9 +567,9 @@ func (rt *Runtime) VerifyBatch(b *types.Batch) bool {
 
 // VerifyCommonInbound handles the message types shared by every protocol:
 // client requests (signature checked, envelope rewritten to an owned clone),
-// forwarded requests, and fetch replies (cloned so digest memoization stays
-// replica-local; certificates are still validated by the handler through the
-// memoized threshold scheme). It reports (keep, handled); handled false
+// forwarded requests, and fetch replies and view-change messages (cloned so
+// digest memoization stays replica-local; certificates are still validated
+// by the handler through the memoized threshold scheme). It reports (keep, handled); handled false
 // means the message is protocol-specific and the caller must classify it.
 func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled bool) {
 	switch m := env.Msg.(type) {
@@ -610,6 +643,28 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 	case *Fetch:
 		// Unauthenticated by design.
 		return true, true
+	case *VCRequest:
+		// Signature and entries are validated by the view-change path on
+		// the event loop (rare, off the normal case); here the envelope only
+		// becomes owned so digest memoization stays replica-local.
+		cp := m
+		if !env.Owned {
+			c := *m
+			cp = &c
+			env.Msg = cp
+		}
+		cp.own(env.Owned)
+		return true, true
+	case *NVPropose:
+		cp := m
+		if !env.Owned {
+			cp = &NVPropose{NewView: m.NewView, Requests: append([]VCRequest(nil), m.Requests...)}
+			env.Msg = cp
+		}
+		for i := range cp.Requests {
+			cp.Requests[i].own(env.Owned)
+		}
+		return true, true
 	case *SnapshotRequest:
 		// Unauthenticated like Fetch, but the claimed sender must match the
 		// transport identity: the reply fan-out goes to m.From.
@@ -623,6 +678,17 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		return env.From.IsReplica() && env.From.Replica() == m.From, true
 	}
 	return true, false
+}
+
+// own makes the request's entries exclusively the receiver's — cloned unless
+// the envelope was wire-decoded — and memoizes their digests.
+func (m *VCRequest) own(owned bool) {
+	if !owned {
+		m.Entries = types.CloneRecords(m.Entries)
+	}
+	for i := range m.Entries {
+		m.Entries[i].Batch.MemoizeDigests()
+	}
 }
 
 // Fetch pagination caps: whatever the requester asked for, one reply never

@@ -1,0 +1,381 @@
+package protocol
+
+import (
+	"testing"
+	"testing/quick"
+	"time"
+
+	"github.com/poexec/poe/internal/crypto"
+	"github.com/poexec/poe/internal/ledger"
+	"github.com/poexec/poe/internal/storage"
+	"github.com/poexec/poe/internal/types"
+)
+
+// The shared view-change machine, driven directly: no cluster, no goroutines.
+// A fake clock is passed in, the transport records what would have been sent,
+// and a stub stands in for a protocol's rules. The egress pipeline is not
+// started, so every send happens inline.
+
+const skelTimeout = 100 * time.Millisecond
+
+// stubRules is the smallest protocol: its VC-REQUESTs carry the executed
+// prefix, every entry is valid unless the sender is listed in reject, and
+// the new view starts at the end of the longest prefix.
+type stubRules struct {
+	sk      *Skeleton
+	reject  map[types.ReplicaID]bool
+	applied []*NVPropose
+	resets  []types.SeqNum
+	forced  int
+}
+
+func (r *stubRules) VCEntries(executed []types.ExecRecord) []types.ExecRecord { return executed }
+func (r *stubRules) ValidEntries(m *VCRequest) bool                           { return !r.reject[m.From] }
+func (r *stubRules) ResetSlots(kmax types.SeqNum)                             { r.resets = append(r.resets, kmax) }
+func (r *stubRules) NewViewState(nv *NVPropose) {
+	r.applied = append(r.applied, nv)
+	r.sk.EnterView(nv.NewView, LongestPrefix(nv.Requests).End())
+}
+func (r *stubRules) ProposeReady(force bool) {
+	if force {
+		r.forced++
+	}
+}
+
+type skelFixture struct {
+	t     *testing.T
+	ring  *crypto.KeyRing
+	rt    *Runtime
+	net   *captureNet
+	rules *stubRules
+	sk    *Skeleton
+	now   time.Time
+}
+
+// newSkelFixture builds replica id of a 4-replica, f=1 system.
+func newSkelFixture(t *testing.T, id types.ReplicaID) *skelFixture {
+	t.Helper()
+	f := &skelFixture{t: t, ring: crypto.NewKeyRing(4, []byte("skeleton")), net: &captureNet{}, now: time.Now()}
+	cfg := Config{ID: id, N: 4, F: 1, Scheme: crypto.SchemeED, ViewTimeout: skelTimeout}.WithDefaults()
+	f.rt = NewRuntime(cfg, f.ring, f.net, RuntimeOptions{})
+	f.rules = &stubRules{reject: map[types.ReplicaID]bool{}}
+	f.sk = NewSkeleton(f.rt, f.rules)
+	f.rules.sk = f.sk
+	clock := func() time.Time { return f.now }
+	f.sk.Now = clock
+	f.sk.lastProgress = f.now
+	f.rt.Lease.Now = clock
+	return f
+}
+
+func (f *skelFixture) advance(d time.Duration) time.Time {
+	f.now = f.now.Add(d)
+	return f.now
+}
+
+// vc returns replica from's signed request to leave view failed.
+func (f *skelFixture) vc(from types.ReplicaID, failed types.View) *VCRequest {
+	m := &VCRequest{From: from, View: failed}
+	m.Sig = f.ring.NodeKeys(types.ReplicaNode(from)).Sign(m.SignedPayload())
+	return m
+}
+
+// sentTo returns the messages of type M recorded for one destination.
+func sentTo[M any](f *skelFixture, to types.ReplicaID) []M {
+	f.net.mu.Lock()
+	defer f.net.mu.Unlock()
+	var out []M
+	for _, env := range f.net.sent {
+		if m, ok := env.Msg.(M); ok && env.To == types.ReplicaNode(to) {
+			out = append(out, m)
+		}
+	}
+	return out
+}
+
+func (f *skelFixture) wantViewChange(target types.View) {
+	f.t.Helper()
+	if f.sk.Normal() || f.sk.vcTarget != target {
+		f.t.Fatalf("normal=%v target=%d, want a view change to %d", f.sk.Normal(), f.sk.vcTarget, target)
+	}
+}
+
+func (f *skelFixture) wantNormal(view types.View) {
+	f.t.Helper()
+	if !f.sk.Active(view) {
+		f.t.Fatalf("normal=%v view=%d, want normal in view %d", f.sk.Normal(), f.sk.View(), view)
+	}
+}
+
+// stuckRequest makes the failure detector's evidence: a client request this
+// backup forwarded and never saw executed, aged past the current timeout.
+func (f *skelFixture) stuckRequest() {
+	c := types.ClientID(types.ClientIDBase)
+	f.sk.OnClientRequest(types.ClientNode(c), &types.Request{Txn: types.Transaction{Client: c, Seq: 1}})
+	f.advance(f.sk.curTimeout + time.Millisecond)
+}
+
+func TestViewChangeJoinRule(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.sk.OnVCRequest(f.vc(1, 0))
+	f.wantNormal(0) // one request could be a faulty replica's
+	f.sk.OnVCRequest(f.vc(1, 0))
+	f.wantNormal(0) // and repeating it does not count twice
+	f.sk.OnVCRequest(f.vc(3, 0))
+	f.wantViewChange(1) // f+1 distinct requests include a non-faulty one
+	if got := sentTo[*VCRequest](f, 1); len(got) != 1 || got[0].From != 2 || got[0].View != 0 {
+		t.Fatalf("joined without broadcasting its own request: %v", got)
+	}
+	if n := f.rt.Metrics.ViewChanges.Load(); n != 1 {
+		t.Fatalf("ViewChanges = %d, want 1", n)
+	}
+}
+
+func TestViewChangeForgedRequestIgnored(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	forged := f.vc(1, 0)
+	forged.From = 3 // signed by 1, claims 3
+	f.sk.OnVCRequest(f.vc(1, 0))
+	f.sk.OnVCRequest(forged)
+	f.rules.reject[0] = true // entries fail the protocol's rule
+	f.sk.OnVCRequest(f.vc(0, 0))
+	f.wantNormal(0)
+}
+
+func TestViewChangeDivergedTargetsJoinSmallest(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.sk.OnVCRequest(f.vc(1, 2)) // 1 wants view 3
+	f.wantNormal(0)
+	f.sk.OnVCRequest(f.vc(3, 1)) // 3 wants view 2
+	// Neither target has f+1 requests, but f+1 replicas are beyond view 0:
+	// adopt the smallest of their targets.
+	f.wantViewChange(2)
+}
+
+func TestViewChangeNewViewFromLowestIDsAndReplay(t *testing.T) {
+	f := newSkelFixture(t, 1) // primary of view 1
+	// An outstanding lease promise holds this replica back while all three
+	// others ask for view 1.
+	f.rt.Lease.NoteGranted(0)
+	for _, id := range []types.ReplicaID{3, 2, 0} {
+		f.sk.OnVCRequest(f.vc(id, 0))
+	}
+	f.wantNormal(0)
+	f.advance(f.rt.Cfg.LeaseDuration)
+	f.sk.OnVCRequest(f.vc(3, 0)) // a retransmission re-triggers the join
+	f.wantNormal(1)
+	if len(f.rules.applied) != 1 {
+		t.Fatalf("applied %d new views, want 1", len(f.rules.applied))
+	}
+	nv := f.rules.applied[0]
+	var ids []types.ReplicaID
+	for i := range nv.Requests {
+		ids = append(ids, nv.Requests[i].From)
+	}
+	if len(ids) != 3 || ids[0] != 0 || ids[1] != 1 || ids[2] != 2 {
+		t.Fatalf("NV-PROPOSE built from %v, want the nf lowest ids [0 1 2]", ids)
+	}
+	for _, to := range []types.ReplicaID{0, 2, 3} {
+		if got := sentTo[*NVPropose](f, to); len(got) != 1 || got[0] != nv {
+			t.Fatalf("replica %d was sent %d NV-PROPOSEs, want the one applied", to, len(got))
+		}
+	}
+	if n := f.rt.Metrics.ViewChangesDone.Load(); n != 1 {
+		t.Fatalf("ViewChangesDone = %d, want 1", n)
+	}
+	// A straggler still asking for view 1 gets the cached proposal again.
+	f.sk.OnVCRequest(f.vc(3, 0))
+	if got := sentTo[*NVPropose](f, 3); len(got) != 2 || got[1] != nv {
+		t.Fatalf("straggler was sent %d NV-PROPOSEs, want the cached one replayed", len(got))
+	}
+}
+
+func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.sk.OnVCRequest(f.vc(3, 0))
+	f.sk.Suspect() // with 3's request that is f+1: not a lonely view change
+	f.wantViewChange(1)
+	if f.sk.curTimeout != 2*skelTimeout {
+		t.Fatalf("timeout %v after one view change, want doubled", f.sk.curTimeout)
+	}
+	f.sk.Tick(f.advance(skelTimeout / 2))
+	if n := len(sentTo[*VCRequest](f, 1)); n != 1 {
+		t.Fatalf("%d requests sent before ViewTimeout elapsed, want 1", n)
+	}
+	f.sk.Tick(f.advance(skelTimeout))
+	f.wantViewChange(1)
+	if n := len(sentTo[*VCRequest](f, 1)); n != 2 {
+		t.Fatalf("%d requests sent after ViewTimeout, want a retransmission", n)
+	}
+	// The doubled timeout runs out with no NV-PROPOSE: the next primary is
+	// faulty too. Move on, doubling again.
+	f.sk.Tick(f.advance(skelTimeout))
+	f.wantViewChange(2)
+	if f.sk.curTimeout != 4*skelTimeout {
+		t.Fatalf("timeout %v after two view changes, want quadrupled", f.sk.curTimeout)
+	}
+	// View 2's primary (replica 2 itself) completes once nf requests are in.
+	f.sk.OnVCRequest(f.vc(0, 1))
+	f.sk.OnVCRequest(f.vc(1, 1))
+	f.wantNormal(2)
+	if f.sk.curTimeout != skelTimeout {
+		t.Fatalf("timeout %v after entering a view, want it reset", f.sk.curTimeout)
+	}
+	if len(f.rules.resets) != 1 || f.rules.forced != 1 {
+		t.Fatalf("entering the view reset slots %d times and forced %d proposals, want 1 and 1", len(f.rules.resets), f.rules.forced)
+	}
+}
+
+func TestViewChangeLeaseDelaysButNeverLosesStart(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.stuckRequest()
+	f.rt.Lease.NoteGranted(0) // promised view 0's primary not to leave yet
+	if !f.sk.Tick(f.now) {
+		t.Fatal("not suspecting a primary with a request stuck past the timeout")
+	}
+	f.wantNormal(0)
+	if n := f.rt.Metrics.ViewChanges.Load(); n != 0 {
+		t.Fatalf("ViewChanges = %d while the lease promise holds", n)
+	}
+	f.sk.Tick(f.advance(f.rt.Cfg.LeaseDuration - time.Millisecond))
+	f.wantNormal(0)
+	f.sk.Tick(f.advance(time.Millisecond))
+	f.wantViewChange(1)
+}
+
+func TestViewChangeInvalidNewViewMovesOn(t *testing.T) {
+	nf := func(f *skelFixture) *NVPropose {
+		return &NVPropose{NewView: 1, Requests: []VCRequest{*f.vc(0, 0), *f.vc(1, 0), *f.vc(3, 0)}}
+	}
+	cases := map[string]func(f *skelFixture, nv *NVPropose){
+		"too few requests":  func(f *skelFixture, nv *NVPropose) { nv.Requests = nv.Requests[:2] },
+		"duplicate sender":  func(f *skelFixture, nv *NVPropose) { nv.Requests[2] = nv.Requests[0] },
+		"wrong failed view": func(f *skelFixture, nv *NVPropose) { nv.Requests[1] = *f.vc(1, 1) },
+		"bad signature":     func(f *skelFixture, nv *NVPropose) { nv.Requests[1].Sig = []byte("forged") },
+		"invalid entries":   func(f *skelFixture, nv *NVPropose) { f.rules.reject[3] = true },
+	}
+	for name, corrupt := range cases {
+		t.Run(name, func(t *testing.T) {
+			f := newSkelFixture(t, 2)
+			nv := nf(f)
+			corrupt(f, nv)
+			f.sk.OnNVPropose(types.ReplicaNode(1), nv)
+			// The new primary exposed itself as faulty.
+			f.wantViewChange(2)
+			if len(f.rules.applied) != 0 {
+				t.Fatal("an invalid NV-PROPOSE was applied")
+			}
+		})
+	}
+	t.Run("valid", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		f.sk.OnNVPropose(types.ReplicaNode(3), nf(f)) // not view 1's primary
+		f.wantNormal(0)
+		f.sk.OnNVPropose(types.ReplicaNode(1), nf(f))
+		f.wantNormal(1)
+	})
+}
+
+func TestViewChangeLonelyResumes(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.stuckRequest()
+	f.sk.Tick(f.now)
+	f.wantViewChange(1)
+	// Nobody joins. When the doubled timeout runs out the suspicion was
+	// spurious: back to view 0, and fetch what may have committed meanwhile.
+	f.sk.Tick(f.advance(2*skelTimeout + time.Millisecond))
+	f.wantNormal(0)
+	if f.sk.curTimeout != 2*skelTimeout {
+		t.Fatalf("timeout %v after a lonely view change, want it to stay doubled", f.sk.curTimeout)
+	}
+	if n := len(sentTo[*Fetch](f, 3)) + len(sentTo[*Fetch](f, 1)) + len(sentTo[*Fetch](f, 0)); n != 1 {
+		t.Fatalf("%d fetches after resuming, want 1", n)
+	}
+	// The stuck request gets a fresh full timeout before it counts again.
+	if f.sk.Tick(f.advance(2 * skelTimeout)) {
+		t.Fatal("suspecting again before the re-stamped request aged past the timeout")
+	}
+	f.sk.Tick(f.advance(2 * time.Millisecond))
+	f.wantViewChange(1)
+}
+
+// TestFailureDetectorIdleLullGrace pins the per-item age gate: after a long idle
+// spell the progress clock is stale, and work arriving into the lull must
+// get a full timeout before it is evidence against the primary.
+func TestFailureDetectorIdleLullGrace(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.advance(10 * skelTimeout)
+	f.sk.NoteSlot(1)
+	if f.sk.Tick(f.advance(skelTimeout / 2)) {
+		t.Fatal("suspected the primary for a slot opened half a timeout ago")
+	}
+	if !f.sk.Tick(f.advance(skelTimeout)) {
+		t.Fatal("a slot open past the timeout is not suspicious")
+	}
+}
+
+// TestFailureDetectorExecutedRetryNotTracked pins the execHigh watermark: a
+// broadcast retry that arrives after its request executed must not be
+// tracked as pending.
+func TestFailureDetectorExecutedRetryNotTracked(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	c := types.ClientID(types.ClientIDBase)
+	req := types.Request{Txn: types.Transaction{Client: c, Seq: 4}}
+	f.sk.NoteExecuted(&types.ExecRecord{Seq: 1, Batch: types.Batch{Requests: []types.Request{req}}})
+	older := types.Request{Txn: types.Transaction{Client: c, Seq: 3}}
+	f.sk.OnClientRequest(types.ClientNode(c), &req)
+	f.sk.OnClientRequest(types.ClientNode(c), &older)
+	if n := len(f.sk.pendingReqs); n != 0 {
+		t.Fatalf("%d executed requests tracked as pending", n)
+	}
+}
+
+// TestFailureDetectorInstallDropsPending pins the snapshot-install reset: requests
+// executed inside an installed snapshot's prefix never pass NoteExecuted, so
+// whatever was being tracked must go, and the view jumps with the snapshot.
+func TestFailureDetectorInstallDropsPending(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.stuckRequest()
+	f.sk.NoteSlot(3)
+	f.sk.NoteSlot(9)
+	f.sk.Tick(f.now)
+	f.wantViewChange(1)
+	f.sk.Installed(&storage.Snapshot{Seq: 8, Head: ledger.Block{Seq: 8, View: 2}})
+	f.wantNormal(2)
+	if len(f.sk.pendingReqs) != 0 || len(f.sk.slotSince) != 1 || f.sk.curTimeout != skelTimeout {
+		t.Fatalf("after install: %d pending, %d open slots, timeout %v", len(f.sk.pendingReqs), len(f.sk.slotSince), f.sk.curTimeout)
+	}
+	if f.sk.Tick(f.advance(skelTimeout / 2)) {
+		t.Fatal("suspecting on state the snapshot superseded")
+	}
+}
+
+// TestQuickNewViewChoiceDeterministic: every replica must derive the same
+// E' from the same NV-PROPOSE regardless of request order — otherwise the
+// new view would fork.
+func TestQuickNewViewChoiceDeterministic(t *testing.T) {
+	f := func(stables []uint8, lens []uint8, perm uint8) bool {
+		n := min(len(stables), len(lens))
+		if n < 2 {
+			return true
+		}
+		reqs := make([]VCRequest, n)
+		for i := 0; i < n; i++ {
+			reqs[i] = VCRequest{From: types.ReplicaID(i), StableSeq: types.SeqNum(stables[i])}
+			for j := 0; j < int(lens[i]%8); j++ {
+				reqs[i].Entries = append(reqs[i].Entries, types.ExecRecord{
+					Seq: reqs[i].StableSeq + types.SeqNum(j) + 1,
+				})
+			}
+		}
+		a := LongestPrefix(reqs)
+		// Rotate the slice: the choice must not depend on order.
+		k := int(perm) % n
+		rotated := append(append([]VCRequest(nil), reqs[k:]...), reqs[:k]...)
+		b := LongestPrefix(rotated)
+		return a.From == b.From && a.StableSeq == b.StableSeq && len(a.Entries) == len(b.Entries)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -291,3 +291,61 @@ func (m *SnapshotChunk) Unmarshal(data []byte) error {
 	m.Data = r.Bytes()
 	return r.Close()
 }
+
+// appendVCRequest/readVCRequest are shared by VCRequest and NVPropose.
+func appendVCRequest(buf []byte, m *VCRequest) []byte {
+	buf = wire.AppendI32(buf, int32(m.From))
+	buf = wire.AppendU64(buf, uint64(m.View))
+	buf = wire.AppendU64(buf, uint64(m.StableSeq))
+	buf = types.AppendRecords(buf, m.Entries)
+	return wire.AppendBytes(buf, m.Sig)
+}
+
+func readVCRequest(r *wire.Reader, m *VCRequest) {
+	m.From = types.ReplicaID(r.I32())
+	m.View = types.View(r.U64())
+	m.StableSeq = types.SeqNum(r.U64())
+	m.Entries = types.ReadRecords(r)
+	m.Sig = r.Bytes()
+}
+
+// WireID implements wire.Message.
+func (m *VCRequest) WireID() uint16 { return wire.IDVCRequest }
+
+// MarshalTo implements wire.Message.
+func (m *VCRequest) MarshalTo(buf []byte) []byte { return appendVCRequest(buf, m) }
+
+// Unmarshal implements wire.Message.
+func (m *VCRequest) Unmarshal(data []byte) error {
+	r := wire.NewReader(data)
+	readVCRequest(r, m)
+	return r.Close()
+}
+
+// WireID implements wire.Message.
+func (m *NVPropose) WireID() uint16 { return wire.IDNVPropose }
+
+// MarshalTo implements wire.Message.
+func (m *NVPropose) MarshalTo(buf []byte) []byte {
+	buf = wire.AppendU64(buf, uint64(m.NewView))
+	buf = wire.AppendU32(buf, uint32(len(m.Requests)))
+	for i := range m.Requests {
+		buf = appendVCRequest(buf, &m.Requests[i])
+	}
+	return buf
+}
+
+// Unmarshal implements wire.Message.
+func (m *NVPropose) Unmarshal(data []byte) error {
+	r := wire.NewReader(data)
+	m.NewView = types.View(r.U64())
+	n := r.Count(4 + 8 + 8 + 4 + 4) // per-request floor: i32 + two u64 + record count + sig length
+	m.Requests = nil
+	if n > 0 {
+		m.Requests = make([]VCRequest, n)
+		for i := range m.Requests {
+			readVCRequest(r, &m.Requests[i])
+		}
+	}
+	return r.Close()
+}

@@ -19,19 +19,21 @@
 //     clients the need to collect reply quorums (what PoE's ingredient I4
 //     deliberately avoids paying for).
 //
-// The executor waits for nf (rather than f+1) state shares so that a
-// client-visible execution implies f+1 non-faulty replicas hold the commit
-// certificate, which makes the PoE-style longest-certified-prefix view
-// change safe (see DESIGN.md §3).
+// View change runs on the shared protocol.Skeleton with PoE's rules: a
+// request carries the executed batches with their full-commit certificates,
+// and the new view starts from the longest certified prefix. The executor
+// waits for nf (rather than f+1) state shares so that a client-visible
+// execution implies f+1 non-faulty replicas hold the commit certificate,
+// which is what makes that rule safe here (see DESIGN.md §3).
 package sbft
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
-	"github.com/poexec/poe/internal/ledger"
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/storage"
 	"github.com/poexec/poe/internal/types"
@@ -105,44 +107,8 @@ type ExecuteAck struct {
 // hash, which transitively binds the whole executed prefix. Exported so
 // clients can verify Inform.Cert.
 func ExecPayload(seq types.SeqNum, head types.Digest) []byte {
-	d := types.DigestConcat([]byte("sbft-exec"), u64(uint64(seq)), head[:])
+	d := types.DigestConcat([]byte("sbft-exec"), types.U64(uint64(seq)), head[:])
 	return d[:]
-}
-
-// VCRequest and NVPropose mirror PoE's view change; entries carry
-// full-commit certificates.
-type VCRequest struct {
-	From      types.ReplicaID
-	View      types.View
-	StableSeq types.SeqNum
-	Executed  []types.ExecRecord
-	Sig       []byte
-}
-
-// SignedPayload returns the bytes covered by the view-change signature.
-func (m *VCRequest) SignedPayload() []byte {
-	parts := [][]byte{[]byte("sbft-vc"), u64(uint64(m.From)), u64(uint64(m.View)), u64(uint64(m.StableSeq))}
-	for i := range m.Executed {
-		e := &m.Executed[i]
-		parts = append(parts, u64(uint64(e.Seq)), u64(uint64(e.View)), e.Digest[:], e.Proof)
-	}
-	d := types.DigestConcat(parts...)
-	return d[:]
-}
-
-// NVPropose is the new primary's new-view message.
-type NVPropose struct {
-	NewView  types.View
-	Requests []VCRequest
-}
-
-func u64(v uint64) []byte {
-	b := make([]byte, 8)
-	for i := 7; i >= 0; i-- {
-		b[i] = byte(v)
-		v >>= 8
-	}
-	return b
 }
 
 func init() {
@@ -153,8 +119,6 @@ func init() {
 	wire.Register(func() wire.Message { return &FullCommitProof{} })
 	wire.Register(func() wire.Message { return &SignState{} })
 	wire.Register(func() wire.Message { return &ExecuteAck{} })
-	wire.Register(func() wire.Message { return &VCRequest{} })
-	wire.Register(func() wire.Message { return &NVPropose{} })
 }
 
 // Collector returns the collector replica of view v (the primary, per the
@@ -168,13 +132,6 @@ func Executor(cfg protocol.Config, v types.View) types.ReplicaID {
 	return types.ReplicaID((uint64(v) + 1) % uint64(cfg.N))
 }
 
-type status int
-
-const (
-	statusNormal status = iota
-	statusViewChange
-)
-
 // Options configure an SBFT replica.
 type Options struct {
 	protocol.RuntimeOptions
@@ -184,39 +141,23 @@ type Options struct {
 	// collector that withholds FULL-COMMIT-PROOF so backups sign-share but
 	// never commit. Nil means honest.
 	Adversary *protocol.AdversarySpec
-	Tick      time.Duration
 	// CollectorTimeout is how long the collector waits for all n shares
 	// before falling back to the slow path (the paper's replica-side
 	// timeout, chosen small in §IV-D).
 	CollectorTimeout time.Duration
 }
 
-// Replica is one SBFT replica.
+// Replica is one SBFT replica. The view-change skeleton and the failure
+// detector are the embedded protocol.Skeleton's; the rules SBFT gives it are
+// at the end of this file.
 type Replica struct {
+	*protocol.Skeleton
 	rt  *protocol.Runtime
 	adv *protocol.AdversarySpec
 
-	view        types.View
-	status      status
 	nextPropose types.SeqNum
 	slots       map[types.SeqNum]*slot
 
-	pendingReqs  map[types.Digest]pendingReq
-	lastProgress time.Time
-	curTimeout   time.Duration
-
-	vcTarget  types.View
-	vcStarted time.Time
-	vcResent  time.Time
-	vcVotes   map[types.View]map[types.ReplicaID]*VCRequest
-	sentVC    map[types.View]bool
-	lastNV    *NVPropose
-
-	// catchup marks a replica restarted from durable state: the first tick
-	// proactively fetches past the recovered prefix.
-	catchup bool
-
-	tick        time.Duration
 	collTimeout time.Duration
 }
 
@@ -239,11 +180,6 @@ type slot struct {
 	rec         *types.ExecRecord
 }
 
-type pendingReq struct {
-	req   types.Request
-	since time.Time
-}
-
 // New creates an SBFT replica.
 func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
@@ -251,101 +187,42 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	tick := opts.Tick
-	if tick == 0 {
-		// The tick drives both failure detection (needs ≲ ViewTimeout/4)
-		// and batch-linger flushing (needs milliseconds).
-		tick = cfg.ViewTimeout / 4
-		if tick > 10*time.Millisecond {
-			tick = 10 * time.Millisecond
-		}
-	}
 	ct := opts.CollectorTimeout
 	if ct == 0 {
 		ct = 50 * time.Millisecond
 	}
-	if tick > ct/2 {
-		tick = ct / 2
-	}
-	if tick <= 0 {
-		tick = time.Millisecond
-	}
 	r := &Replica{
-		rt:           rt,
-		adv:          opts.Adversary,
-		nextPropose:  rt.Exec.LastExecuted() + 1,
-		slots:        make(map[types.SeqNum]*slot),
-		pendingReqs:  make(map[types.Digest]pendingReq),
-		lastProgress: time.Now(),
-		curTimeout:   cfg.ViewTimeout,
-		vcVotes:      make(map[types.View]map[types.ReplicaID]*VCRequest),
-		sentVC:       make(map[types.View]bool),
-		tick:         tick,
-		collTimeout:  ct,
+		rt:          rt,
+		adv:         opts.Adversary,
+		nextPropose: rt.Exec.LastExecuted() + 1,
+		slots:       make(map[types.SeqNum]*slot),
+		collTimeout: ct,
 	}
+	r.Skeleton = protocol.NewSkeleton(rt, r)
 	rt.Sync.AfterInstall = r.afterInstall
-	if rt.RecoveredSeq > 0 {
-		// Crash-restart: resume after the recovered prefix, rejoin in the
-		// last durably executed view (view-change catch-up handles any
-		// further drift), and fetch proactively on the first tick.
-		r.view = rt.Exec.Chain().Head().View
-		r.catchup = true
-	}
-	if rt.Store != nil {
-		// Durable (re)start — including a wiped rejoin that recovered
-		// nothing: ask peers whether a snapshot is needed rather than wait
-		// for checkpoint votes an idle cluster will never emit.
-		rt.Sync.Probe()
-	}
 	return r, nil
 }
 
 // Runtime exposes the replica runtime.
 func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 
-// View returns the current view (racy while running; for tests).
-func (r *Replica) View() types.View { return r.view }
-
-// Run processes messages until ctx is cancelled. Inbound messages pass
-// through the parallel authentication pipeline (verify.go); outbound
-// pre-prepares, sign/state shares, checkpoint votes, and reply MACs are
-// signed on the egress pipeline, whose Local channel loops deferred
-// self-shares back onto the loop. The loop below performs no asymmetric
-// crypto of its own in either direction on the normal-case path.
+// Run processes messages until ctx is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	ticker := time.NewTicker(r.tick)
-	defer ticker.Stop()
-	inbox := r.rt.StartPipeline(ctx, r.verifyInbound)
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			r.rt.Metrics.MessagesIn.Add(1)
-			r.dispatch(env)
-		case fn := <-r.rt.Egress.Local():
-			fn()
-		case <-ticker.C:
-			r.onTick()
-		}
-	}
+	r.rt.Run(ctx, r.verifyInbound, r.dispatch, r.onTick)
 }
 
 func (r *Replica) dispatch(env network.Envelope) {
 	switch m := env.Msg.(type) {
 	case *protocol.ClientRequest:
-		r.onClientRequest(env.From, &m.Req)
+		r.OnClientRequest(env.From, &m.Req)
 	case *protocol.ForwardRequest:
-		r.onForwardRequest(&m.Req)
+		r.OnForwardRequest(&m.Req)
 	case *protocol.ReadRequest:
 		// SBFT does not implement the fast read path
 		// (protocol.ErrReadPathUnsupported): tiered reads are ordered like
 		// any other request. They are dedup-exempt end to end, so their
 		// separate client-local sequence space cannot collide with writes.
-		r.fallbackRead(&m.Req)
+		r.FallbackRead(&m.Req)
 	case *protocol.LeaseGrant:
 		// No lease machinery without the fast read path; grants are inert.
 	case *PrePrepare:
@@ -385,76 +262,21 @@ func (r *Replica) dispatch(env network.Envelope) {
 		r.rt.Sync.OnOffer(m)
 	case *protocol.SnapshotChunk:
 		r.rt.Sync.OnChunk(m)
-	case *VCRequest:
-		r.onVCRequest(m)
-	case *NVPropose:
-		if env.From.IsReplica() {
-			r.onNVPropose(env.From.Replica(), m)
-		}
+	case *protocol.VCRequest:
+		r.OnVCRequest(m)
+	case *protocol.NVPropose:
+		r.OnNVPropose(env.From, m)
 	}
 }
 
-func (r *Replica) isPrimary() bool   { return r.rt.Cfg.IsPrimary(r.view) }
-func (r *Replica) isCollector() bool { return Collector(r.rt.Cfg, r.view) == r.rt.Cfg.ID }
-func (r *Replica) isExecutor() bool  { return Executor(r.rt.Cfg, r.view) == r.rt.Cfg.ID }
-
-// --- client requests ---
-
-func (r *Replica) onClientRequest(from types.NodeID, req *types.Request) {
-	if !from.IsClient() || req.Txn.Client != from.Client() {
-		return
-	}
-	// The request signature was checked by the authentication pipeline.
-	if r.rt.ReplayReply(req) {
-		return
-	}
-	if r.status != statusNormal {
-		r.trackPending(req)
-		return
-	}
-	if r.isPrimary() {
-		r.rt.Batcher.Add(*req)
-		r.proposeReady(false)
-		return
-	}
-	r.trackPending(req)
-	r.rt.SendReplica(r.rt.Cfg.Primary(r.view), &protocol.ForwardRequest{Req: *req})
-}
-
-func (r *Replica) onForwardRequest(req *types.Request) {
-	if r.status != statusNormal || !r.isPrimary() {
-		return
-	}
-	if r.rt.ReplayReply(req) {
-		return
-	}
-	r.rt.Batcher.Add(*req)
-	r.proposeReady(false)
-}
-
-func (r *Replica) trackPending(req *types.Request) {
-	d := req.Digest()
-	if _, ok := r.pendingReqs[d]; !ok {
-		r.pendingReqs[d] = pendingReq{req: *req, since: time.Now()}
-	}
-}
-
-// fallbackRead routes a tiered read through the ordering pipeline: the
-// primary batches it; a backup forwards it.
-func (r *Replica) fallbackRead(req *types.Request) {
-	r.rt.Metrics.ReadFallbacks.Add(1)
-	if r.isPrimary() && r.status == statusNormal {
-		r.rt.Batcher.Add(*req)
-		r.proposeReady(false)
-		return
-	}
-	r.rt.SendReplica(r.rt.Cfg.Primary(r.view), &protocol.ForwardRequest{Req: *req})
-}
+func (r *Replica) isCollector() bool { return Collector(r.rt.Cfg, r.View()) == r.rt.Cfg.ID }
+func (r *Replica) isExecutor() bool  { return Executor(r.rt.Cfg, r.View()) == r.rt.Cfg.ID }
 
 // --- normal case ---
 
-func (r *Replica) proposeReady(force bool) {
-	if !r.isPrimary() || r.status != statusNormal {
+// ProposeReady implements protocol.Rules.
+func (r *Replica) ProposeReady(force bool) {
+	if !r.IsPrimary() || !r.Normal() {
 		return
 	}
 	lastExec := r.rt.Exec.LastExecuted()
@@ -465,7 +287,7 @@ func (r *Replica) proposeReady(force bool) {
 		}
 		seq := r.nextPropose
 		r.nextPropose++
-		m := &PrePrepare{View: r.view, Seq: seq, Batch: batch}
+		m := &PrePrepare{View: r.View(), Seq: seq, Batch: batch}
 		r.rt.Metrics.ProposedBatches.Add(1)
 		if r.adv == nil {
 			payload := m.SignedPayload() // memoizes the batch digest on the loop
@@ -521,13 +343,14 @@ func (r *Replica) slot(seq types.SeqNum) *slot {
 			stateShares: make(map[types.ReplicaID]crypto.Share),
 		}
 		r.slots[seq] = s
+		r.NoteSlot(seq)
 	}
 	return s
 }
 
 func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	cfg := r.rt.Cfg
-	if r.status != statusNormal || m.View != r.view || from != cfg.Primary(r.view) {
+	if !r.Active(m.View) || from != r.Primary() {
 		return
 	}
 	lastExec := r.rt.Exec.LastExecuted()
@@ -554,12 +377,12 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	ss := &SignShare{View: m.View, Seq: m.Seq}
 	digest := s.digest
 	view := m.View
-	coll := Collector(cfg, r.view)
+	coll := Collector(cfg, r.View())
 	isColl := coll == cfg.ID
 	var local func()
 	if isColl {
 		local = func() {
-			if r.status == statusNormal && r.view == view {
+			if r.Active(view) {
 				r.addSignShare(cfg.ID, ss, s)
 			}
 		}
@@ -584,7 +407,7 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 }
 
 func (r *Replica) onSignShare(from types.ReplicaID, m *SignShare) {
-	if r.status != statusNormal || m.View != r.view || !r.isCollector() || m.Share.Signer != from {
+	if !r.Active(m.View) || !r.isCollector() || m.Share.Signer != from {
 		return
 	}
 	lastExec := r.rt.Exec.LastExecuted()
@@ -669,7 +492,7 @@ func share2Digest(h types.Digest) types.Digest {
 }
 
 func (r *Replica) onPrepare2(from types.ReplicaID, m *Prepare2) {
-	if r.status != statusNormal || m.View != r.view || from != Collector(r.rt.Cfg, r.view) {
+	if !r.Active(m.View) || from != Collector(r.rt.Cfg, r.View()) {
 		return
 	}
 	s := r.slot(m.Seq)
@@ -679,12 +502,12 @@ func (r *Replica) onPrepare2(from types.ReplicaID, m *Prepare2) {
 	d2 := share2Digest(s.digest)
 	sh := &Share2{View: m.View, Seq: m.Seq}
 	view := m.View
-	coll := Collector(r.rt.Cfg, r.view)
+	coll := Collector(r.rt.Cfg, r.View())
 	isColl := coll == r.rt.Cfg.ID
 	var local func()
 	if isColl {
 		local = func() {
-			if r.status == statusNormal && r.view == view {
+			if r.Active(view) {
 				r.addShare2(r.rt.Cfg.ID, sh, s)
 			}
 		}
@@ -700,7 +523,7 @@ func (r *Replica) onPrepare2(from types.ReplicaID, m *Prepare2) {
 }
 
 func (r *Replica) onShare2(from types.ReplicaID, m *Share2) {
-	if r.status != statusNormal || m.View != r.view || !r.isCollector() || m.Share.Signer != from {
+	if !r.Active(m.View) || !r.isCollector() || m.Share.Signer != from {
 		return
 	}
 	// No pre-proposal stash needed here, unlike onSignShare: second-round
@@ -748,7 +571,7 @@ func (r *Replica) addShare2(from types.ReplicaID, m *Share2, s *slot) {
 }
 
 func (r *Replica) onFullCommitProof(m *FullCommitProof) {
-	if r.status != statusNormal || m.View != r.view {
+	if !r.Active(m.View) {
 		return
 	}
 	s := r.slot(m.Seq)
@@ -768,7 +591,7 @@ func (r *Replica) commit(seq types.SeqNum, s *slot, cert []byte) {
 		return
 	}
 	s.committed = true
-	r.lastProgress = time.Now()
+	r.Progress()
 	events := r.rt.Exec.Commit(seq, s.view, s.batch, cert)
 	r.afterExecution(events)
 }
@@ -777,27 +600,22 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 	if len(events) == 0 {
 		return
 	}
-	exec := Executor(r.rt.Cfg, r.view)
+	view := r.View()
+	exec := Executor(r.rt.Cfg, view)
 	for _, ev := range events {
-		r.lastProgress = time.Now()
-		r.rt.Metrics.ExecutedBatches.Add(1)
-		r.rt.Metrics.ExecutedTxns.Add(int64(ev.Rec.Batch.Size()))
-		for i := range ev.Rec.Batch.Requests {
-			delete(r.pendingReqs, ev.Rec.Batch.Requests[i].Digest())
-		}
+		r.NoteExecuted(ev.Rec)
 		head, _ := r.rt.Exec.Chain().Get(ev.Rec.Seq)
-		headHash := blockHash(head)
+		headHash := head.Hash()
 		r.noteExecution(ev, headHash)
 		// The SIGN-STATE share is signed on the egress pool; the executor
 		// replica's own share loops back onto the event loop.
 		payload := ExecPayload(ev.Rec.Seq, headHash)
-		ss := &SignState{View: r.view, Seq: ev.Rec.Seq}
-		view := r.view
+		ss := &SignState{View: view, Seq: ev.Rec.Seq}
 		isExec := exec == r.rt.Cfg.ID
 		var local func()
 		if isExec {
 			local = func() {
-				if r.status == statusNormal && r.view == view {
+				if r.Active(view) {
 					r.addSignState(r.rt.Cfg.ID, ss)
 				}
 			}
@@ -812,7 +630,7 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 			local)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
-	r.proposeReady(false)
+	r.ProposeReady(false)
 }
 
 // noteExecution retains the executor-side context needed to answer clients
@@ -823,11 +641,11 @@ func (r *Replica) noteExecution(ev protocol.Executed, headHash types.Digest) {
 	s.execHead = headHash
 	s.results = ev.Results
 	s.rec = ev.Rec
-	r.rt.Pipeline.NoteDigest(kindState, r.view, ev.Rec.Seq, ExecPayload(ev.Rec.Seq, headHash))
+	r.rt.Pipeline.NoteDigest(kindState, r.View(), ev.Rec.Seq, ExecPayload(ev.Rec.Seq, headHash))
 }
 
 func (r *Replica) onSignState(from types.ReplicaID, m *SignState) {
-	if r.status != statusNormal || m.View != r.view || !r.isExecutor() || m.Share.Signer != from {
+	if !r.Active(m.View) || !r.isExecutor() || m.Share.Signer != from {
 		return
 	}
 	r.addSignState(from, m)
@@ -862,13 +680,13 @@ func (r *Replica) tryAck(seq types.SeqNum, s *slot) {
 		return
 	}
 	s.ackSent = true
-	r.rt.Broadcast(&ExecuteAck{View: r.view, Seq: seq, Head: s.execHead, Cert: cert})
+	r.rt.Broadcast(&ExecuteAck{View: r.View(), Seq: seq, Head: s.execHead, Cert: cert})
 	// Aggregated replies to the clients: one message each, carrying the
 	// certificate (the paper's executor role).
 	r.informClients(s, cert)
 	delete(r.slots, seq)
 	r.rt.Pipeline.ForgetDigests(s.view, seq)
-	r.rt.Pipeline.ForgetDigests(r.view, seq)
+	r.rt.Pipeline.ForgetDigests(r.View(), seq)
 }
 
 // informClients stages the executor's aggregated replies: MACs are computed
@@ -908,50 +726,11 @@ func (r *Replica) informClients(s *slot, cert []byte) {
 
 // --- housekeeping ---
 
-func (r *Replica) onTick() {
-	now := time.Now()
-	if r.catchup {
-		r.catchup = false
-		r.fetchFrom(r.rt.Exec.LastExecuted())
+func (r *Replica) onTick(now time.Time) {
+	r.Tick(now)
+	if r.Normal() && r.isCollector() {
+		r.checkCollectorTimeouts(now)
 	}
-	// Snapshot state transfer runs in every status: a replica too far behind
-	// for Fetch needs it exactly when it cannot follow the normal case.
-	r.rt.Sync.Tick(now)
-	switch r.status {
-	case statusNormal:
-		if r.isPrimary() && r.rt.Batcher.Ripe(now) {
-			r.proposeReady(true)
-		}
-		if r.isCollector() {
-			r.checkCollectorTimeouts(now)
-		}
-		r.maybeFetch()
-		if r.suspect(now) {
-			r.startViewChange(r.view + 1)
-		}
-	case statusViewChange:
-		if now.Sub(r.vcStarted) > r.curTimeout {
-			r.startViewChange(r.vcTarget + 1)
-		} else if now.Sub(r.vcResent) > r.rt.Cfg.ViewTimeout {
-			r.broadcastVC(r.vcTarget)
-			r.maybeProposeNewView(r.vcTarget)
-		}
-	}
-}
-
-// maybeFetch requests state transfer when decided batches are stuck behind
-// missing predecessors (a replica left in the dark, §II-D).
-func (r *Replica) maybeFetch() {
-	after, _, gapped := r.rt.Exec.Gap()
-	if !gapped {
-		return
-	}
-	r.fetchFrom(after)
-}
-
-// fetchFrom asks the next peer (round-robin) for executed records above after.
-func (r *Replica) fetchFrom(after types.SeqNum) {
-	r.rt.FetchFrom(after)
 }
 
 // afterInstall resumes the protocol around an installed snapshot: per-slot
@@ -963,17 +742,10 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 			delete(r.slots, seq)
 		}
 	}
-	if r.nextPropose <= snap.Seq {
-		r.nextPropose = snap.Seq + 1
-	}
-	if snap.Head.View > r.view {
-		r.view = snap.Head.View
-		r.status = statusNormal
-	}
-	r.lastProgress = time.Now()
-	r.curTimeout = r.rt.Cfg.ViewTimeout
+	r.nextPropose = max(r.nextPropose, snap.Seq+1)
+	r.Installed(snap)
 	r.afterExecution(events)
-	r.fetchFrom(r.rt.Exec.LastExecuted())
+	r.rt.FetchFrom(r.rt.Exec.LastExecuted())
 }
 
 // checkCollectorTimeouts moves stalled fast-path slots to the slow path. A
@@ -990,40 +762,44 @@ func (r *Replica) checkCollectorTimeouts(now time.Time) {
 	}
 }
 
-func (r *Replica) suspect(now time.Time) bool {
-	if now.Sub(r.lastProgress) <= r.curTimeout {
-		return false
-	}
-	if len(r.pendingReqs) > 0 {
-		return true
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	for seq, s := range r.slots {
-		if seq > lastExec && !s.committed {
-			return true
-		}
-	}
-	if _, _, gapped := r.rt.Exec.Gap(); gapped {
-		return true
-	}
-	return false
-}
-
 func (r *Replica) onFetchReply(m *protocol.FetchReply) {
 	for i := range m.Records {
 		rec := &m.Records[i]
-		if rec.Digest != rec.Batch.Digest() {
+		if !r.rt.CertifiedRecord(rec) {
 			continue
 		}
-		h := types.ProposalDigest(rec.Seq, rec.View, rec.Digest)
-		if !r.rt.TS.Verify(h[:], rec.Proof) {
-			continue
-		}
-		events := r.rt.Exec.Commit(rec.Seq, rec.View, rec.Batch, rec.Proof)
-		r.afterExecution(events)
+		r.afterExecution(r.rt.Exec.Commit(rec.Seq, rec.View, rec.Batch, rec.Proof))
 	}
 	// Paginated transfer: a server whose head is still ahead has more pages.
 	r.rt.FetchContinue(m.Head)
 }
 
-func blockHash(b ledger.Block) types.Digest { return b.Hash() }
+// --- view-change rules (protocol.Rules) ---
+//
+// SBFT's view change follows the PoE-style longest-certified-prefix scheme:
+// every executed batch carries its full-commit certificate, so view-change
+// requests are third-party verifiable (see the package comment for why the
+// executor's nf-share rule makes this safe).
+
+// VCEntries implements protocol.Rules.
+func (r *Replica) VCEntries(executed []types.ExecRecord) []types.ExecRecord { return executed }
+
+// ValidEntries implements protocol.Rules.
+func (r *Replica) ValidEntries(m *protocol.VCRequest) bool { return r.rt.CertifiedPrefix(m) }
+
+// NewViewState implements protocol.Rules.
+func (r *Replica) NewViewState(nv *protocol.NVPropose) {
+	kmax, events, err := r.rt.AdoptLongestPrefix(nv.Requests)
+	if err != nil {
+		// nf replicas certified conflicting histories: a broken invariant.
+		panic(fmt.Sprintf("sbft: view change rollback: %v", err))
+	}
+	r.EnterView(nv.NewView, kmax)
+	r.afterExecution(events)
+}
+
+// ResetSlots implements protocol.Rules.
+func (r *Replica) ResetSlots(kmax types.SeqNum) {
+	r.slots = make(map[types.SeqNum]*slot)
+	r.nextPropose = max(kmax, r.rt.Exec.LastExecuted()) + 1
+}

@@ -1,9 +1,6 @@
 package sbft
 
-import (
-	"github.com/poexec/poe/internal/network"
-	"github.com/poexec/poe/internal/types"
-)
+import "github.com/poexec/poe/internal/network"
 
 // SBFT's hook into the parallel authentication pipeline: broadcast
 // authenticators, client signatures, self-certifying certificates, and —
@@ -64,39 +61,6 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		return env.From.IsReplica() && rt.TS.Verify(m.Digest[:], m.Cert)
 	case *FullCommitProof:
 		return rt.TS.Verify(m.Digest[:], m.Cert)
-	case *VCRequest:
-		env.Msg = ownVCRequest(m, env.Owned)
-		return true
-	case *NVPropose:
-		if env.Owned {
-			for i := range m.Requests {
-				ownVCRequest(&m.Requests[i], true)
-			}
-			return true
-		}
-		cp := *m
-		cp.Requests = make([]VCRequest, len(m.Requests))
-		for i := range m.Requests {
-			cp.Requests[i] = *ownVCRequest(&m.Requests[i], false)
-		}
-		env.Msg = &cp
-		return true
 	}
 	return true
-}
-
-// ownVCRequest gives the replica its own copy of the execution records so
-// digest memoization stays local — wire-decoded (owned) requests memoize in
-// place. Signatures and certificates are validated by the view-change path
-// on the event loop (rare, off the normal case).
-func ownVCRequest(m *VCRequest, owned bool) *VCRequest {
-	if !owned {
-		cp := *m
-		cp.Executed = types.CloneRecords(m.Executed)
-		m = &cp
-	}
-	for i := range m.Executed {
-		m.Executed[i].Batch.MemoizeDigests()
-	}
-	return m
 }

@@ -142,61 +142,3 @@ func (m *ExecuteAck) Unmarshal(data []byte) error {
 	readCertMsg(r, &m.View, &m.Seq, &m.Head, &m.Cert)
 	return r.Close()
 }
-
-func appendVCRequest(buf []byte, m *VCRequest) []byte {
-	buf = wire.AppendI32(buf, int32(m.From))
-	buf = wire.AppendU64(buf, uint64(m.View))
-	buf = wire.AppendU64(buf, uint64(m.StableSeq))
-	buf = types.AppendRecords(buf, m.Executed)
-	return wire.AppendBytes(buf, m.Sig)
-}
-
-func readVCRequest(r *wire.Reader, m *VCRequest) {
-	m.From = types.ReplicaID(r.I32())
-	m.View = types.View(r.U64())
-	m.StableSeq = types.SeqNum(r.U64())
-	m.Executed = types.ReadRecords(r)
-	m.Sig = r.Bytes()
-}
-
-// WireID implements wire.Message.
-func (m *VCRequest) WireID() uint16 { return wire.IDSbftVCRequest }
-
-// MarshalTo implements wire.Message.
-func (m *VCRequest) MarshalTo(buf []byte) []byte { return appendVCRequest(buf, m) }
-
-// Unmarshal implements wire.Message.
-func (m *VCRequest) Unmarshal(data []byte) error {
-	r := wire.NewReader(data)
-	readVCRequest(r, m)
-	return r.Close()
-}
-
-// WireID implements wire.Message.
-func (m *NVPropose) WireID() uint16 { return wire.IDSbftNVPropose }
-
-// MarshalTo implements wire.Message.
-func (m *NVPropose) MarshalTo(buf []byte) []byte {
-	buf = wire.AppendU64(buf, uint64(m.NewView))
-	buf = wire.AppendU32(buf, uint32(len(m.Requests)))
-	for i := range m.Requests {
-		buf = appendVCRequest(buf, &m.Requests[i])
-	}
-	return buf
-}
-
-// Unmarshal implements wire.Message.
-func (m *NVPropose) Unmarshal(data []byte) error {
-	r := wire.NewReader(data)
-	m.NewView = types.View(r.U64())
-	n := r.Count(24)
-	if n > 0 {
-		m.Requests = make([]VCRequest, n)
-		for i := range m.Requests {
-			readVCRequest(r, &m.Requests[i])
-		}
-	} else {
-		m.Requests = nil
-	}
-	return r.Close()
-}

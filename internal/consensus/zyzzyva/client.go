@@ -247,7 +247,7 @@ func (c *Client) onInform(from types.ReplicaID, m *protocol.Inform) {
 }
 
 func (c *Client) onLocalCommit(m *LocalCommit) {
-	d := types.DigestConcat([]byte("zyz-lc"), u64(m.ClientSeq), u64(uint64(m.Seq)))
+	d := types.DigestConcat([]byte("zyz-lc"), types.U64(m.ClientSeq), types.U64(uint64(m.Seq)))
 	if c.cfg.Scheme != crypto.SchemeNone && !c.keys.CheckMAC(types.ReplicaNode(m.From), d[:], m.Tag) {
 		return
 	}

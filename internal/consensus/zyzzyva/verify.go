@@ -54,39 +54,6 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 			valid++
 		}
 		return valid >= rt.Cfg.NF()
-	case *VCRequest:
-		env.Msg = ownVCRequest(m, env.Owned)
-		return true
-	case *NVPropose:
-		if env.Owned {
-			for i := range m.Requests {
-				ownVCRequest(&m.Requests[i], true)
-			}
-			return true
-		}
-		cp := *m
-		cp.Requests = make([]VCRequest, len(m.Requests))
-		for i := range m.Requests {
-			cp.Requests[i] = *ownVCRequest(&m.Requests[i], false)
-		}
-		env.Msg = &cp
-		return true
 	}
 	return true
-}
-
-// ownVCRequest gives the replica its own copy of the (uncertified)
-// execution records so digest memoization stays local — wire-decoded
-// (owned) requests memoize in place. The signature is validated by the
-// view-change path on the event loop.
-func ownVCRequest(m *VCRequest, owned bool) *VCRequest {
-	if !owned {
-		cp := *m
-		cp.Executed = types.CloneRecords(m.Executed)
-		m = &cp
-	}
-	for i := range m.Executed {
-		m.Executed[i].Batch.MemoizeDigests()
-	}
-	return m
 }

@@ -69,6 +69,12 @@ func DigestConcat(parts ...[]byte) Digest {
 	return d
 }
 
+// U64 returns v as eight big-endian bytes: the fixed-width integer part of
+// every DigestConcat-signed payload.
+func U64(v uint64) []byte {
+	return binary.BigEndian.AppendUint64(nil, v)
+}
+
 // ProposalDigest computes h = D(k || v || payload-digest), the value signed in
 // SUPPORT messages (Fig 3, Line 13 of the paper).
 func ProposalDigest(k SeqNum, v View, payload Digest) Digest {

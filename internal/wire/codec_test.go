@@ -112,20 +112,20 @@ func samples() []wire.Message {
 			Tier: types.ConsistencySpeculative, Repaired: true, Tag: []byte("mac"),
 		},
 		&protocol.LeaseGrant{}, &protocol.LeaseGrant{From: 2, View: 3, Seq: 128, DurationNanos: 5e7, Sig: []byte("sig")},
+		&protocol.VCRequest{}, &protocol.VCRequest{From: 1, View: 2, StableSeq: 3, Entries: []types.ExecRecord{sampleRecord(4)}, Sig: []byte("s")},
+		// PBFT-shaped: gapped entries, one a no-op filler without a certificate.
+		&protocol.VCRequest{From: 2, View: 2, StableSeq: 3, Entries: []types.ExecRecord{sampleRecord(5), {Seq: 7, View: 2, Digest: new(types.Batch).Digest()}}, Sig: []byte("s")},
+		&protocol.NVPropose{}, &protocol.NVPropose{NewView: 3, Requests: []protocol.VCRequest{{From: 1, View: 2, Entries: []types.ExecRecord{sampleRecord(4)}}, {From: 0, View: 2}}},
 		&types.ExecRecord{}, func() wire.Message { r := sampleRecord(5); return &r }(),
 		// poe
 		&poe.Propose{}, &poe.Propose{View: 1, Seq: 2, Batch: sampleBatch(3), Auth: auth},
 		&poe.Propose{View: 1, Seq: 2, Batch: big, Auth: auth},
 		&poe.Support{}, &poe.Support{View: 1, Seq: 2, Share: share(1)},
 		&poe.Certify{}, &poe.Certify{View: 1, Seq: 2, Digest: types.DigestBytes([]byte("h")), Cert: []byte("c")},
-		&poe.VCRequest{}, &poe.VCRequest{From: 1, View: 2, StableSeq: 3, Executed: []types.ExecRecord{sampleRecord(4)}, Sig: []byte("s")},
-		&poe.NVPropose{}, &poe.NVPropose{NewView: 3, Requests: []poe.VCRequest{{From: 1, View: 2, Executed: []types.ExecRecord{sampleRecord(4)}}}},
 		// pbft
 		&pbft.PrePrepare{}, &pbft.PrePrepare{View: 1, Seq: 2, Batch: sampleBatch(3), Auth: auth},
 		&pbft.Prepare{}, &pbft.Prepare{View: 1, Seq: 2, Share: share(2)},
 		&pbft.Commit{}, &pbft.Commit{View: 1, Seq: 2, Share: share(3)},
-		&pbft.VCRequest{}, &pbft.VCRequest{From: 1, View: 2, StableSeq: 3, Prepared: []pbft.PreparedEntry{{Seq: 4, View: 2, Digest: types.DigestBytes([]byte("d")), Proof: []byte("p"), Batch: sampleBatch(1)}}, Sig: []byte("s")},
-		&pbft.NVPropose{}, &pbft.NVPropose{NewView: 3, Requests: []pbft.VCRequest{{From: 0, View: 2}}},
 		// sbft
 		&sbft.PrePrepare{}, &sbft.PrePrepare{View: 1, Seq: 2, Batch: sampleBatch(3), Auth: auth},
 		&sbft.SignShare{}, &sbft.SignShare{View: 1, Seq: 2, Share: share(1)},
@@ -134,14 +134,10 @@ func samples() []wire.Message {
 		&sbft.FullCommitProof{}, &sbft.FullCommitProof{View: 1, Seq: 2, Digest: types.DigestBytes([]byte("h")), Cert: []byte("c")},
 		&sbft.SignState{}, &sbft.SignState{View: 1, Seq: 2, Share: share(3)},
 		&sbft.ExecuteAck{}, &sbft.ExecuteAck{View: 1, Seq: 2, Head: types.DigestBytes([]byte("h")), Cert: []byte("c")},
-		&sbft.VCRequest{}, &sbft.VCRequest{From: 1, View: 2, StableSeq: 3, Executed: []types.ExecRecord{sampleRecord(4)}, Sig: []byte("s")},
-		&sbft.NVPropose{}, &sbft.NVPropose{NewView: 3, Requests: []sbft.VCRequest{{From: 1}}},
 		// zyzzyva
 		&zyzzyva.OrderReq{}, &zyzzyva.OrderReq{View: 1, Seq: 2, History: types.DigestBytes([]byte("h")), Batch: sampleBatch(3), Auth: auth},
 		&zyzzyva.CommitReq{}, &zyzzyva.CommitReq{Client: types.ClientIDBase, ClientSeq: 7, Seq: 9, History: types.DigestBytes([]byte("h")), Shares: []crypto.Share{share(0), share(1), share(2)}},
 		&zyzzyva.LocalCommit{}, &zyzzyva.LocalCommit{From: 1, ClientSeq: 7, Seq: 9, Tag: []byte("t")},
-		&zyzzyva.VCRequest{}, &zyzzyva.VCRequest{From: 1, View: 2, StableSeq: 3, Executed: []types.ExecRecord{sampleRecord(4)}, Sig: []byte("s")},
-		&zyzzyva.NVPropose{}, &zyzzyva.NVPropose{NewView: 3, Requests: []zyzzyva.VCRequest{{From: 1}}},
 		// hotstuff
 		&hotstuff.Proposal{}, &hotstuff.Proposal{Node: hotstuff.Node{Round: 4, ParentHash: types.DigestBytes([]byte("p")), Batch: sampleBatch(2), Justify: hotstuff.QC{Round: 3, Node: types.DigestBytes([]byte("n")), Cert: []byte("c")}}, Auth: auth},
 		&hotstuff.Vote{}, &hotstuff.Vote{Round: 4, Node: types.DigestBytes([]byte("n")), Share: share(1)},

@@ -4,6 +4,10 @@ package wire
 // contract: they must never be reused, and new types take fresh numbers at
 // the end of their block. Each consensus package owns one block of 16 so a
 // frame's id alone names the protocol it belongs to.
+//
+// Retired, reserved forever: 19, 20, 35, 36, 55, 56, 67, 68 were the four
+// per-protocol VC-REQUEST/NV-PROPOSE pairs that IDVCRequest/IDNVPropose
+// replaced.
 const (
 	// 1–15: shared runtime messages (internal/consensus/protocol) and
 	// storage payloads (internal/types, internal/storage).
@@ -27,18 +31,16 @@ const (
 	IDLeaseGrant  uint16 = 14
 
 	// 16–31: PoE.
-	IDPoePropose   uint16 = 16
-	IDPoeSupport   uint16 = 17
-	IDPoeCertify   uint16 = 18
-	IDPoeVCRequest uint16 = 19
-	IDPoeNVPropose uint16 = 20
+	IDPoePropose uint16 = 16
+	IDPoeSupport uint16 = 17
+	IDPoeCertify uint16 = 18
+	// 19, 20 retired.
 
 	// 32–47: PBFT.
 	IDPbftPrePrepare uint16 = 32
 	IDPbftPrepare    uint16 = 33
 	IDPbftCommit     uint16 = 34
-	IDPbftVCRequest  uint16 = 35
-	IDPbftNVPropose  uint16 = 36
+	// 35, 36 retired.
 
 	// 48–63: SBFT.
 	IDSbftPrePrepare      uint16 = 48
@@ -48,15 +50,13 @@ const (
 	IDSbftFullCommitProof uint16 = 52
 	IDSbftSignState       uint16 = 53
 	IDSbftExecuteAck      uint16 = 54
-	IDSbftVCRequest       uint16 = 55
-	IDSbftNVPropose       uint16 = 56
+	// 55, 56 retired.
 
 	// 64–79: Zyzzyva.
 	IDZyzOrderReq    uint16 = 64
 	IDZyzCommitReq   uint16 = 65
 	IDZyzLocalCommit uint16 = 66
-	IDZyzVCRequest   uint16 = 67
-	IDZyzNVPropose   uint16 = 68
+	// 67, 68 retired.
 
 	// 80–95: HotStuff.
 	IDHsProposal   uint16 = 80
@@ -64,4 +64,10 @@ const (
 	IDHsNewView    uint16 = 82
 	IDHsFetchNodes uint16 = 83
 	IDHsNodeBundle uint16 = 84
+
+	// 96–111: shared runtime messages, continued (1–15 has one number left).
+	// The view-change pair of the four primary-backup protocols
+	// (internal/consensus/protocol/skeleton.go).
+	IDVCRequest uint16 = 96
+	IDNVPropose uint16 = 97
 )

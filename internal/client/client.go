@@ -34,7 +34,8 @@ type Config struct {
 	// N and F describe the replica system.
 	N, F int
 	// Scheme is the cluster's authentication scheme; clients sign requests
-	// with Ed25519 except under SchemeNone (§IV-C).
+	// with Ed25519 except under SchemeNone (§IV-C), and add per-replica MAC
+	// tags when replicas authenticate by MAC (protocol.SignRequest).
 	Scheme crypto.Scheme
 	// Quorum is the number of identical replies from distinct replicas
 	// required to accept a result. Zero defaults to nf = n − f (PoE's
@@ -161,21 +162,20 @@ func New(cfg Config, ring *crypto.KeyRing, net network.Transport) (*Client, erro
 	}, nil
 }
 
-// Start launches the reply-processing goroutine. It is idempotent.
+// Start launches the reply-processing goroutine and announces the client to
+// every replica, so that the backups can answer its first request (the
+// quorum needs their INFORMs, and the request itself only reaches the
+// primary). It is idempotent.
 func (c *Client) Start(ctx context.Context) {
 	c.started.Do(func() {
 		go c.readLoop(ctx)
+		network.Announce(c.net, c.cfg.N)
 	})
 }
 
 // Sign produces the signed request 〈T〉c for a transaction.
 func (c *Client) Sign(txn types.Transaction) types.Request {
-	req := types.Request{Txn: txn}
-	if c.cfg.Scheme != crypto.SchemeNone {
-		d := req.Digest()
-		req.Sig = c.keys.Sign(d[:])
-	}
-	return req
+	return protocol.SignRequest(c.keys, c.cfg.Scheme, c.cfg.N, txn)
 }
 
 // NextSeq allocates the next client-local sequence number.

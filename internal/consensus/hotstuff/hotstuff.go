@@ -389,7 +389,7 @@ func (r *Replica) broadcastProposal(p *Proposal) {
 		case protocol.ProposeEquivocate:
 			if variant == nil {
 				v := *p
-				v.Node.Batch = protocol.EquivocateBatch(p.Node.Batch)
+				v.Node.Batch = r.adv.Variant(p.Node.Batch)
 				v.Auth = r.rt.AuthBroadcast(v.SignedPayload())
 				variant = &v
 			}

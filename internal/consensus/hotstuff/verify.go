@@ -1,6 +1,7 @@
 package hotstuff
 
 import (
+	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/network"
 )
 
@@ -13,6 +14,12 @@ import (
 func (r *Replica) verifyInbound(env *network.Envelope) bool {
 	rt := r.rt
 	if keep, handled := rt.VerifyCommonInbound(env); handled {
+		if rr, ok := env.Msg.(*protocol.ReadRequest); ok && keep {
+			// HotStuff serves no read locally: every tiered read enters the
+			// batcher, and what this replica may propose needs the client's
+			// signature, not just the tag the common check settles for.
+			return rt.VerifyClientRequest(&rr.Req)
+		}
 		return keep
 	}
 	switch m := env.Msg.(type) {

@@ -20,17 +20,29 @@ func readQC(r *wire.Reader, qc *QC) {
 	qc.Cert = r.Bytes()
 }
 
-func appendNode(buf []byte, n *Node) []byte {
+// appendNode and readNode encode a node. proposed selects the batch's
+// proposal form, which carries the requests' client MAC tags for the replicas
+// about to vote; a NodeBundle's ancestors are already certified and travel in
+// the record form, like every other state transfer.
+func appendNode(buf []byte, n *Node, proposed bool) []byte {
 	buf = wire.AppendU64(buf, uint64(n.Round))
 	buf = types.AppendDigest(buf, n.ParentHash)
-	buf = n.Batch.AppendWire(buf)
+	if proposed {
+		buf = n.Batch.AppendProposal(buf)
+	} else {
+		buf = n.Batch.AppendWire(buf)
+	}
 	return appendQC(buf, &n.Justify)
 }
 
-func readNode(r *wire.Reader, n *Node) {
+func readNode(r *wire.Reader, n *Node, proposed bool) {
 	n.Round = types.View(r.U64())
 	n.ParentHash = types.ReadDigest(r)
-	n.Batch.ReadWire(r)
+	if proposed {
+		n.Batch.ReadProposal(r)
+	} else {
+		n.Batch.ReadWire(r)
+	}
 	readQC(r, &n.Justify)
 }
 
@@ -39,14 +51,14 @@ func (m *Proposal) WireID() uint16 { return wire.IDHsProposal }
 
 // MarshalTo implements wire.Message.
 func (m *Proposal) MarshalTo(buf []byte) []byte {
-	buf = appendNode(buf, &m.Node)
+	buf = appendNode(buf, &m.Node, true)
 	return wire.AppendBytesSlice(buf, m.Auth)
 }
 
 // Unmarshal implements wire.Message.
 func (m *Proposal) Unmarshal(data []byte) error {
 	r := wire.NewReader(data)
-	readNode(r, &m.Node)
+	readNode(r, &m.Node, true)
 	m.Auth = r.BytesSlice()
 	return r.Close()
 }
@@ -115,7 +127,7 @@ func (m *NodeBundle) WireID() uint16 { return wire.IDHsNodeBundle }
 func (m *NodeBundle) MarshalTo(buf []byte) []byte {
 	buf = wire.AppendU32(buf, uint32(len(m.Nodes)))
 	for i := range m.Nodes {
-		buf = appendNode(buf, &m.Nodes[i])
+		buf = appendNode(buf, &m.Nodes[i], false)
 	}
 	return buf
 }
@@ -127,7 +139,7 @@ func (m *NodeBundle) Unmarshal(data []byte) error {
 	if n > 0 {
 		m.Nodes = make([]Node, n)
 		for i := range m.Nodes {
-			readNode(r, &m.Nodes[i])
+			readNode(r, &m.Nodes[i], false)
 		}
 	} else {
 		m.Nodes = nil

@@ -48,7 +48,7 @@ func (s specByz) ProposeTo(to types.ReplicaID, p *Propose) *Propose {
 		return nil
 	case protocol.ProposeEquivocate:
 		alt := *p
-		alt.Batch = protocol.EquivocateBatch(p.Batch)
+		alt.Batch = s.spec.Variant(p.Batch)
 		return &alt
 	default:
 		return p

@@ -15,7 +15,7 @@ func (m *Propose) WireID() uint16 { return wire.IDPoePropose }
 func (m *Propose) MarshalTo(buf []byte) []byte {
 	buf = wire.AppendU64(buf, uint64(m.View))
 	buf = wire.AppendU64(buf, uint64(m.Seq))
-	buf = m.Batch.AppendWire(buf)
+	buf = m.Batch.AppendProposal(buf)
 	return wire.AppendBytesSlice(buf, m.Auth)
 }
 
@@ -24,7 +24,7 @@ func (m *Propose) Unmarshal(data []byte) error {
 	r := wire.NewReader(data)
 	m.View = types.View(r.U64())
 	m.Seq = types.SeqNum(r.U64())
-	m.Batch.ReadWire(r)
+	m.Batch.ReadProposal(r)
 	m.Auth = r.BytesSlice()
 	return r.Close()
 }

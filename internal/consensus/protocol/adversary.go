@@ -41,6 +41,11 @@ type AdversarySpec struct {
 	// CERTIFY, SBFT's FULL-COMMIT-PROOF): backups support but can never
 	// commit, so the failure detector must fire.
 	SilenceCertificates bool
+	// Forged, when set, changes what the equivocation targets receive: the
+	// real batch with this request appended — one the leader never verified,
+	// such as a colluding client's whose MAC tags convince some backups and
+	// whose signature convinces nobody.
+	Forged *types.Request
 }
 
 // ProposeAction is what a faulty leader does with one proposal destination.
@@ -71,6 +76,17 @@ func (a *AdversarySpec) ActionFor(to types.ReplicaID) ProposeAction {
 // sequence number are withheld. Nil-safe.
 func (a *AdversarySpec) SilenceCert(types.SeqNum) bool {
 	return a != nil && a.SilenceCertificates
+}
+
+// Variant derives the batch the equivocation targets receive in place of b:
+// b with the Forged request appended when one is set, EquivocateBatch(b)
+// otherwise.
+func (a *AdversarySpec) Variant(b types.Batch) types.Batch {
+	if a.Forged == nil {
+		return EquivocateBatch(b)
+	}
+	v := b.Clone()
+	return types.Batch{Requests: append(v.Requests, *a.Forged), ZeroPayload: v.ZeroPayload, ZeroCount: v.ZeroCount}
 }
 
 // EquivocateBatch derives the conflicting variant batch a Byzantine leader

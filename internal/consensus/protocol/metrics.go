@@ -17,6 +17,11 @@ type Metrics struct {
 	Rollbacks       atomic.Int64
 	Checkpoints     atomic.Int64
 
+	// ClientSigVerifies counts Ed25519 checks of client request signatures
+	// (memo misses): one per ordered request cluster-wide when backups
+	// accept proposals on the client's MAC tags, n when they cannot.
+	ClientSigVerifies atomic.Int64
+
 	// Egress pipeline: jobs submitted, authenticators computed off the event
 	// loop, the current queue depth, and the deepest backlog observed —
 	// sustained depth near EgressQueued/runtime means the signing pool, not
@@ -87,6 +92,8 @@ type MetricsSnapshot struct {
 	Rollbacks       int64 `json:"rollbacks"`
 	Checkpoints     int64 `json:"checkpoints"`
 
+	ClientSigVerifies int64 `json:"client_sig_verifies"`
+
 	EgressQueued        int64 `json:"egress_queued"`
 	EgressSignedOffLoop int64 `json:"egress_signed_off_loop"`
 	EgressMaxDepth      int64 `json:"egress_max_depth"`
@@ -130,6 +137,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		ViewChangesDone: m.ViewChangesDone.Load(),
 		Rollbacks:       m.Rollbacks.Load(),
 		Checkpoints:     m.Checkpoints.Load(),
+
+		ClientSigVerifies: m.ClientSigVerifies.Load(),
 
 		EgressQueued:        m.EgressQueued.Load(),
 		EgressSignedOffLoop: m.EgressSignedOffLoop.Load(),

@@ -521,7 +521,9 @@ func (rt *Runtime) Run(ctx context.Context, verify VerifyFunc, dispatch func(net
 	}
 }
 
-// VerifyClientRequest checks the client's signature on a request. With
+// VerifyClientRequest checks the client's signature on a request — the check
+// for anything that may enter this replica's batcher and so be proposed by
+// it (see VerifyRequestForSelf for requests that cannot). With
 // SchemeNone all authentication is disabled (Fig 8's "None" column). The
 // caller must own the request (see types.Request): its digest is memoized
 // as a side effect. A signature is Ed25519-verified at most once per
@@ -538,6 +540,7 @@ func (rt *Runtime) VerifyClientRequest(req *types.Request) bool {
 	if hit {
 		return true
 	}
+	rt.Metrics.ClientSigVerifies.Add(1)
 	if !rt.Keys.VerifyFrom(types.ClientNode(req.Txn.Client), d[:], req.Sig) {
 		return false
 	}
@@ -551,17 +554,19 @@ func (rt *Runtime) VerifyClientRequest(req *types.Request) bool {
 	return true
 }
 
-// VerifyBatch checks every client signature in an owned batch, fanning the
-// Ed25519 work out across the verification pool, and memoizes all digests.
-// It is the pipeline-side replacement for the per-request loop replicas used
-// to run on their event loop when handling a proposal.
+// VerifyBatch checks every client request in an owned batch another replica
+// proposed — by MAC tag where the client supplied a valid one, by signature
+// otherwise (VerifyRequestForSelf) — fanning the work out across the
+// verification pool, and memoizes all digests. It is the pipeline-side
+// replacement for the per-request loop replicas used to run on their event
+// loop when handling a proposal.
 func (rt *Runtime) VerifyBatch(b *types.Batch) bool {
 	b.MemoizeDigests()
 	if rt.Cfg.Scheme == crypto.SchemeNone {
 		return true
 	}
 	return crypto.ParallelAll(len(b.Requests), func(i int) bool {
-		return rt.VerifyClientRequest(&b.Requests[i])
+		return rt.VerifyRequestForSelf(&b.Requests[i])
 	})
 }
 
@@ -589,6 +594,11 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		}
 		return true, true
 	case *ForwardRequest:
+		// Only replicas forward: a client sending one would reach the
+		// primary's batcher without the ClientRequest origin check.
+		if !env.From.IsReplica() {
+			return false, true
+		}
 		cp := m
 		if !env.Owned {
 			cp = &ForwardRequest{Req: types.CloneRequest(m.Req)}
@@ -628,7 +638,10 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		if !cp.Req.Txn.ReadOnly() || cp.Req.Txn.Consistency == types.ConsistencyOrdered {
 			return false, true
 		}
-		if !rt.VerifyClientRequest(&cp.Req) {
+		// A read served locally convinces nobody but the serving replica;
+		// one that is ordered instead is signature-checked where it enters
+		// a batcher (Skeleton.FallbackRead).
+		if !rt.VerifyRequestForSelf(&cp.Req) {
 			return false, true
 		}
 		return true, true

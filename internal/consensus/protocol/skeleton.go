@@ -199,9 +199,18 @@ func (s *Skeleton) OnForwardRequest(req *types.Request) {
 // dedup-exempt end to end (they use their own client-local sequence space),
 // so they pass the batcher watermark, the executor's dedup, and the reply
 // ring without colliding with writes.
+//
+// The pipeline may have accepted the read on its MAC tag alone, which is
+// enough to serve it locally but not to propose it: the primary checks the
+// signature here (memoised; the one client-signature check on the event
+// loop, paid only by reads that miss the fast path), and a forwarded read is
+// checked by the primary's pipeline like any ForwardRequest.
 func (s *Skeleton) FallbackRead(req *types.Request) {
 	s.rt.Metrics.ReadFallbacks.Add(1)
 	if s.IsPrimary() && s.status == statusNormal {
+		if !s.rt.VerifyClientRequest(req) {
+			return
+		}
 		s.rt.Batcher.Add(*req)
 		s.rules.ProposeReady(false)
 		return

@@ -11,31 +11,42 @@ import (
 // init replaces the old gob registration, and the TCP transport refuses
 // anything unregistered.
 
+// appendAuthedRequest and readAuthedRequest are the shared body of the three
+// messages that carry a request toward a replica that may have to be
+// convinced by MAC: the request's record encoding, then Auth as the
+// unprefixed rest of the body. A sender that knows no Auth (an older client,
+// a hand-built request) therefore emits exactly the pre-Auth encoding, and
+// the receiver falls back to the signature.
+func appendAuthedRequest(buf []byte, req *types.Request) []byte {
+	return append(req.AppendWire(buf), req.Auth...)
+}
+
+func readAuthedRequest(data []byte, req *types.Request) error {
+	r := wire.NewReader(data)
+	req.ReadWire(r)
+	if r.Len() > 0 {
+		req.Auth = r.Raw(r.Len())
+	}
+	return r.Close()
+}
+
 // WireID implements wire.Message.
 func (m *ClientRequest) WireID() uint16 { return wire.IDClientRequest }
 
 // MarshalTo implements wire.Message.
-func (m *ClientRequest) MarshalTo(buf []byte) []byte { return m.Req.AppendWire(buf) }
+func (m *ClientRequest) MarshalTo(buf []byte) []byte { return appendAuthedRequest(buf, &m.Req) }
 
 // Unmarshal implements wire.Message.
-func (m *ClientRequest) Unmarshal(data []byte) error {
-	r := wire.NewReader(data)
-	m.Req.ReadWire(r)
-	return r.Close()
-}
+func (m *ClientRequest) Unmarshal(data []byte) error { return readAuthedRequest(data, &m.Req) }
 
 // WireID implements wire.Message.
 func (m *ForwardRequest) WireID() uint16 { return wire.IDForwardRequest }
 
 // MarshalTo implements wire.Message.
-func (m *ForwardRequest) MarshalTo(buf []byte) []byte { return m.Req.AppendWire(buf) }
+func (m *ForwardRequest) MarshalTo(buf []byte) []byte { return appendAuthedRequest(buf, &m.Req) }
 
 // Unmarshal implements wire.Message.
-func (m *ForwardRequest) Unmarshal(data []byte) error {
-	r := wire.NewReader(data)
-	m.Req.ReadWire(r)
-	return r.Close()
-}
+func (m *ForwardRequest) Unmarshal(data []byte) error { return readAuthedRequest(data, &m.Req) }
 
 // WireID implements wire.Message.
 func (m *Inform) WireID() uint16 { return wire.IDInform }
@@ -206,14 +217,10 @@ func (m *SnapshotOffer) Unmarshal(data []byte) error {
 func (m *ReadRequest) WireID() uint16 { return wire.IDReadRequest }
 
 // MarshalTo implements wire.Message.
-func (m *ReadRequest) MarshalTo(buf []byte) []byte { return m.Req.AppendWire(buf) }
+func (m *ReadRequest) MarshalTo(buf []byte) []byte { return appendAuthedRequest(buf, &m.Req) }
 
 // Unmarshal implements wire.Message.
-func (m *ReadRequest) Unmarshal(data []byte) error {
-	r := wire.NewReader(data)
-	m.Req.ReadWire(r)
-	return r.Close()
-}
+func (m *ReadRequest) Unmarshal(data []byte) error { return readAuthedRequest(data, &m.Req) }
 
 // WireID implements wire.Message.
 func (m *ReadReply) WireID() uint16 { return wire.IDReadReply }

@@ -323,7 +323,7 @@ func (r *Replica) broadcastPrePrepare(m *PrePrepare) {
 		case protocol.ProposeEquivocate:
 			if variant == nil {
 				v := *m
-				v.Batch = protocol.EquivocateBatch(m.Batch)
+				v.Batch = r.adv.Variant(m.Batch)
 				v.Auth = r.rt.AuthBroadcast(v.SignedPayload())
 				variant = &v
 			}

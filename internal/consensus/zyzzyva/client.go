@@ -85,9 +85,13 @@ func NewClient(cfg ClientConfig, ring *crypto.KeyRing, net network.Transport) (*
 	}, nil
 }
 
-// Start launches the response-processing goroutine (idempotent).
+// Start launches the response-processing goroutine and announces the client
+// to every replica (see client.Client.Start); idempotent.
 func (c *Client) Start(ctx context.Context) {
-	c.started.Do(func() { go c.readLoop(ctx) })
+	c.started.Do(func() {
+		go c.readLoop(ctx)
+		network.Announce(c.net, c.cfg.N)
+	})
 }
 
 // NextSeq allocates a client-local sequence number.
@@ -104,11 +108,7 @@ func (c *Client) Submit(ctx context.Context, ops []types.Op) (types.Result, erro
 
 // SubmitTxn submits a pre-built transaction.
 func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Result, error) {
-	req := types.Request{Txn: txn}
-	if c.cfg.Scheme != crypto.SchemeNone {
-		d := req.Digest()
-		req.Sig = c.keys.Sign(d[:])
-	}
+	req := protocol.SignRequest(c.keys, c.cfg.Scheme, c.cfg.N, txn)
 	w := &specWaiter{
 		full:   make(chan types.Result, 1),
 		slow:   make(chan types.Result, 1),

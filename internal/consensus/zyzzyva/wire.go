@@ -16,7 +16,7 @@ func (m *OrderReq) MarshalTo(buf []byte) []byte {
 	buf = wire.AppendU64(buf, uint64(m.View))
 	buf = wire.AppendU64(buf, uint64(m.Seq))
 	buf = types.AppendDigest(buf, m.History)
-	buf = m.Batch.AppendWire(buf)
+	buf = m.Batch.AppendProposal(buf)
 	return wire.AppendBytesSlice(buf, m.Auth)
 }
 
@@ -26,7 +26,7 @@ func (m *OrderReq) Unmarshal(data []byte) error {
 	m.View = types.View(r.U64())
 	m.Seq = types.SeqNum(r.U64())
 	m.History = types.ReadDigest(r)
-	m.Batch.ReadWire(r)
+	m.Batch.ReadProposal(r)
 	m.Auth = r.BytesSlice()
 	return r.Close()
 }

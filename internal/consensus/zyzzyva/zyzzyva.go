@@ -252,7 +252,7 @@ func (r *Replica) broadcastOrderReq(m *OrderReq, prev types.Digest) {
 		case protocol.ProposeSilence:
 		case protocol.ProposeEquivocate:
 			if variant == nil {
-				vb := protocol.EquivocateBatch(m.Batch)
+				vb := r.adv.Variant(m.Batch)
 				v := *m
 				v.Batch = vb
 				v.History = historyDigest(m.Seq, m.View, vb.Digest(), prev)

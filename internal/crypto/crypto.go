@@ -239,6 +239,50 @@ func (k *NodeKeys) CheckMAC(peer types.NodeID, msg, tag []byte) bool {
 	return hmac.Equal(mac.Sum(nil), tag)
 }
 
+// RequestTagSize is the length of one client→replica request tag: an
+// HMAC-SHA256 truncated to 128 bits, half the hash output — the shortest
+// RFC 2104 recommends. A forger gets one online guess per proposal a primary
+// is willing to burn, so 2⁻¹²⁸ per guess is ample, and the tag travels n
+// times per request.
+const RequestTagSize = 16
+
+// requestTagLabel separates request tags from the other MACs computed under
+// the same pairwise keys (INFORM and read-reply tags also cover a request
+// digest), so a reply tag can never be replayed as a request tag.
+var requestTagLabel = []byte("poe/request-auth")
+
+func (k *NodeKeys) requestTag(dst []byte, peer types.NodeID, digest []byte) []byte {
+	mac := hmac.New(sha256.New, k.pairKeyCached(peer))
+	mac.Write(requestTagLabel)
+	mac.Write(digest)
+	var sum [sha256.Size]byte
+	return append(dst, mac.Sum(sum[:0])[:RequestTagSize]...)
+}
+
+// RequestAuth is the client side of the client→replica authenticator: one
+// RequestTagSize tag per replica over a request digest, replica i's at
+// offset i × RequestTagSize (types.Request.Auth).
+func (k *NodeKeys) RequestAuth(n int, digest []byte) []byte {
+	auth := make([]byte, 0, n*RequestTagSize)
+	for i := 0; i < n; i++ {
+		auth = k.requestTag(auth, types.ReplicaNode(types.ReplicaID(i)), digest)
+	}
+	return auth
+}
+
+// CheckRequestAuth is the replica side: it reports whether auth holds this
+// replica's valid tag from client over digest. An authenticator too short to
+// reach this replica's slot — absent, truncated, built for a smaller n — is
+// simply not valid.
+func (k *NodeKeys) CheckRequestAuth(client types.NodeID, digest, auth []byte) bool {
+	off := int(k.self.Replica()) * RequestTagSize
+	if !k.self.IsReplica() || off < 0 || len(auth) < off+RequestTagSize {
+		return false
+	}
+	var tag [RequestTagSize]byte
+	return hmac.Equal(k.requestTag(tag[:0], client, digest), auth[off:off+RequestTagSize])
+}
+
 // Share is a threshold-signature share s〈v〉i produced by one replica.
 type Share struct {
 	Signer types.ReplicaID

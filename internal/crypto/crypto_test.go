@@ -187,3 +187,55 @@ func TestQuickThresholdRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestRequestAuth(t *testing.T) {
+	const n = 4
+	r := ring(n)
+	client := types.NthClient(3)
+	digest := types.DigestBytes([]byte("request"))
+	auth := r.NodeKeys(client).RequestAuth(n, digest[:])
+	if len(auth) != n*RequestTagSize {
+		t.Fatalf("authenticator is %d bytes, want %d", len(auth), n*RequestTagSize)
+	}
+	other := types.DigestBytes([]byte("another request"))
+	for i := 0; i < n; i++ {
+		k := r.NodeKeys(types.ReplicaNode(types.ReplicaID(i)))
+		if !k.CheckRequestAuth(client, digest[:], auth) {
+			t.Fatalf("replica %d rejected its own tag", i)
+		}
+		if k.CheckRequestAuth(types.NthClient(4), digest[:], auth) {
+			t.Fatalf("replica %d accepted the tag for another client", i)
+		}
+		if k.CheckRequestAuth(client, other[:], auth) {
+			t.Fatalf("replica %d accepted the tag over another digest", i)
+		}
+		// Every other replica's tag in this replica's slot is just a wrong tag.
+		for j := 0; j < n; j++ {
+			if j == i {
+				continue
+			}
+			moved := make([]byte, len(auth))
+			copy(moved[i*RequestTagSize:], auth[j*RequestTagSize:(j+1)*RequestTagSize])
+			if k.CheckRequestAuth(client, digest[:], moved) {
+				t.Fatalf("replica %d accepted replica %d's tag", i, j)
+			}
+		}
+		// Anything too short to hold this replica's slot is not valid.
+		for cut := 0; cut < (i+1)*RequestTagSize; cut++ {
+			if k.CheckRequestAuth(client, digest[:], auth[:cut]) {
+				t.Fatalf("replica %d accepted an authenticator cut to %d bytes", i, cut)
+			}
+		}
+	}
+	// A reply tag over the same digest under the same pairwise key is not a
+	// request tag.
+	k1 := r.NodeKeys(types.ReplicaNode(1))
+	reply := make([]byte, n*RequestTagSize)
+	copy(reply[RequestTagSize:], k1.MAC(client, digest[:])[:RequestTagSize])
+	if k1.CheckRequestAuth(client, digest[:], reply) {
+		t.Fatal("a reply MAC passed as a request tag")
+	}
+	if r.NodeKeys(client).CheckRequestAuth(client, digest[:], auth) {
+		t.Fatal("a client checked a request authenticator")
+	}
+}

@@ -65,12 +65,6 @@ func NewTCPClients(ctx context.Context, opts ClientPoolOptions) ([]LoadClient, f
 	if err != nil {
 		return nil, nil, err
 	}
-	// Clients sign requests with Ed25519 under every scheme but none; the
-	// reply MAC check likewise keys off the scheme (see client.Config).
-	clientScheme := crypto.SchemeMAC
-	if scheme == crypto.SchemeNone {
-		clientScheme = crypto.SchemeNone
-	}
 	ring := crypto.NewKeyRing(n, []byte(opts.Seed))
 	f := (n - 1) / 3
 
@@ -95,7 +89,7 @@ func NewTCPClients(ctx context.Context, opts ClientPoolOptions) ([]LoadClient, f
 		}
 		transports = append(transports, tr)
 		cl, err := client.New(client.Config{
-			ID: id, N: n, F: f, Scheme: clientScheme,
+			ID: id, N: n, F: f, Scheme: scheme,
 			Timeout: opts.Timeout,
 		}, ring, tr)
 		if err != nil {

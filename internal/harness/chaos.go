@@ -51,7 +51,19 @@ const (
 	// CERTIFY, SBFT's FULL-COMMIT-PROOF): backups prepare but cannot
 	// commit, forcing the failure detector to fire.
 	AttackSilenceCert Attack = "silence-cert"
+	// AttackForge has the leader collude with a client: every backup receives
+	// the real batch plus one request the leader never verified — its
+	// signature is invalid, and of its MAC tags only the one for the next
+	// view's primary is genuine. That backup accepts the proposals, the
+	// others drop them, nothing gathers a quorum and the view changes; the
+	// forged request must then never surface again, because accepting it on
+	// a tag made no replica willing to propose it.
+	AttackForge Attack = "forge"
 )
+
+// forgedKey is the record the AttackForge request writes: finding it in an
+// honest replica's store means the forgery was executed.
+const forgedKey = "harness/forged"
 
 // ChaosOptions configure one chaos run. All offsets are measured from the
 // start of the measurement window (after warmup), matching the scenario
@@ -123,10 +135,14 @@ type ChaosReport struct {
 
 	// Net counts the fabric's decisions (sent/dropped/queued/flushed...).
 	Net network.FaultStats
+
+	// ForgedExecuted counts the honest replicas that executed AttackForge's
+	// request; anything but 0 is a violation.
+	ForgedExecuted int
 }
 
 // adversaryFor materializes the attack's spec for the faulty replica.
-func adversaryFor(opts ChaosOptions) (*protocol.AdversarySpec, error) {
+func adversaryFor(opts ChaosOptions, ring *crypto.KeyRing) (*protocol.AdversarySpec, error) {
 	switch opts.Attack {
 	case AttackNone:
 		return nil, nil
@@ -136,6 +152,29 @@ func adversaryFor(opts ChaosOptions) (*protocol.AdversarySpec, error) {
 		return protocol.DarkQuorum(opts.N, opts.F, types.ReplicaID(opts.Faulty)), nil
 	case AttackSilenceCert:
 		return &protocol.AdversarySpec{SilenceCertificates: true}, nil
+	case AttackForge:
+		// The colluding client is outside the load generator's identities.
+		c := types.ClientID(types.ClientIDBase) + 1<<16
+		req := protocol.SignRequest(ring.NodeKeys(types.ClientNode(c)), crypto.SchemeMAC, opts.N, types.Transaction{
+			Client: c, Seq: 1,
+			Ops: []types.Op{{Kind: types.OpWrite, Key: forgedKey, Value: []byte("forged")}},
+		})
+		for i := range req.Sig {
+			req.Sig[i] ^= 0xff
+		}
+		next := (opts.Faulty + 1) % opts.N
+		for i := range req.Auth {
+			if i/crypto.RequestTagSize != next {
+				req.Auth[i] ^= 0xff
+			}
+		}
+		spec := &protocol.AdversarySpec{EquivocateTo: make(map[types.ReplicaID]bool), Forged: &req}
+		for i := 0; i < opts.N; i++ {
+			if i != opts.Faulty {
+				spec.EquivocateTo[types.ReplicaID(i)] = true
+			}
+		}
+		return spec, nil
 	default:
 		return nil, fmt.Errorf("harness: unknown attack %q", opts.Attack)
 	}
@@ -150,7 +189,8 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 	if (opts.PartitionAt > 0) != (opts.HealAt > 0) || opts.HealAt < opts.PartitionAt {
 		return ChaosReport{}, fmt.Errorf("harness: need 0 < PartitionAt < HealAt (got %v, %v)", opts.PartitionAt, opts.HealAt)
 	}
-	adv, err := adversaryFor(opts)
+	ring := crypto.NewKeyRing(opts.N, []byte(fmt.Sprintf("harness-%d", opts.Seed)))
+	adv, err := adversaryFor(opts, ring)
 	if err != nil {
 		return ChaosReport{}, err
 	}
@@ -198,7 +238,6 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 		plan.HealAt(opts.HealAt)
 	}
 
-	ring := crypto.NewKeyRing(opts.N, []byte(fmt.Sprintf("harness-%d", opts.Seed)))
 	wcfg := workload.DefaultConfig(opts.Records)
 	wcfg.Seed = opts.Seed
 	var table map[string][]byte
@@ -321,6 +360,9 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 		if seq, ok := replicas[i].Runtime().Exec.Chain().Verify(); !ok && report.PrefixMatch {
 			report.PrefixMatch = false
 			report.Divergence = fmt.Sprintf("replica %d: chain hash link broken at seq %d", i, seq)
+		}
+		if _, ok := replicas[i].Runtime().Exec.Store().Get(forgedKey); ok {
+			report.ForgedExecuted++
 		}
 		last := replicas[i].Runtime().Exec.LastExecuted()
 		if first || last < report.MinHonestSeq {

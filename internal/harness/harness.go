@@ -262,6 +262,14 @@ type Result struct {
 	Rollbacks       int64
 	Timeline        []TimelinePoint
 
+	// ExecutedTxns (Run only) is the number of ordered transactions every
+	// replica executed — the fewest any of them did, warm-up included — and
+	// ClientSigVerifies the Ed25519 checks of client request signatures the
+	// replicas spent between them: their ratio is the signature cost of one
+	// ordered transaction.
+	ExecutedTxns      int64
+	ClientSigVerifies int64
+
 	// Snapshot state transfer, summed across replicas: snapshots served to
 	// lagging peers, snapshots installed from peers, chunk/byte volume, the
 	// Fetch pages used to bridge snapshot → live head, and attempts that
@@ -638,8 +646,12 @@ func Run(opts Options) (Result, error) {
 	if total > 0 {
 		res.AvgLatency = time.Duration(latencySum.Load() / total)
 	}
-	for _, h := range replicas {
-		res.addReplicaMetrics(h.Runtime().Metrics)
+	for i, h := range replicas {
+		m := h.Runtime().Metrics
+		res.addReplicaMetrics(m)
+		if n := m.ExecutedTxns.Load(); i == 0 || n < res.ExecutedTxns {
+			res.ExecutedTxns = n
+		}
 	}
 	res.ReadsCompleted = stats.completed.Load()
 	res.ReadsFallback = stats.fallback.Load()
@@ -650,6 +662,7 @@ func Run(opts Options) (Result, error) {
 
 // addReplicaMetrics folds one replica's runtime counters into the result.
 func (r *Result) addReplicaMetrics(m *protocol.Metrics) {
+	r.ClientSigVerifies += m.ClientSigVerifies.Load()
 	r.ViewChanges += m.ViewChanges.Load()
 	r.ViewChangesDone += m.ViewChangesDone.Load()
 	r.Rollbacks += m.Rollbacks.Load()

@@ -285,3 +285,57 @@ func TestFaultNetDelayedBroadcastMarshalsOnce(t *testing.T) {
 		t.Fatalf("delayed broadcast to %d peers performed %d marshals, want exactly 1", n-1, got)
 	}
 }
+
+// TestFirstContactAnnounce: a client that has sent a replica nothing but its
+// announcement can be answered by it, and the announcement itself never
+// reaches the replica's protocol. On the in-process networks, where every
+// joined node is addressable, Announce sends nothing and draws no fault
+// decision.
+func TestFirstContactAnnounce(t *testing.T) {
+	replica := types.ReplicaNode(0)
+	client := types.NthClient(0)
+	rn, err := NewTCPNet(replica, map[types.NodeID]string{replica: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rn.Close()
+	cn, err := NewTCPNet(client, map[types.NodeID]string{client: "127.0.0.1:0", replica: rn.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cn.Close()
+
+	rn.Send(client, &ping{N: 1}) // no route yet: dropped
+	Announce(cn, 1)
+	// The replica learns the route when its read loop reaches the hello;
+	// offer replies until one gets through.
+	deadline := time.Now().Add(5 * time.Second)
+	for got := false; !got; {
+		rn.Send(client, &ping{N: 2})
+		select {
+		case env := <-cn.Inbox():
+			if env.From != replica || env.Msg.(*ping).N != 2 {
+				t.Fatalf("client got %+v", env)
+			}
+			got = true
+		case <-time.After(20 * time.Millisecond):
+			if time.Now().After(deadline) {
+				t.Fatal("the replica never learned the announced client's route")
+			}
+		}
+	}
+	select {
+	case env := <-rn.Inbox():
+		t.Fatalf("the announcement reached the replica's inbox: %+v", env)
+	default:
+	}
+
+	var events int
+	fn := NewFaultNet(NewChanNet(), WithFaultSeed(1), WithTrace(func(TraceEvent) { events++ }))
+	defer fn.Close()
+	fn.Join(replica)
+	Announce(fn.Join(client), 1)
+	if st := fn.Stats(); events != 0 || st.Sent != 0 {
+		t.Fatalf("Announce on the in-process fabric drew %d decisions, sent %d", events, st.Sent)
+	}
+}

@@ -245,6 +245,9 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 				t.relearnRoute(routeFrom, routePeer)
 			}
 		}
+		if msg == nil {
+			continue // a hello frame: the route above is all it carried
+		}
 		select {
 		case t.inbox <- Envelope{From: from, To: t.node, Msg: msg, Owned: true}:
 		default:
@@ -400,6 +403,26 @@ func (t *TCPNet) Broadcast(tos []types.NodeID, msg any) {
 	if frame != nil {
 		wire.PutBuf(frame)
 	}
+}
+
+// Announce opens this node's connection to every node in tos and says hello
+// on it. A node outside its peers' address books — a client — can only be
+// answered over a connection it opened, and sending its first request opens
+// one to the primary alone: without the announcement the backups' replies to
+// that request have no route, and the client waits out a retransmission
+// time-out before its broadcast teaches them one. The hello carries no
+// message, so the receiving node's protocol never sees it.
+func (t *TCPNet) Announce(tos []types.NodeID) {
+	frame := wire.AppendHello(wire.GetBuf(), int32(t.node))
+	for _, to := range tos {
+		if to == t.node {
+			continue
+		}
+		if p, err := t.route(to); err == nil {
+			t.writeFrame(to, p, frame)
+		}
+	}
+	wire.PutBuf(frame)
 }
 
 // route resolves the peer to send to: a dialed connection for nodes in the

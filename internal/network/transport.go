@@ -68,6 +68,23 @@ type Transport interface {
 	Close() error
 }
 
+// Announce makes this node reachable from the replicas [0, n) before it has
+// sent any of them a message, on transports where that takes a step (TCPNet;
+// see its Announce). The in-process networks address every joined node
+// directly, so there it does nothing — no message is sent and no fault
+// decision is drawn.
+func Announce(t Transport, n int) {
+	a, ok := t.(interface{ Announce(tos []types.NodeID) })
+	if !ok {
+		return
+	}
+	tos := make([]types.NodeID, n)
+	for i := range tos {
+		tos[i] = types.ReplicaNode(types.ReplicaID(i))
+	}
+	a.Announce(tos)
+}
+
 // Broadcast sends msg to the replicas [0, n) via t, excluding self if
 // skipSelf is set. It mirrors the paper's "broadcast to all replicas",
 // funneling into the transport's marshal-once Broadcast path.

@@ -208,6 +208,16 @@ func (t *Transaction) Digest() Digest {
 type Request struct {
 	Txn Transaction
 	Sig []byte // client signature over Txn.Digest()
+	// Auth is the client→replica authenticator: one fixed-size MAC tag per
+	// replica over Txn.Digest(), replica i's at offset i × tag size (the
+	// crypto package fixes the size and computes the tags). A tag convinces
+	// only the replica it is keyed to, so a replica that merely supports a
+	// proposal carrying the request may accept it on its own tag instead of
+	// Sig; whoever may propose the request checks Sig, the transferable
+	// proof. Auth is outside the digest and outside the ExecRecord encoding:
+	// it travels from the client and inside proposals, never to disk. Empty
+	// or malformed Auth only costs the receiver the signature check.
+	Auth []byte
 
 	digest    Digest
 	hasDigest bool

@@ -1,6 +1,8 @@
 package types
 
 import (
+	"bytes"
+	"encoding/hex"
 	"testing"
 	"testing/quick"
 )
@@ -95,5 +97,50 @@ func TestQuickProposalDigestInjective(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestExecRecordEncodingIgnoresAuth pins the execution-record encoding — the
+// WAL, snapshot, FetchReply and VC-REQUEST entry format — to the bytes it had
+// before requests carried a client→replica authenticator, with and without
+// one set: a WAL written before that change replays, and the storage format
+// version did not have to move.
+func TestExecRecordEncodingIgnoresAuth(t *testing.T) {
+	const golden = "000000000000000700000000000000024bb24efc9641afc5ded1ca77eabb6e2fcf062d2112ccd61bd8bd6acd89180bae" +
+		"00000004636572740000000000000000000000000200100001000000000000000900000000000004d2000000000101000000016b" +
+		"00000001760000000301020300100002000000000000000100000000000000000100000001000000000172000000000000000104"
+	rec := ExecRecord{
+		Seq: 7, View: 2, Digest: DigestBytes([]byte("batch")), Proof: []byte("cert"),
+		Batch: Batch{Requests: []Request{
+			{Txn: Transaction{Client: ClientIDBase + 1, Seq: 9, TimeNanos: 1234, Ops: []Op{{Kind: OpWrite, Key: "k", Value: []byte("v")}}}, Sig: []byte{1, 2, 3}},
+			{Txn: Transaction{Client: ClientIDBase + 2, Seq: 1, Consistency: ConsistencyStrong, Ops: []Op{{Kind: OpRead, Key: "r"}}}, Sig: []byte{4}},
+		}},
+	}
+	if got := hex.EncodeToString(rec.AppendWire(nil)); got != golden {
+		t.Fatalf("record encoding changed:\n got %s\nwant %s", got, golden)
+	}
+	rec.Batch.Requests[0].Auth = bytes.Repeat([]byte{0xaa}, 64)
+	rec.Batch.Requests[1].Auth = []byte{1, 2, 3}
+	if got := hex.EncodeToString(rec.AppendWire(nil)); got != golden {
+		t.Fatalf("Auth leaked into the record encoding:\n got %s\nwant %s", got, golden)
+	}
+	// The proposal form of the same batch does carry it, and a request
+	// digest does not cover it.
+	plain := rec.Batch.Clone()
+	for i := range plain.Requests {
+		plain.Requests[i].Auth = nil
+	}
+	if bytes.Equal(rec.Batch.AppendProposal(nil), plain.AppendProposal(nil)) {
+		t.Fatal("proposal encoding dropped Auth")
+	}
+	if rec.Batch.Digest() != plain.Digest() {
+		t.Fatal("Auth changed the batch digest")
+	}
+	var back ExecRecord
+	if err := back.Unmarshal(rec.AppendWire(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if back.Batch.Requests[0].Auth != nil || back.Batch.Digest() != rec.Batch.Digest() {
+		t.Fatal("decoded record differs from the one encoded")
 	}
 }

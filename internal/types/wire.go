@@ -91,6 +91,8 @@ func (r *Request) ensureEnc() {
 }
 
 // AppendWire appends the request's encoding: transaction, then signature.
+// Auth is not part of it — this is the form execution records keep on disk
+// and ship in state transfer, where nobody is left to convince by MAC.
 func (r *Request) AppendWire(buf []byte) []byte {
 	if r.txnEnc != nil {
 		buf = append(buf, r.txnEnc...)
@@ -108,23 +110,40 @@ func (req *Request) ReadWire(r *wire.Reader) {
 	req.Txn.ReadWire(r)
 	req.txnEnc = r.Since(start)
 	req.Sig = r.Bytes()
+	req.Auth = nil
 	req.digest, req.hasDigest = Digest{}, false
 }
 
 // AppendWire appends the batch's encoding: zero-payload marker and count,
-// then the requests.
-func (b *Batch) AppendWire(buf []byte) []byte {
+// then the requests. This is the form execution records keep (WAL, state
+// transfer, view-change entries, snapshots): it carries no Auth.
+func (b *Batch) AppendWire(buf []byte) []byte { return b.appendWire(buf, false) }
+
+// ReadWire decodes one batch.
+func (b *Batch) ReadWire(r *wire.Reader) { b.readWire(r, false) }
+
+// AppendProposal appends the batch as a proposal carries it: AppendWire's
+// layout with each request's Auth after its signature, so every receiving
+// replica finds its own tag.
+func (b *Batch) AppendProposal(buf []byte) []byte { return b.appendWire(buf, true) }
+
+// ReadProposal decodes a batch encoded by AppendProposal.
+func (b *Batch) ReadProposal(r *wire.Reader) { b.readWire(r, true) }
+
+func (b *Batch) appendWire(buf []byte, auth bool) []byte {
 	buf = wire.AppendBool(buf, b.ZeroPayload)
 	buf = wire.AppendU64(buf, uint64(b.ZeroCount))
 	buf = wire.AppendU32(buf, uint32(len(b.Requests)))
 	for i := range b.Requests {
 		buf = b.Requests[i].AppendWire(buf)
+		if auth {
+			buf = wire.AppendBytes(buf, b.Requests[i].Auth)
+		}
 	}
 	return buf
 }
 
-// ReadWire decodes one batch.
-func (b *Batch) ReadWire(r *wire.Reader) {
+func (b *Batch) readWire(r *wire.Reader, auth bool) {
 	b.ZeroPayload = r.Bool()
 	b.ZeroCount = int(r.U64())
 	n := r.Count(29) // minimum encoded size of an empty request
@@ -134,6 +153,9 @@ func (b *Batch) ReadWire(r *wire.Reader) {
 		b.Requests = make([]Request, n)
 		for i := range b.Requests {
 			b.Requests[i].ReadWire(r)
+			if auth {
+				b.Requests[i].Auth = r.Bytes()
+			}
 		}
 	}
 	b.digest, b.hasDigest = Digest{}, false

@@ -54,10 +54,26 @@ func sampleRead(i int) types.Request {
 	}
 }
 
+// sampleAuthed is sampleRequest with a client→replica authenticator: a full
+// four-replica vector, or for every fourth request one torn mid-tag.
+func sampleAuthed(i int) types.Request {
+	req := sampleRequest(i)
+	req.Auth = bytes.Repeat([]byte{byte(0xa0 + i)}, 4*crypto.RequestTagSize)
+	if i%4 == 3 {
+		req.Auth = req.Auth[:crypto.RequestTagSize+5]
+	}
+	return req
+}
+
+// sampleBatch alternates requests without and with an authenticator.
 func sampleBatch(n int) types.Batch {
 	b := types.Batch{}
 	for i := 0; i < n; i++ {
-		b.Requests = append(b.Requests, sampleRequest(i))
+		if i%2 == 1 {
+			b.Requests = append(b.Requests, sampleAuthed(i))
+		} else {
+			b.Requests = append(b.Requests, sampleRequest(i))
+		}
 	}
 	return b
 }
@@ -84,8 +100,8 @@ func samples() []wire.Message {
 	auth := [][]byte{[]byte("sig-a"), nil, []byte("sig-b")}
 	return []wire.Message{
 		// shared
-		&protocol.ClientRequest{}, &protocol.ClientRequest{Req: sampleRequest(1)},
-		&protocol.ForwardRequest{}, &protocol.ForwardRequest{Req: sampleRequest(2)},
+		&protocol.ClientRequest{}, &protocol.ClientRequest{Req: sampleRequest(1)}, &protocol.ClientRequest{Req: sampleAuthed(1)},
+		&protocol.ForwardRequest{}, &protocol.ForwardRequest{Req: sampleRequest(2)}, &protocol.ForwardRequest{Req: sampleAuthed(3)},
 		&protocol.Inform{}, &protocol.Inform{
 			From: 3, Digest: types.DigestBytes([]byte("d")), View: 1, Seq: 9,
 			ClientSeq: 4, Values: [][]byte{[]byte("v"), nil}, Tag: []byte("mac"),
@@ -105,6 +121,11 @@ func samples() []wire.Message {
 		},
 		&protocol.SnapshotChunk{}, &protocol.SnapshotChunk{From: 2, Seq: 96, Index: 1, Data: bytes.Repeat([]byte("z"), 1024)},
 		&protocol.ReadRequest{}, &protocol.ReadRequest{Req: sampleRead(3)},
+		func() wire.Message {
+			r := sampleRead(4)
+			r.Auth = sampleAuthed(4).Auth
+			return &protocol.ReadRequest{Req: r}
+		}(),
 		&protocol.ReadReply{}, &protocol.ReadReply{
 			From: 1, Digest: types.DigestBytes([]byte("r")), ClientSeq: 6,
 			Values: [][]byte{[]byte("v"), nil}, ExecSeq: 42,
@@ -193,6 +214,19 @@ func TestFrameRoundTripAllTypes(t *testing.T) {
 	}
 }
 
+// TestHelloFrame: the body-less announcement decodes to a sender and no
+// message; the same id with a body is not a hello and names no type.
+func TestHelloFrame(t *testing.T) {
+	frame := wire.AppendHello(nil, 42)
+	from, m, err := wire.DecodeFrame(frame[4:])
+	if err != nil || from != 42 || m != nil {
+		t.Fatalf("hello decoded to from=%d msg=%v err=%v", from, m, err)
+	}
+	if _, _, err := wire.DecodeFrame(append(frame[4:], 0)); err == nil {
+		t.Fatal("a hello id with a body decoded")
+	}
+}
+
 // TestDigestMatchesEncoding pins the digest-from-canonical-bytes contract:
 // a request's digest equals the SHA-256 of its transaction's wire encoding,
 // whether the request was built locally or decoded from the wire.
@@ -214,6 +248,57 @@ func TestDigestMatchesEncoding(t *testing.T) {
 	}
 }
 
+// TestAuthTravelsOnlyWhereNeeded: a request's authenticator crosses the wire
+// from the client, between replicas forwarding it, and inside all five
+// proposal bodies — whole or torn, exactly as sent — and nowhere else: the
+// execution-record encoding (WAL, state transfer, view-change entries) does
+// not carry it.
+func TestAuthTravelsOnlyWhereNeeded(t *testing.T) {
+	roundTrip := func(m wire.Message) wire.Message {
+		t.Helper()
+		out, err := wire.Unmarshal(m.WireID(), wire.Marshal(m))
+		if err != nil {
+			t.Fatalf("%T: %v", m, err)
+		}
+		return out
+	}
+	for _, i := range []int{1, 3} {
+		want := sampleAuthed(i).Auth
+		for _, got := range [][]byte{
+			roundTrip(&protocol.ClientRequest{Req: sampleAuthed(i)}).(*protocol.ClientRequest).Req.Auth,
+			roundTrip(&protocol.ForwardRequest{Req: sampleAuthed(i)}).(*protocol.ForwardRequest).Req.Auth,
+			roundTrip(&protocol.ReadRequest{Req: sampleAuthed(i)}).(*protocol.ReadRequest).Req.Auth,
+			roundTrip(&poe.Propose{Batch: sampleBatch(4)}).(*poe.Propose).Batch.Requests[i].Auth,
+			roundTrip(&pbft.PrePrepare{Batch: sampleBatch(4)}).(*pbft.PrePrepare).Batch.Requests[i].Auth,
+			roundTrip(&sbft.PrePrepare{Batch: sampleBatch(4)}).(*sbft.PrePrepare).Batch.Requests[i].Auth,
+			roundTrip(&zyzzyva.OrderReq{Batch: sampleBatch(4)}).(*zyzzyva.OrderReq).Batch.Requests[i].Auth,
+			roundTrip(&hotstuff.Proposal{Node: hotstuff.Node{Batch: sampleBatch(4)}}).(*hotstuff.Proposal).Node.Batch.Requests[i].Auth,
+		} {
+			if !bytes.Equal(got, want) {
+				t.Fatalf("request %d: auth %x arrived as %x", i, want, got)
+			}
+		}
+	}
+	rec := sampleRecord(1)
+	if rec.Batch.Requests[1].Auth == nil {
+		t.Fatal("sample record lost its authenticated request")
+	}
+	for _, r := range roundTrip(&rec).(*types.ExecRecord).Batch.Requests {
+		if r.Auth != nil {
+			t.Fatalf("execution record carried an authenticator: %x", r.Auth)
+		}
+	}
+	// A request without one is encoded as it was before authenticators
+	// existed, so a client that sends none is still understood.
+	plain, authed := sampleRequest(1), sampleAuthed(1)
+	if enc := wire.Marshal(&protocol.ClientRequest{Req: plain}); !bytes.Equal(enc, plain.AppendWire(nil)) {
+		t.Fatal("ClientRequest without Auth is not the bare request encoding")
+	}
+	if enc := wire.Marshal(&protocol.ClientRequest{Req: authed}); !bytes.Equal(enc, append(plain.AppendWire(nil), authed.Auth...)) {
+		t.Fatal("ClientRequest with Auth is not the request encoding followed by Auth")
+	}
+}
+
 // FuzzWireDecode: arbitrary bytes must never panic any decoder — not the
 // frame decoder, and not any registered message type's Unmarshal.
 func FuzzWireDecode(f *testing.F) {
@@ -221,6 +306,7 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(wire.AppendFrame(nil, 1, msg)[4:])
 	}
 	f.Add([]byte{})
+	f.Add(wire.AppendHello(nil, 1)[4:])
 	f.Add([]byte{0, 0, 0, 0, 0, 1})
 	f.Add(bytes.Repeat([]byte{0xff}, 64))
 	ids := wire.RegisteredIDs()

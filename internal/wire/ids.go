@@ -9,6 +9,12 @@ package wire
 // per-protocol VC-REQUEST/NV-PROPOSE pairs that IDVCRequest/IDNVPropose
 // replaced.
 const (
+	// 0: a frame that carries no message. A node with no listen address its
+	// peers know (a client) sends one on each fresh connection so that the
+	// peer learns the route back before the first reply is due; DecodeFrame
+	// returns it as a nil message and transports drop it after that.
+	IDHello uint16 = 0
+
 	// 1–15: shared runtime messages (internal/consensus/protocol) and
 	// storage payloads (internal/types, internal/storage).
 	IDClientRequest  uint16 = 1

@@ -416,14 +416,25 @@ func AppendFrame(buf []byte, from int32, m Message) []byte {
 	return buf
 }
 
+// AppendHello appends a body-less IDHello frame from the given sender.
+func AppendHello(buf []byte, from int32) []byte {
+	buf = AppendU32(buf, frameHeader)
+	buf = AppendI32(buf, from)
+	return AppendU16(buf, IDHello)
+}
+
 // DecodeFrame decodes a frame body (the bytes after the u32 length word):
-// the sender and the registered message. The message aliases body.
+// the sender and the registered message, nil for a hello frame. The message
+// aliases body.
 func DecodeFrame(body []byte) (from int32, m Message, err error) {
 	if len(body) < frameHeader {
 		return 0, nil, ErrTruncated
 	}
 	from = int32(binary.BigEndian.Uint32(body[0:4]))
 	id := binary.BigEndian.Uint16(body[4:6])
+	if id == IDHello && len(body) == frameHeader {
+		return from, nil, nil
+	}
 	m, err = Unmarshal(id, body[frameHeader:])
 	if err != nil {
 		return 0, nil, err

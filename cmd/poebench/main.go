@@ -90,7 +90,7 @@ type scale struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,7,8,9ab,9cd,9ef,9gh,9ij,9kl,10,11,codec,exec,reads,all; or the chaos scenario suite: chaos")
+	fig := flag.String("fig", "all", "figure to regenerate: 1,7,8,9ab,9cd,9ef,9gh,9ij,9kl,10,11,codec,reads,all; or the chaos scenario suite: chaos")
 	full := flag.Bool("full", false, "run the larger (paper-scale) configurations")
 	jsonPath := flag.String("json", "", "write a machine-readable benchmark snapshot (benchmark name → txn/s, latency) to this file")
 	flag.Parse()
@@ -175,10 +175,6 @@ func main() {
 	if run("codec") {
 		any = true
 		figCodec()
-	}
-	if run("exec") {
-		any = true
-		figExec()
 	}
 	if run("reads") {
 		any = true

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"sync"
 
-	"github.com/poexec/poe/internal/exec"
 	"github.com/poexec/poe/internal/ledger"
 	"github.com/poexec/poe/internal/storage"
 	"github.com/poexec/poe/internal/store"
@@ -73,16 +72,6 @@ type Executor struct {
 	// It runs under the executor lock: the hook must not call back into
 	// Executor methods (the store's own lock is fine).
 	afterRollback func(toSeq types.SeqNum)
-
-	// par, when set, executes drained windows through the conflict-aware
-	// parallel execution engine instead of the serial per-batch loop. The
-	// engine's determinism contract (package exec) makes the two paths
-	// bit-identical in every observable: KV state and per-seq digests,
-	// ledger blocks, reply payloads, dedup history and its undo journal, and
-	// the WAL byte stream. parMetrics, when additionally set, receives the
-	// engine's scheduling counters.
-	par        *exec.Engine
-	parMetrics *Metrics
 
 	stable types.SeqNum // last stable checkpoint
 
@@ -171,43 +160,8 @@ func (e *Executor) Commit(seq types.SeqNum, view types.View, batch types.Batch, 
 	return e.drainLocked()
 }
 
-// EnableParallel routes all subsequent execution — Commit drains, CommitMany
-// recovery replay — through the conflict-aware engine. Call before any
-// batches execute; metrics may be nil.
-func (e *Executor) EnableParallel(eng *exec.Engine, m *Metrics) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	e.par = eng
-	e.parMetrics = m
-}
-
-// CommitMany feeds a contiguous run of decided records — recovery replay —
-// through the executor in one call. Under the parallel engine the whole run
-// drains as a single window, which is exactly the cross-batch scheduling
-// shape live execution would have seen had the records still been pending
-// together; the result is bit-identical either way.
-func (e *Executor) CommitMany(recs []types.ExecRecord) []Executed {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for i := range recs {
-		rec := &recs[i]
-		if rec.Seq <= e.kv.LastApplied() {
-			continue
-		}
-		if _, dup := e.pending[rec.Seq]; dup {
-			continue
-		}
-		e.pending[rec.Seq] = &decided{view: rec.View, batch: rec.Batch, proof: rec.Proof}
-	}
-	return e.drainLocked()
-}
-
-// drainLocked executes contiguous pending batches — serially, or through
-// the parallel engine when one is attached.
+// drainLocked executes contiguous pending batches in sequence order.
 func (e *Executor) drainLocked() []Executed {
-	if e.par != nil {
-		return e.drainParallelLocked()
-	}
 	var events []Executed
 	for {
 		next := e.kv.LastApplied() + 1
@@ -232,56 +186,8 @@ func (e *Executor) executeLocked(seq types.SeqNum, d *decided) Executed {
 	return e.finishExecLocked(seq, d, results)
 }
 
-// drainParallelLocked drains every contiguous pending batch as one window
-// through the conflict-aware engine: deduplication and the dedup undo
-// journal run as a serial pre-pass (they are cheap and order-sensitive), the
-// engine computes all read results and write effects on its worker pool, and
-// the precomputed effects install per sequence number — so per-seq state
-// digests, the ledger, and the WAL byte stream come out exactly as the
-// serial loop would have produced them.
-func (e *Executor) drainParallelLocked() []Executed {
-	first := e.kv.LastApplied() + 1
-	var window []*decided
-	for {
-		d, ok := e.pending[first+types.SeqNum(len(window))]
-		if !ok {
-			break
-		}
-		delete(e.pending, first+types.SeqNum(len(window)))
-		window = append(window, d)
-	}
-	if len(window) == 0 {
-		return nil
-	}
-	tasks := make([]exec.Task, len(window))
-	for i, d := range window {
-		seq := first + types.SeqNum(i)
-		effective := e.dedupLocked(&d.batch)
-		e.journalDedupLocked(seq, effective)
-		tasks[i] = exec.Task{Seq: seq, Batch: effective}
-	}
-	results, stats := e.par.Run(e.kv, tasks)
-	if m := e.parMetrics; m != nil {
-		m.ParallelWindows.Add(1)
-		m.ParallelWaves.Add(int64(stats.Waves))
-		m.ParallelTxns.Add(int64(stats.Txns))
-	}
-	events := make([]Executed, 0, len(window))
-	for i, d := range window {
-		seq := first + types.SeqNum(i)
-		if err := e.kv.InstallPrepared(seq, results[i].Writes, results[i].Delta); err != nil {
-			panic(fmt.Sprintf("protocol: executor install seq %d: %v", seq, err))
-		}
-		events = append(events, e.finishExecLocked(seq, d, results[i].Results))
-	}
-	return events
-}
-
 // journalDedupLocked raises the per-client dedup sequence numbers for an
-// effective batch, journaling each raise for rollback. Serial execution
-// calls it per batch after Apply; the parallel window calls it in its serial
-// pre-pass — the journal entries come out in the same order either way, and
-// nothing observes the intermediate state under the executor lock.
+// effective batch, journaling each raise for rollback.
 func (e *Executor) journalDedupLocked(seq types.SeqNum, effective *types.Batch) {
 	for i := range effective.Requests {
 		txn := &effective.Requests[i].Txn
@@ -307,7 +213,7 @@ func dedupExempt(txn *types.Transaction) bool {
 
 // finishExecLocked records one executed batch — ledger append, execution
 // log, checkpoint digests, WAL append — and builds its Executed event. The
-// store must already hold the batch's effects (Apply or InstallPrepared).
+// store must already hold the batch's effects.
 func (e *Executor) finishExecLocked(seq types.SeqNum, d *decided, results []types.Result) Executed {
 	digest := d.batch.Digest()
 	if _, err := e.chain.Append(seq, digest, d.view, d.proof); err != nil {

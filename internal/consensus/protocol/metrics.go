@@ -36,15 +36,6 @@ type Metrics struct {
 	WALGroups         atomic.Int64
 	WALGroupedRecords atomic.Int64
 
-	// Parallel execution engine: windows drained through the conflict-aware
-	// scheduler, the waves they split into, and the transactions they
-	// carried. ParallelTxns/ParallelWaves is the achieved intra-wave
-	// parallelism; ParallelWaves/ParallelWindows near 1.0 means a
-	// low-conflict workload scheduled almost flat.
-	ParallelWindows atomic.Int64
-	ParallelWaves   atomic.Int64
-	ParallelTxns    atomic.Int64
-
 	// ViewChangesDone counts view changes that completed — the replica
 	// entered the new view and resumed progress — as opposed to ViewChanges,
 	// which counts attempts started. The soak harness asserts on completions.
@@ -101,10 +92,6 @@ type MetricsSnapshot struct {
 	WALGroups         int64 `json:"wal_groups"`
 	WALGroupedRecords int64 `json:"wal_grouped_records"`
 
-	ParallelWindows int64 `json:"parallel_windows"`
-	ParallelWaves   int64 `json:"parallel_waves"`
-	ParallelTxns    int64 `json:"parallel_txns"`
-
 	SpecReads     int64 `json:"spec_reads"`
 	StrongReads   int64 `json:"strong_reads"`
 	ReadFallbacks int64 `json:"read_fallbacks"`
@@ -146,10 +133,6 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 
 		WALGroups:         m.WALGroups.Load(),
 		WALGroupedRecords: m.WALGroupedRecords.Load(),
-
-		ParallelWindows: m.ParallelWindows.Load(),
-		ParallelWaves:   m.ParallelWaves.Load(),
-		ParallelTxns:    m.ParallelTxns.Load(),
 
 		SpecReads:     m.SpecReads.Load(),
 		StrongReads:   m.StrongReads.Load(),

@@ -94,6 +94,52 @@ func TestExecutorDedupAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestExecutorDedupWithinOneDrain parks two batches behind a gap and
+// drains all three in one Commit: seq 2 is fully stale, seq 3 mixes a stale
+// and a fresh request from the same client. Dedup must judge each batch
+// against the history the batches before it in the same drain left behind.
+func TestExecutorDedupWithinOneDrain(t *testing.T) {
+	e := newExec()
+	const c = types.ClientIDBase
+	b3 := writeBatch(c, 5, "dup", 3)
+	b3.Requests = append(b3.Requests, types.Request{Txn: types.Transaction{
+		Client: c, Seq: 6,
+		Ops: []types.Op{{Kind: types.OpWrite, Key: "dup", Value: []byte{99}}},
+	}})
+	if evs := e.Commit(3, 0, b3, nil); len(evs) != 0 {
+		t.Fatal("seq 3 must wait for 1 and 2")
+	}
+	if evs := e.Commit(2, 0, writeBatch(c, 5, "dup", 2), nil); len(evs) != 0 {
+		t.Fatal("seq 2 must wait for 1")
+	}
+	evs := e.Commit(1, 0, writeBatch(c, 5, "dup", 1), nil)
+	if len(evs) != 3 {
+		t.Fatalf("expected a 3-batch drain, got %d", len(evs))
+	}
+	want := [][]uint64{{5}, {}, {6}} // client seqs answered per event
+	for i, ev := range evs {
+		if ev.Rec.Seq != types.SeqNum(i+1) {
+			t.Fatalf("event %d has seq %d", i, ev.Rec.Seq)
+		}
+		if len(ev.Results) != len(want[i]) {
+			t.Fatalf("seq %d: %d results, want %d", ev.Rec.Seq, len(ev.Results), len(want[i]))
+		}
+		for j, r := range ev.Results {
+			if r.Client != c || r.Seq != want[i][j] {
+				t.Fatalf("seq %d result %d = (%d,%d), want (%d,%d)", ev.Rec.Seq, j, r.Client, r.Seq, c, want[i][j])
+			}
+		}
+	}
+	if v, _ := e.Store().Get("dup"); len(v) != 1 || v[0] != 99 {
+		t.Fatalf("dup = %v, want the fresh request's write [99]", v)
+	}
+	for cs, want := range map[uint64]bool{4: true, 5: true, 6: true, 7: false} {
+		if got := e.AlreadyExecuted(c, cs); got != want {
+			t.Fatalf("AlreadyExecuted(%d) = %v, want %v", cs, got, want)
+		}
+	}
+}
+
 func TestExecutorRollbackRebuildsDedup(t *testing.T) {
 	e := newExec()
 	e.Commit(1, 0, batchFor(types.ClientIDBase, 1), nil)

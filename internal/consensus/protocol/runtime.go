@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/crypto"
-	"github.com/poexec/poe/internal/exec"
 	"github.com/poexec/poe/internal/ledger"
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/storage"
@@ -144,14 +143,6 @@ type RuntimeOptions struct {
 	// checkpoints write snapshots. The replica catches up past its last
 	// durable sequence number through the ordinary Fetch state transfer.
 	Storage *storage.Store
-	// ParallelExec routes post-ordering execution — live Commit drains and
-	// the recovery WAL replay — through the conflict-aware parallel engine
-	// (internal/exec). Output is bit-identical to serial execution; only
-	// the wall-clock cost of the execute step changes.
-	ParallelExec bool
-	// ExecWorkers overrides the parallel engine's worker-pool size
-	// (default GOMAXPROCS). Ignored unless ParallelExec is set.
-	ExecWorkers int
 }
 
 // NewRuntime builds a runtime for one replica. With RuntimeOptions.Storage
@@ -214,11 +205,6 @@ func NewRuntime(cfg Config, ring *crypto.KeyRing, net network.Transport, opts Ru
 	// Keep enough history beyond the stable checkpoint to serve state
 	// transfer to replicas a malicious primary kept in the dark.
 	rt.Exec.RetainSlack = 2 * cfg.CheckpointInterval
-	if opts.ParallelExec {
-		// Attach the engine before recovery replay so the WAL suffix is
-		// re-executed through the exact code path live execution will use.
-		rt.Exec.EnableParallel(exec.New(opts.ExecWorkers), rt.Metrics)
-	}
 	if recovered != nil {
 		if recovered.Snapshot != nil {
 			rt.Exec.Restore(recovered.Snapshot.Seq, recovered.Snapshot.LastCli)
@@ -229,9 +215,10 @@ func NewRuntime(cfg Config, ring *crypto.KeyRing, net network.Transport, opts Ru
 		// digest. The WAL is attached only afterwards — replayed records
 		// are already on disk and must not be re-appended.
 		for i := range recovered.Records {
-			recovered.Records[i].Batch.MemoizeDigests()
+			rec := &recovered.Records[i]
+			rec.Batch.MemoizeDigests()
+			rt.Exec.Commit(rec.Seq, rec.View, rec.Batch, rec.Proof)
 		}
-		rt.Exec.CommitMany(recovered.Records)
 		rt.Exec.AttachStorage(opts.Storage)
 		rt.RecoveredSeq = recovered.LastSeq
 	}

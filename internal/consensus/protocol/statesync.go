@@ -95,6 +95,14 @@ type StateSync struct {
 	got        int
 	bytes      int64
 
+	// early parks chunks from the current server that overtook its offer (a
+	// delaying or reordering transport need not keep one sender's messages
+	// in order); OnOffer replays them once it accepts the offer. They are
+	// capped at maxSnapshotBytes and at the most chunks a valid offer can
+	// announce.
+	early      []*SnapshotChunk
+	earlyBytes int64
+
 	// AfterInstall, set by the protocol, runs on the event loop after a
 	// snapshot installs, with the executions the install unblocked. The
 	// protocol uses it to discard per-slot state the snapshot superseded,
@@ -197,6 +205,7 @@ func (s *StateSync) begin(now time.Time) {
 	s.chunks = nil
 	s.got = 0
 	s.bytes = 0
+	s.early, s.earlyBytes = nil, 0
 	s.deadline = now.Add(s.requestTimeout())
 	s.rt.SendReplica(peer, &SnapshotRequest{From: s.rt.Cfg.ID, Have: s.rt.Exec.LastExecuted()})
 }
@@ -207,6 +216,7 @@ func (s *StateSync) fail(now time.Time) {
 	s.active = false
 	s.offer = nil
 	s.chunks = nil
+	s.early, s.earlyBytes = nil, 0
 	s.rt.Metrics.StateSyncRetries.Add(1)
 	s.nextTry = now.Add(s.backoff)
 	s.backoff *= 2
@@ -257,6 +267,11 @@ func (s *StateSync) OnOffer(m *SnapshotOffer) {
 	s.certLedger = ledgerHead
 	s.chunks = make([][]byte, m.Chunks)
 	s.deadline = now.Add(s.requestTimeout())
+	early := s.early
+	s.early, s.earlyBytes = nil, 0
+	for _, c := range early {
+		s.OnChunk(c)
+	}
 }
 
 // verifyCert checks a checkpoint certificate: every vote is for seq, all
@@ -285,9 +300,19 @@ func (s *StateSync) verifyCert(cert []Checkpoint, seq types.SeqNum) (state, ledg
 
 // OnChunk accepts one chunk of the offered snapshot; the last missing chunk
 // triggers reassembly, verification against the certificate digests, and
-// install.
+// install. A chunk that arrives before the offer is parked for OnOffer.
 func (s *StateSync) OnChunk(m *SnapshotChunk) {
-	if !s.active || s.offer == nil || m.From != s.server || m.Seq != s.offer.Seq {
+	if !s.active || m.From != s.server {
+		return
+	}
+	if s.offer == nil {
+		if len(s.early) < maxSnapshotBytes/snapshotChunkSize && s.earlyBytes+int64(len(m.Data)) <= maxSnapshotBytes {
+			s.early = append(s.early, m)
+			s.earlyBytes += int64(len(m.Data))
+		}
+		return
+	}
+	if m.Seq != s.offer.Seq {
 		return
 	}
 	now := time.Now()

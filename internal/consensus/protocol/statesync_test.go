@@ -3,9 +3,12 @@ package protocol
 // Snapshot state-transfer unit tests, driven entirely by hand on the
 // StateSync state machine: detection from checkpoint votes, the certificate
 // trust rule, rejection of corrupt chunks with rotation to the next peer,
-// and convergence once an honest peer serves the same snapshot.
+// convergence once an honest peer serves the same snapshot, and chunks that
+// overtake their offer.
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
 	"time"
 
@@ -13,12 +16,12 @@ import (
 	"github.com/poexec/poe/internal/types"
 )
 
-// syncedServer commits seqs 1..k on a fresh runtime and stabilizes its
-// checkpoint at k with signed votes from replicas 0..2, returning the
-// runtime and those votes (the checkpoint certificate).
-func syncedServer(t *testing.T, ring *crypto.KeyRing, cfg Config, k types.SeqNum) (*Runtime, []*Checkpoint) {
+// syncedServer commits seqs 1..k on a fresh runtime preloaded with table and
+// stabilizes its checkpoint at k with signed votes from replicas 0..2,
+// returning the runtime and those votes (the checkpoint certificate).
+func syncedServer(t *testing.T, ring *crypto.KeyRing, cfg Config, k types.SeqNum, table map[string][]byte) (*Runtime, []*Checkpoint) {
 	t.Helper()
-	rt := NewRuntime(cfg, ring, fakeNet{}, RuntimeOptions{})
+	rt := NewRuntime(cfg, ring, fakeNet{}, RuntimeOptions{InitialTable: table})
 	for seq := types.SeqNum(1); seq <= k; seq++ {
 		if evs := rt.Exec.Commit(seq, 0, writeBatch(types.ClientIDBase, uint64(seq), "k", byte(seq)), nil); len(evs) != 1 {
 			t.Fatalf("seq %d did not execute", seq)
@@ -80,7 +83,7 @@ func TestStateSyncCorruptChunkRotatesAndConverges(t *testing.T) {
 	ring := crypto.NewKeyRing(4, []byte("statesync-test"))
 	cfg := Config{ID: 0, N: 4, F: 1, Scheme: crypto.SchemeMAC, CheckpointInterval: 2}
 	const k = types.SeqNum(8) // > RetainSlack (2×interval): Fetch cannot close this gap
-	server, votes := syncedServer(t, ring, cfg, k)
+	server, votes := syncedServer(t, ring, cfg, k, nil)
 
 	fcfg := cfg
 	fcfg.ID = 3
@@ -171,7 +174,7 @@ func TestStateSyncRejectsBadCertificates(t *testing.T) {
 	ring := crypto.NewKeyRing(4, []byte("statesync-cert-test"))
 	cfg := Config{ID: 0, N: 4, F: 1, Scheme: crypto.SchemeMAC, CheckpointInterval: 2}
 	const k = types.SeqNum(8)
-	server, votes := syncedServer(t, ring, cfg, k)
+	server, votes := syncedServer(t, ring, cfg, k, nil)
 
 	fresh := func() (*Runtime, *StateSync) {
 		fcfg := cfg
@@ -210,5 +213,63 @@ func TestStateSyncRejectsBadCertificates(t *testing.T) {
 				t.Fatal("invalid certificate must abandon the attempt")
 			}
 		})
+	}
+}
+
+// TestStateSyncChunksBeforeOffer delivers every chunk of a multi-chunk
+// snapshot, in reverse, before its offer — the order a delaying transport can
+// produce. The chunks must be parked and replayed once the offer is accepted,
+// so the install completes in the first attempt instead of timing out into a
+// retry. A chunk from a replica other than the current server is not parked.
+func TestStateSyncChunksBeforeOffer(t *testing.T) {
+	ring := crypto.NewKeyRing(4, []byte("statesync-early-test"))
+	cfg := Config{ID: 0, N: 4, F: 1, Scheme: crypto.SchemeMAC, CheckpointInterval: 2}
+	const k = types.SeqNum(8)
+	table := make(map[string][]byte)
+	for i := 0; i < 3; i++ {
+		table[fmt.Sprintf("big%d", i)] = bytes.Repeat([]byte{byte(i + 1)}, snapshotChunkSize*2/3)
+	}
+	server, votes := syncedServer(t, ring, cfg, k, table)
+
+	fcfg := cfg
+	fcfg.ID = 3
+	fetcher := NewRuntime(fcfg, ring, fakeNet{}, RuntimeOptions{})
+	s := fetcher.Sync
+	for _, cp := range votes[:2] {
+		fetcher.OnCheckpoint(cp)
+	}
+	s.Tick(time.Now())
+	if !s.active {
+		t.Fatal("tick should have started a transfer attempt")
+	}
+
+	offer, chunks := serveSnapshot(t, server, s.server)
+	if len(chunks) < 2 {
+		t.Fatalf("snapshot fits in %d chunk(s); the test needs several", len(chunks))
+	}
+	stray := *chunks[0]
+	stray.From = (s.server + 1) % types.ReplicaID(cfg.N)
+	stray.Data = []byte("not from the server")
+	s.OnChunk(&stray)
+	for i := len(chunks) - 1; i >= 0; i-- {
+		s.OnChunk(chunks[i])
+	}
+	s.OnOffer(offer)
+
+	if s.active {
+		t.Fatal("transfer should have completed once the offer arrived")
+	}
+	if got := fetcher.Metrics.StateSyncRetries.Load(); got != 0 {
+		t.Fatalf("StateSyncRetries = %d, want 0", got)
+	}
+	if got := fetcher.Metrics.SnapshotsInstalled.Load(); got != 1 {
+		t.Fatalf("SnapshotsInstalled = %d, want 1", got)
+	}
+	if got := fetcher.Exec.LastExecuted(); got != k {
+		t.Fatalf("fetcher executed head = %d, want %d", got, k)
+	}
+	wantState, _, _ := server.Exec.DigestsAt(k)
+	if fetcher.Exec.StateDigest() != wantState {
+		t.Fatal("installed state digest does not match the certified digest")
 	}
 }

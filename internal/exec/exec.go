@@ -1,20 +1,21 @@
-// Package exec is the deterministic conflict-aware parallel execution
-// engine: it takes a window of ordered, already-decided batches, derives
+// Package exec is a deterministic conflict-aware parallel execution engine,
+// kept only as a measurement reference: the bench command times it on the
+// benchmark's batch and reports exec.run_batch_us beside the serial
+// store.apply_batch_us. No replica runs it — replicas execute decided
+// batches serially, in sequence order (protocol.Executor).
+//
+// The engine takes a window of ordered, already-decided batches, derives
 // read/write sets from their operations, partitions the transactions (within
 // and across batches) into conflict-free waves, executes each wave on a
 // worker pool, and hands back per-batch effects that install into the store
 // bit-identically to serial execution.
 //
-// The determinism contract (docs/DESIGN.md §7): for any window and any
-// worker count, the engine's observable output — read results, write effects
-// in serial operation order with serial preimages, and per-batch state-digest
-// deltas — equals what executing the window serially through store.KV.Apply
-// would have produced. Replay determinism is load-bearing: crash recovery
-// replays the WAL through this engine, and the chaos/crash/cold-join safety
-// assertions compare digest prefixes across replicas that may have executed
-// with different worker counts (or serially). The differential test battery
-// (differential_test.go, FuzzConflictSchedule, and the serial-vs-parallel
-// twins in internal/consensus/protocol) pins the contract.
+// The determinism contract: for any window and any worker count, the
+// engine's observable output — read results, write effects in serial
+// operation order with serial preimages, and per-batch state-digest deltas —
+// equals what executing the window serially through store.KV.Apply would
+// have produced. The differential test battery (differential_test.go and
+// FuzzConflictSchedule) pins the contract.
 //
 // Scheduling rule: transactions are scanned in serial order; a transaction's
 // wave is one past the highest wave among earlier transactions it conflicts
@@ -67,8 +68,7 @@ type Stats struct {
 }
 
 // Engine is a reusable scheduler + worker pool. It is safe for use by one
-// executor at a time (the protocol executor serializes windows under its
-// lock); the zero worker count means GOMAXPROCS.
+// caller at a time; the zero worker count means GOMAXPROCS.
 type Engine struct {
 	workers int
 }

@@ -102,14 +102,6 @@ type ChaosOptions struct {
 	// change can legitimately end the run with a divergent tail — the
 	// quorum-certified checkpoints are its actual agreement guarantee.
 	CompareStable bool
-
-	// Mixed overrides Options.ParallelExec per replica: odd replicas run
-	// the parallel engine (each with a different worker count), even ones
-	// run serially. The prefix-agreement check then directly witnesses that
-	// parallel execution is bit-identical to serial — a heterogeneous
-	// cluster can only agree on digests if every engine computes the same
-	// state.
-	Mixed bool
 }
 
 // ChaosReport is the outcome of a chaos run.
@@ -248,11 +240,7 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 	replicas := make([]replicaHandle, opts.N)
 	replicaDone := make([]chan struct{}, opts.N)
 	for i := 0; i < opts.N; i++ {
-		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table, ParallelExec: opts.ParallelExec, ExecWorkers: opts.ExecWorkers}
-		if opts.Mixed {
-			ropts.ParallelExec = i%2 == 1
-			ropts.ExecWorkers = i + 1
-		}
+		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table}
 		if opts.DataDir != "" {
 			st, err := storage.Open(replicaDir(opts.DataDir, i), opts.storageOptions())
 			if err != nil {

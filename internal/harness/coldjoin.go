@@ -121,7 +121,7 @@ func RunColdJoin(opts ColdJoinOptions) (ColdJoinReport, error) {
 			return nil, err
 		}
 		stores[i] = st
-		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table, Storage: st, ParallelExec: opts.ParallelExec, ExecWorkers: opts.ExecWorkers}
+		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table, Storage: st}
 		h, err := buildReplica(opts.Options, replicaConfig(opts.Options, i), ring, net.Join(types.ReplicaNode(types.ReplicaID(i))), ropts, nil)
 		if err != nil {
 			st.Close()

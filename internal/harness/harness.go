@@ -134,15 +134,6 @@ type Options struct {
 	// benchmarks compare against.
 	NoGroupCommit bool
 
-	// ParallelExec routes every replica's post-ordering execution (and
-	// recovery replay) through the conflict-aware parallel engine
-	// (internal/exec). Execution output is bit-identical to serial mode, so
-	// every safety check the scenarios run is unchanged; only the wall-clock
-	// cost of the execute step differs. ExecWorkers sizes the engine's
-	// worker pool (0 = GOMAXPROCS).
-	ParallelExec bool
-	ExecWorkers  int
-
 	// ReadFraction, when > 0, overrides the workload's write fraction so
 	// that this fraction of transactions is read-only (YCSB-B is 0.95,
 	// YCSB-C is 1.0). SpeculativeFraction and StrongFraction then set the
@@ -292,14 +283,6 @@ type Result struct {
 	WALGroups         int64
 	WALGroupedRecords int64
 
-	// Parallel execution engine (ParallelExec runs only), summed across
-	// replicas: windows drained, waves they split into, and transactions
-	// executed. ParallelTxns/ParallelWaves is the achieved intra-wave
-	// parallelism.
-	ParallelWindows int64
-	ParallelWaves   int64
-	ParallelTxns    int64
-
 	// Hybrid-consistency read path, replica side (summed): reads served
 	// locally per tier, reads pushed into ordering instead, speculative
 	// serves re-answered after a rollback, and lease grants sent.
@@ -345,25 +328,12 @@ func (r Result) String() string {
 	if r.SnapshotsInstalled > 0 || r.StateSyncRetries > 0 {
 		s += fmt.Sprintf("  snap=%d(%dB, retries=%d)", r.SnapshotsInstalled, r.SnapshotBytes, r.StateSyncRetries)
 	}
-	if r.ParallelWindows > 0 {
-		s += fmt.Sprintf("  par=%d windows(%.1f txn/wave)", r.ParallelWindows, r.ParallelismMean())
-	}
 	if r.SpecServes > 0 || r.StrongServes > 0 || r.ReadFallbacks > 0 {
 		s += fmt.Sprintf("  reads=spec:%d strong:%d fb:%d rep:%d audit=%d/%d(miss %d)",
 			r.SpecServes, r.StrongServes, r.ReadFallbacks, r.ReadRepairs,
 			r.ReadAuditChecked, r.ReadAuditChecked+r.ReadAuditSkipped, r.ReadAuditMismatches)
 	}
 	return s
-}
-
-// ParallelismMean is the mean transactions per conflict-free wave across
-// replicas (0 for serial runs) — the intra-wave parallelism the engine
-// actually extracted from the workload.
-func (r Result) ParallelismMean() float64 {
-	if r.ParallelWaves == 0 {
-		return 0
-	}
-	return float64(r.ParallelTxns) / float64(r.ParallelWaves)
 }
 
 // replicaHandle abstracts the per-protocol replica for the harness.
@@ -538,7 +508,7 @@ func Run(opts Options) (Result, error) {
 	replicas := make([]replicaHandle, opts.N)
 	replicaDone := make([]chan struct{}, opts.N)
 	for i := 0; i < opts.N; i++ {
-		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table, ParallelExec: opts.ParallelExec, ExecWorkers: opts.ExecWorkers}
+		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table}
 		if opts.DataDir != "" {
 			st, err := storage.Open(replicaDir(opts.DataDir, i), opts.storageOptions())
 			if err != nil {
@@ -678,9 +648,6 @@ func (r *Result) addReplicaMetrics(m *protocol.Metrics) {
 	}
 	r.WALGroups += m.WALGroups.Load()
 	r.WALGroupedRecords += m.WALGroupedRecords.Load()
-	r.ParallelWindows += m.ParallelWindows.Load()
-	r.ParallelWaves += m.ParallelWaves.Load()
-	r.ParallelTxns += m.ParallelTxns.Load()
 	r.SpecServes += m.SpecReads.Load()
 	r.StrongServes += m.StrongReads.Load()
 	r.ReadFallbacks += m.ReadFallbacks.Load()

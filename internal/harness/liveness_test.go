@@ -236,8 +236,7 @@ func TestFailureDetectorStaysQuiet(t *testing.T) {
 			for i := 0; i < c.opts.CheckpointInterval; i++ {
 				c.submit(0)
 			}
-			// Generous: the delayed links do not keep order, and a snapshot
-			// chunk that overtakes its offer costs the transfer a retry.
+			// Generous: the delayed links do not keep order.
 			c.awaitConverged(10 * time.Second)
 			if n := c.replicas[3].Runtime().Metrics.SnapshotsInstalled.Load(); n == 0 {
 				t.Fatal("replica 3 caught up without installing a snapshot")

@@ -55,9 +55,8 @@ type seqMark struct {
 }
 
 // ZeroWork is the per-operation dummy-instruction count of zero-payload and
-// no-op execution. The parallel execution engine (internal/exec) replicates
-// exactly this amount of work per operation so its execution cost — though
-// not its state effects, of which there are none — matches the serial path.
+// no-op execution. The internal/exec measurement reference replicates exactly
+// this amount of work per operation so its timed cost matches Apply's.
 const ZeroWork = 64
 
 // New creates an empty store.
@@ -315,16 +314,15 @@ func (kv *KV) Restore(records map[string][]byte, seq types.SeqNum) {
 	kv.last = seq
 }
 
-// --- parallel execution support (internal/exec) ---
+// --- prepared-install support (internal/exec) ---
 //
-// The conflict-aware parallel execution engine computes a batch's effects —
-// read results, write effects with their preimages, and the net state-digest
-// delta — on a worker pool against a frozen view of the table, then installs
-// them here in sequence order. InstallPrepared must leave the store
-// bit-identical to an Apply of the same batch: same data, same undo entries
-// in the same order, same incremental digest. The undo-entry equivalence is
-// what keeps Rollback and SnapshotAt working unchanged over parallel-executed
-// history.
+// The internal/exec engine, which only the bench command runs, computes a
+// batch's effects — read results, write effects with their preimages, and
+// the net state-digest delta — on a worker pool against a frozen view of the
+// table, then installs them here in sequence order. InstallPrepared must
+// leave the store bit-identical to an Apply of the same batch: same data,
+// same undo entries in the same order, same incremental digest, so Rollback
+// and SnapshotAt work unchanged over prepared-installed history.
 
 // WriteEffect is one write precomputed by the parallel execution engine:
 // the value to install (an owned copy, exactly as Apply would have made) and

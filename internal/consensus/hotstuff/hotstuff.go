@@ -57,6 +57,9 @@ func (m *Proposal) SignedPayload() []byte {
 	return h[:]
 }
 
+// SetAuth stores the broadcast authenticator (protocol.SignedProposal).
+func (m *Proposal) SetAuth(auth [][]byte) { m.Auth = auth }
+
 // Vote is a replica's threshold share over the node hash, sent to the next
 // leader.
 type Vote struct {
@@ -217,11 +220,10 @@ func (r *Replica) dispatch(env network.Envelope) {
 			r.enqueue(m.Req)
 		}
 	case *protocol.ReadRequest:
-		// HotStuff does not implement the fast read path
-		// (protocol.ErrReadPathUnsupported): tiered reads are ordered like
-		// any other request, skipping the executed-watermark check — they
-		// run in their own client-local sequence space, which the batcher
-		// and executor already exempt from dedup.
+		// HotStuff does not serve reads locally: tiered reads are ordered
+		// like any other request, skipping the executed-watermark check —
+		// they run in their own client-local sequence space, which the
+		// batcher and executor already exempt from dedup.
 		r.rt.Metrics.ReadFallbacks.Add(1)
 		r.rt.Batcher.Add(m.Req)
 		r.maybePropose(false)
@@ -342,62 +344,20 @@ func (r *Replica) propose(batch types.Batch) {
 			return
 		}
 	}
-	node := Node{
-		Round:      r.curRound,
-		ParentHash: r.highQC.Node,
-		Batch:      batch,
-		Justify:    r.highQC,
-	}
-	p := &Proposal{Node: node}
 	r.rt.Metrics.ProposedBatches.Add(1)
-	r.emitProposal(p)
+	r.proposeNode(batch)
+}
+
+// proposeNode proposes batch on the high QC in the current round: to every
+// other replica through the shared fan-out, and to this replica's handler.
+func (r *Replica) proposeNode(batch types.Batch) {
+	p := &Proposal{Node: Node{Round: r.curRound, ParentHash: r.highQC.Node, Batch: batch, Justify: r.highQC}}
+	r.rt.FanOut(p, r.adv, func() protocol.SignedProposal {
+		v := *p
+		v.Node.Batch = r.adv.Variant(p.Node.Batch)
+		return &v
+	})
 	r.onProposal(r.rt.Cfg.ID, p)
-}
-
-// emitProposal signs and broadcasts a proposal: through the egress pipeline
-// when honest, inline per-target when an adversary spec is installed (the
-// attack path is not the hot path).
-func (r *Replica) emitProposal(p *Proposal) {
-	if r.adv == nil {
-		payload := p.SignedPayload() // memoizes the node/batch digest on the loop
-		r.rt.Egress.Enqueue(
-			func() { p.Auth = r.rt.AuthBroadcast(payload) },
-			func() { r.rt.Broadcast(p) },
-			nil)
-		return
-	}
-	p.Auth = r.rt.AuthBroadcast(p.SignedPayload())
-	r.broadcastProposal(p)
-}
-
-// broadcastProposal sends a proposal to every other replica, applying the
-// Byzantine adversary spec if one is installed (variants are re-signed with
-// this replica's real keys, so honest verifiers accept them).
-func (r *Replica) broadcastProposal(p *Proposal) {
-	if r.adv == nil {
-		r.rt.Broadcast(p)
-		return
-	}
-	var variant *Proposal
-	for i := 0; i < r.rt.Cfg.N; i++ {
-		id := types.ReplicaID(i)
-		if id == r.rt.Cfg.ID {
-			continue
-		}
-		switch r.adv.ActionFor(id) {
-		case protocol.ProposeSilence:
-		case protocol.ProposeEquivocate:
-			if variant == nil {
-				v := *p
-				v.Node.Batch = r.adv.Variant(p.Node.Batch)
-				v.Auth = r.rt.AuthBroadcast(v.SignedPayload())
-				variant = &v
-			}
-			r.rt.SendReplica(id, variant)
-		default:
-			r.rt.SendReplica(id, p)
-		}
-	}
 }
 
 // --- voting ---
@@ -614,7 +574,7 @@ func (r *Replica) commitChain(tip *Node) {
 		for _, ev := range events {
 			r.rt.Metrics.ExecutedBatches.Add(1)
 			r.rt.Metrics.ExecutedTxns.Add(int64(ev.Rec.Batch.Size()))
-			r.rt.InformBatch(ev.Rec, ev.Results, false, types.ZeroDigest)
+			r.rt.InformBatch(ev.Rec, ev.Results, true, nil, nil)
 			r.rt.MaybeCheckpoint(ev.Rec.Seq)
 		}
 	}
@@ -642,7 +602,7 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 	for _, ev := range events {
 		r.rt.Metrics.ExecutedBatches.Add(1)
 		r.rt.Metrics.ExecutedTxns.Add(int64(ev.Rec.Batch.Size()))
-		r.rt.InformBatch(ev.Rec, ev.Results, false, types.ZeroDigest)
+		r.rt.InformBatch(ev.Rec, ev.Results, true, nil, nil)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
 }
@@ -751,14 +711,8 @@ func (r *Replica) onNewView(m *NewView) {
 	}
 	// Propose on the highest QC we learned, even with an empty batch, to
 	// restore progress.
-	batch, ok := r.rt.Batcher.Take(true)
-	if !ok {
-		batch = types.Batch{}
-	}
-	node := Node{Round: r.curRound, ParentHash: r.highQC.Node, Batch: batch, Justify: r.highQC}
-	p := &Proposal{Node: node}
-	r.emitProposal(p)
-	r.onProposal(cfg.ID, p)
+	batch, _ := r.rt.Batcher.Take(true)
+	r.proposeNode(batch)
 }
 
 // --- catch-up ---

@@ -47,6 +47,9 @@ func (m *PrePrepare) SignedPayload() []byte {
 	return d[:]
 }
 
+// SetAuth stores the broadcast authenticator (protocol.SignedProposal).
+func (m *PrePrepare) SetAuth(auth [][]byte) { m.Auth = auth }
+
 // Prepare is the first all-to-all phase: agreement on the proposal digest.
 // The share doubles as authentication and as view-change evidence.
 type Prepare struct {
@@ -84,21 +87,15 @@ type Options struct {
 	Adversary *protocol.AdversarySpec
 }
 
-// Replica is one PBFT replica. The view-change skeleton and the failure
-// detector are the embedded protocol.Skeleton's; the rules PBFT gives it are
-// at the end of this file.
+// Replica is one PBFT replica. Sequencing, request intake, the read gate,
+// the view-change skeleton and the failure detector are the embedded
+// protocol.Skeleton's; the rules PBFT gives it are at the end of this file.
 type Replica struct {
 	*protocol.Skeleton
 	rt  *protocol.Runtime
 	adv *protocol.AdversarySpec
 
-	nextPropose types.SeqNum
-	slots       map[types.SeqNum]*slot
-
-	// strongQ holds STRONG reads the primary deferred because its committed
-	// head still trailed its proposals; drained after every execution burst
-	// and on the tick, with a bounded wait before falling back to ordering.
-	strongQ protocol.StrongReads
+	slots map[types.SeqNum]*slot
 }
 
 type slot struct {
@@ -121,10 +118,9 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
 	r := &Replica{
-		rt:          rt,
-		adv:         opts.Adversary,
-		nextPropose: rt.Exec.LastExecuted() + 1,
-		slots:       make(map[types.SeqNum]*slot),
+		rt:    rt,
+		adv:   opts.Adversary,
+		slots: make(map[types.SeqNum]*slot),
 	}
 	r.Skeleton = protocol.NewSkeleton(rt, r)
 	rt.Sync.AfterInstall = r.afterInstall
@@ -141,14 +137,6 @@ func (r *Replica) Run(ctx context.Context) {
 
 func (r *Replica) dispatch(env network.Envelope) {
 	switch m := env.Msg.(type) {
-	case *protocol.ClientRequest:
-		r.OnClientRequest(env.From, &m.Req)
-	case *protocol.ForwardRequest:
-		r.OnForwardRequest(&m.Req)
-	case *protocol.ReadRequest:
-		r.onReadRequest(&m.Req)
-	case *protocol.LeaseGrant:
-		r.rt.OnLeaseGrant(m)
 	case *PrePrepare:
 		if env.From.IsReplica() {
 			r.handlePrePrepare(env.From.Replica(), m)
@@ -161,149 +149,40 @@ func (r *Replica) dispatch(env network.Envelope) {
 		if env.From.IsReplica() {
 			r.onCommit(env.From.Replica(), m)
 		}
-	case *protocol.Checkpoint:
-		r.rt.OnCheckpoint(m)
-	case *protocol.Fetch:
-		r.rt.HandleFetch(m)
 	case *protocol.FetchReply:
 		r.onFetchReply(m)
-	case *protocol.SnapshotRequest:
-		r.rt.HandleSnapshotRequest(m)
-	case *protocol.SnapshotOffer:
-		r.rt.Sync.OnOffer(m)
-	case *protocol.SnapshotChunk:
-		r.rt.Sync.OnChunk(m)
-	case *protocol.VCRequest:
-		r.OnVCRequest(m)
-	case *protocol.NVPropose:
-		r.OnNVPropose(env.From, m)
-	}
-}
-
-// --- hybrid-consistency read path ---
-
-// onReadRequest serves a tiered read-only request without ordering when the
-// tier's precondition holds, falling back to the ordering pipeline otherwise.
-// The verify pipeline already checked the client signature and that the
-// transaction is read-only with a non-ordered tier.
-func (r *Replica) onReadRequest(req *types.Request) {
-	switch req.Txn.Consistency {
-	case types.ConsistencySpeculative:
-		// Any replica answers from its executed prefix. PBFT executes only
-		// committed-local batches and never rolls back, so these serves are
-		// final; the (seq, state digest) tag still lets the client audit the
-		// prefix against checkpoints.
-		r.rt.ServeLocalRead(req, types.ConsistencySpeculative, r.View())
-	case types.ConsistencyStrong:
-		if r.tryServeStrong(req) {
-			return
-		}
-		if r.IsPrimary() && r.Normal() {
-			r.strongQ.Defer(req, time.Now())
-			return
-		}
-		r.FallbackRead(req)
+	case *protocol.ReadRequest:
+		// PBFT executes only committed-local batches and never rolls back,
+		// so its SPECULATIVE serves are final; the (seq, state digest) tag
+		// still lets the client audit the prefix against checkpoints.
+		r.OnReadRequest(&m.Req)
+	case *protocol.LeaseGrant:
+		r.rt.OnLeaseGrant(m)
 	default:
-		r.FallbackRead(req)
+		r.Dispatch(env)
 	}
-}
-
-// tryServeStrong answers a STRONG read from the committed prefix iff this
-// replica is the primary, holds a quorum read lease, and its committed head
-// has caught up with its proposals (every write it acknowledged is in the
-// answered prefix). Under a valid lease no view change can assemble a quorum
-// — every grantor promised not to join a higher view — so no newer view can
-// commit writes the serve would miss; without a lease the read pays for
-// ordering, so linearizability never rests on clock synchronization.
-func (r *Replica) tryServeStrong(req *types.Request) bool {
-	if !r.IsPrimary() || !r.Normal() {
-		return false
-	}
-	if r.rt.Exec.LastExecuted()+1 != r.nextPropose {
-		return false
-	}
-	if !r.rt.Lease.HolderValid(r.View()) {
-		return false
-	}
-	r.rt.ServeLocalRead(req, types.ConsistencyStrong, r.View())
-	return true
-}
-
-// drainStrongReads retries deferred STRONG reads, falling back to ordering
-// for any that waited longer than half a lease duration.
-func (r *Replica) drainStrongReads(now time.Time) {
-	if r.strongQ.Len() == 0 {
-		return
-	}
-	r.strongQ.Drain(now, r.rt.Cfg.LeaseDuration/2, r.tryServeStrong, r.FallbackRead)
 }
 
 // --- normal case ---
 
-// ProposeReady implements protocol.Rules.
-func (r *Replica) ProposeReady(force bool) {
-	if !r.IsPrimary() || !r.Normal() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	for r.nextPropose <= lastExec+types.SeqNum(r.rt.Cfg.Window) {
-		batch, ok := r.rt.Batcher.Take(force)
-		if !ok {
-			return
-		}
-		seq := r.nextPropose
-		r.nextPropose++
-		m := &PrePrepare{View: r.View(), Seq: seq, Batch: batch}
-		r.rt.Metrics.ProposedBatches.Add(1)
-		if r.adv == nil {
-			payload := m.SignedPayload() // memoizes the batch digest on the loop
-			r.rt.Egress.Enqueue(
-				func() { m.Auth = r.rt.AuthBroadcast(payload) },
-				func() { r.rt.Broadcast(m) },
-				nil)
-		} else {
-			// Byzantine variants sign inline: the attack path is not the
-			// hot path.
-			m.Auth = r.rt.AuthBroadcast(m.SignedPayload())
-			r.broadcastPrePrepare(m)
-		}
-		r.handlePrePrepare(r.rt.Cfg.ID, m)
-	}
+// Propose implements protocol.Rules.
+func (r *Replica) Propose(seq types.SeqNum, batch types.Batch) {
+	m := &PrePrepare{View: r.View(), Seq: seq, Batch: batch}
+	r.rt.FanOut(m, r.adv, func() protocol.SignedProposal {
+		v := *m
+		v.Batch = r.adv.Variant(m.Batch)
+		return &v
+	})
+	r.handlePrePrepare(r.rt.Cfg.ID, m)
 }
 
-// broadcastPrePrepare sends an adversarial proposal to every backup:
-// targeted backups receive a conflicting (but correctly signed) variant
-// batch or nothing at all.
-func (r *Replica) broadcastPrePrepare(m *PrePrepare) {
-	if r.adv == nil {
-		r.rt.Broadcast(m)
-		return
-	}
-	var variant *PrePrepare
-	for i := 0; i < r.rt.Cfg.N; i++ {
-		id := types.ReplicaID(i)
-		if id == r.rt.Cfg.ID {
-			continue
-		}
-		switch r.adv.ActionFor(id) {
-		case protocol.ProposeSilence:
-		case protocol.ProposeEquivocate:
-			if variant == nil {
-				v := *m
-				v.Batch = r.adv.Variant(m.Batch)
-				v.Auth = r.rt.AuthBroadcast(v.SignedPayload())
-				variant = &v
-			}
-			r.rt.SendReplica(id, variant)
-		default:
-			r.rt.SendReplica(id, m)
-		}
-	}
-}
-
+// slot returns seq's slot, creating it only inside the window; nil outside.
+// Late PREPAREs and COMMITs for an executed slot are dropped: its batch and
+// prepared certificate live on in the execution record, which is what a
+// VIEW-CHANGE carries for it.
 func (r *Replica) slot(seq types.SeqNum) *slot {
 	s, ok := r.slots[seq]
-	if !ok {
+	if !ok && r.InWindow(seq) {
 		s = &slot{
 			prepares: make(map[types.ReplicaID]crypto.Share),
 			commits:  make(map[types.ReplicaID]crypto.Share),
@@ -316,11 +195,7 @@ func (r *Replica) slot(seq types.SeqNum) *slot {
 
 func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	cfg := r.rt.Cfg
-	if !r.Active(m.View) || from != r.Primary() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	if m.Seq <= lastExec || m.Seq > lastExec+types.SeqNum(8*cfg.Window) {
+	if !r.Active(m.View) || from != r.Primary() || !r.InWindow(m.Seq) {
 		return
 	}
 	s := r.slot(m.Seq)
@@ -358,8 +233,9 @@ func (r *Replica) onPrepare(from types.ReplicaID, m *Prepare) {
 	if !r.Active(m.View) || m.Share.Signer != from {
 		return
 	}
-	s := r.slot(m.Seq)
-	r.addPrepare(from, m, s)
+	if s := r.slot(m.Seq); s != nil {
+		r.addPrepare(from, m, s)
+	}
 }
 
 func (r *Replica) addPrepare(from types.ReplicaID, m *Prepare, s *slot) {
@@ -409,8 +285,9 @@ func (r *Replica) onCommit(from types.ReplicaID, m *Commit) {
 	if !r.Active(m.View) || m.Share.Signer != from {
 		return
 	}
-	s := r.slot(m.Seq)
-	r.addCommit(from, m, s)
+	if s := r.slot(m.Seq); s != nil {
+		r.addCommit(from, m, s)
+	}
 }
 
 func (r *Replica) addCommit(from types.ReplicaID, m *Commit, s *slot) {
@@ -454,30 +331,18 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 	}
 	for _, ev := range events {
 		r.NoteExecuted(ev.Rec)
-		r.rt.InformBatch(ev.Rec, ev.Results, false, types.ZeroDigest)
+		r.rt.InformBatch(ev.Rec, ev.Results, true, nil, nil)
 		delete(r.slots, ev.Rec.Seq)
 		r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
 	r.ProposeReady(false)
-	if r.Normal() {
-		// Execution progress is the under-load lease carrier (renewals ride
-		// next to the checkpoint broadcast) and the moment deferred STRONG
-		// reads may have caught up.
-		r.rt.MaybeGrantLease(r.View(), false)
-		r.drainStrongReads(time.Now())
-	}
+	r.TendReads(r.Now(), false)
 }
 
 // --- housekeeping ---
 
-func (r *Replica) onTick(now time.Time) {
-	suspecting := r.Tick(now)
-	if r.Normal() {
-		r.drainStrongReads(now)
-		r.rt.MaybeGrantLease(r.View(), suspecting)
-	}
-}
+func (r *Replica) onTick(now time.Time) { r.TendReads(now, r.Tick(now)) }
 
 // afterInstall resumes the protocol around an installed snapshot: per-slot
 // state the snapshot superseded is discarded, sequencing and view jump
@@ -488,7 +353,6 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 			delete(r.slots, seq)
 		}
 	}
-	r.nextPropose = max(r.nextPropose, snap.Seq+1)
 	r.Installed(snap)
 	r.afterExecution(events)
 	r.rt.FetchFrom(r.rt.Exec.LastExecuted())
@@ -625,9 +489,4 @@ func (r *Replica) NewViewState(nv *protocol.NVPropose) {
 }
 
 // ResetSlots implements protocol.Rules.
-func (r *Replica) ResetSlots(kmax types.SeqNum) {
-	r.slots = make(map[types.SeqNum]*slot)
-	r.nextPropose = max(kmax, r.rt.Exec.LastExecuted()) + 1
-	// Reads the old primary parked can no longer be lease-served.
-	r.strongQ.FlushAll(r.FallbackRead)
-}
+func (r *Replica) ResetSlots() { r.slots = make(map[types.SeqNum]*slot) }

@@ -3,6 +3,7 @@ package pbft
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ type cluster struct {
 	ring     *crypto.KeyRing
 	replicas []*Replica
 	cfgs     []protocol.Config
+	stop     func() // cancels the replicas and waits for their loops to exit
 }
 
 func startCluster(t *testing.T, n, f int, scheme crypto.Scheme) *cluster {
@@ -27,6 +29,7 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme) *cluster {
 	ring := crypto.NewKeyRing(n, []byte("test-seed"))
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &cluster{t: t, net: net, ring: ring}
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		cfg := protocol.Config{
 			ID: types.ReplicaID(i), N: n, F: f, Scheme: scheme,
@@ -41,10 +44,18 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme) *cluster {
 		}
 		c.replicas = append(c.replicas, r)
 		c.cfgs = append(c.cfgs, cfg)
-		go r.Run(ctx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.Run(ctx)
+		}()
+	}
+	c.stop = func() {
+		cancel()
+		wg.Wait()
 	}
 	t.Cleanup(func() {
-		cancel()
+		c.stop()
 		net.Close()
 	})
 	return c
@@ -200,5 +211,35 @@ func TestCheckpointStabilizes(t *testing.T) {
 			t.Fatal("checkpoint did not stabilize")
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestExecutedSlotsRetired: once a batch executes its slot is gone for good.
+// The f PREPAREs and COMMITs beyond each quorum arrive after the slot
+// executed, and must not re-create it. The slot maps are read after the
+// replicas stop.
+func TestExecutedSlotsRetired(t *testing.T) {
+	c := startCluster(t, 4, 1, crypto.SchemeMAC)
+	cl := c.newClient(0)
+	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+	defer cancel()
+	const txns = 50
+	for i := 0; i < txns; i++ {
+		if _, err := cl.Submit(ctx, writeOp(fmt.Sprintf("k%d", i), "v")); err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	c.awaitConvergence(txns, nil, 5*time.Second)
+	c.stop()
+	for i, r := range c.replicas {
+		last, held := r.rt.Exec.LastExecuted(), 0
+		for seq := range r.slots {
+			if seq <= last {
+				held++
+			}
+		}
+		if held > 0 {
+			t.Errorf("replica %d holds %d slots at or below its executed head %d (%d in all)", i, held, last, len(r.slots))
+		}
 	}
 }

@@ -45,6 +45,9 @@ func (m *Propose) SignedPayload() []byte {
 	return d[:]
 }
 
+// SetAuth stores the broadcast authenticator (protocol.SignedProposal).
+func (m *Propose) SetAuth(auth [][]byte) { m.Auth = auth }
+
 // Support carries replica i's signature share s〈h〉i over the proposal
 // digest h = D(k||v||〈T〉c) back to the primary (TS mode), or broadcast to
 // all replicas (MAC mode).

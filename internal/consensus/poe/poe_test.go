@@ -207,18 +207,7 @@ func TestPrimaryFailureViewChange(t *testing.T) {
 // Example 3(1). The variant comes from protocol.EquivocateBatch, so its
 // digest genuinely differs while every client signature stays valid — an
 // equivocation honest verifiers accept rather than drop.
-type equivocator struct{}
-
-func (equivocator) ProposeTo(to types.ReplicaID, p *Propose) *Propose {
-	if to%2 == 0 {
-		return p
-	}
-	alt := *p
-	alt.Batch = protocol.EquivocateBatch(p.Batch)
-	return &alt
-}
-
-func (equivocator) SilenceCertify(types.SeqNum) bool { return false }
+var equivocator = &protocol.AdversarySpec{EquivocateTo: map[types.ReplicaID]bool{1: true, 3: true}}
 
 func TestSafetyUnderEquivocation(t *testing.T) {
 	// Replica 0 (primary of view 0) equivocates. With n=4, no two non-faulty
@@ -226,7 +215,7 @@ func TestSafetyUnderEquivocation(t *testing.T) {
 	// (Proposition 2); progress resumes after a view change.
 	c := startCluster(t, 4, 1, crypto.SchemeTS, func(id types.ReplicaID, opts *Options) {
 		if id == 0 {
-			opts.Byz = equivocator{}
+			opts.Adversary = equivocator
 		}
 	})
 	cl := c.newClient(0, 0)
@@ -263,21 +252,12 @@ func TestSafetyUnderEquivocation(t *testing.T) {
 // darkener keeps replica 3 in the dark: Example 3(2) of the paper. The
 // remaining nf replicas still commit; the dark replica recovers via state
 // transfer when it sees certificates it has no proposals for.
-type darkener struct{}
-
-func (darkener) ProposeTo(to types.ReplicaID, p *Propose) *Propose {
-	if to == 3 {
-		return nil
-	}
-	return p
-}
-
-func (darkener) SilenceCertify(types.SeqNum) bool { return false }
+var darkener = &protocol.AdversarySpec{SilenceTo: map[types.ReplicaID]bool{3: true}}
 
 func TestDarkReplicaCatchesUp(t *testing.T) {
 	c := startCluster(t, 4, 1, crypto.SchemeTS, func(id types.ReplicaID, opts *Options) {
 		if id == 0 {
-			opts.Byz = darkener{}
+			opts.Adversary = darkener
 		}
 	})
 	cl := c.newClient(0, 0)
@@ -294,15 +274,12 @@ func TestDarkReplicaCatchesUp(t *testing.T) {
 
 // silencer suppresses all CERTIFY broadcasts: replicas support but never
 // view-commit, so the failure detector must fire and replace the primary.
-type silencer struct{}
-
-func (silencer) ProposeTo(_ types.ReplicaID, p *Propose) *Propose { return p }
-func (silencer) SilenceCertify(types.SeqNum) bool                 { return true }
+var silencer = &protocol.AdversarySpec{SilenceCertificates: true}
 
 func TestSilencedCertifyTriggersViewChange(t *testing.T) {
 	c := startCluster(t, 4, 1, crypto.SchemeTS, func(id types.ReplicaID, opts *Options) {
 		if id == 0 {
-			opts.Byz = silencer{}
+			opts.Adversary = silencer
 		}
 	})
 	cl := c.newClient(0, 0)

@@ -12,67 +12,26 @@ import (
 	"github.com/poexec/poe/internal/types"
 )
 
-// Byzantine lets tests inject arbitrary malicious primary behaviour
-// (Example 3 of the paper). A nil Byzantine is honest. Most callers should
-// prefer the declarative, cross-protocol Options.Adversary instead; this
-// interface remains for attacks a spec cannot express.
-type Byzantine interface {
-	// ProposeTo rewrites (or suppresses, by returning nil) the proposal the
-	// primary sends to one replica. Equivocation returns different batches
-	// for different replicas; darkness returns nil for a subset.
-	ProposeTo(to types.ReplicaID, p *Propose) *Propose
-	// SilenceCertify suppresses the CERTIFY broadcast for a sequence number
-	// (TS mode), leaving replicas supported-but-uncommitted.
-	SilenceCertify(seq types.SeqNum) bool
-}
-
 // Options configure a PoE replica.
 type Options struct {
 	protocol.RuntimeOptions
 	// Adversary makes this replica a Byzantine primary per the shared
 	// cross-protocol spec (equivocating PROPOSE variants, selective
-	// silence, withheld CERTIFY broadcasts). Nil means honest. Ignored when
-	// Byz is also set.
+	// silence, withheld CERTIFY broadcasts). Nil means honest.
 	Adversary *protocol.AdversarySpec
-	// Byz injects custom malicious behaviour for tests; nil means honest.
-	Byz Byzantine
 }
-
-// specByz adapts the declarative cross-protocol adversary spec to PoE's
-// Byzantine hook.
-type specByz struct{ spec *protocol.AdversarySpec }
-
-func (s specByz) ProposeTo(to types.ReplicaID, p *Propose) *Propose {
-	switch s.spec.ActionFor(to) {
-	case protocol.ProposeSilence:
-		return nil
-	case protocol.ProposeEquivocate:
-		alt := *p
-		alt.Batch = s.spec.Variant(p.Batch)
-		return &alt
-	default:
-		return p
-	}
-}
-
-func (s specByz) SilenceCertify(seq types.SeqNum) bool { return s.spec.SilenceCert(seq) }
 
 // Replica is one PoE replica: the backup role of Fig 3 plus, when
-// id = v mod n, the primary role. The view-change algorithm of Fig 5 and the
-// failure detector are the embedded skeleton's; the rules PoE gives it are
-// at the end of this file. All state is confined to the Run goroutine.
+// id = v mod n, the primary role. Sequencing, request intake, the read gate,
+// the view-change algorithm of Fig 5 and the failure detector are the
+// embedded skeleton's; the rules PoE gives it are at the end of this file.
+// All state is confined to the Run goroutine.
 type Replica struct {
 	*protocol.Skeleton
 	rt  *protocol.Runtime
-	byz Byzantine
+	adv *protocol.AdversarySpec
 
-	nextPropose types.SeqNum
-	slots       map[types.SeqNum]*slot
-
-	// strongQ holds STRONG reads the primary deferred because its executed
-	// head still trailed its proposals; drained after every execution burst
-	// and on the tick, with a bounded wait before falling back to ordering.
-	strongQ protocol.StrongReads
+	slots map[types.SeqNum]*slot
 }
 
 type slot struct {
@@ -93,15 +52,10 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	byz := opts.Byz
-	if byz == nil && opts.Adversary != nil {
-		byz = specByz{opts.Adversary}
-	}
 	r := &Replica{
-		rt:          rt,
-		byz:         byz,
-		nextPropose: rt.Exec.LastExecuted() + 1,
-		slots:       make(map[types.SeqNum]*slot),
+		rt:    rt,
+		adv:   opts.Adversary,
+		slots: make(map[types.SeqNum]*slot),
 	}
 	r.Skeleton = protocol.NewSkeleton(rt, r)
 	rt.Sync.AfterInstall = r.afterInstall
@@ -120,151 +74,33 @@ func (r *Replica) Run(ctx context.Context) {
 
 func (r *Replica) dispatch(env network.Envelope) {
 	switch m := env.Msg.(type) {
-	case *protocol.ClientRequest:
-		r.OnClientRequest(env.From, &m.Req)
-	case *protocol.ForwardRequest:
-		r.OnForwardRequest(&m.Req)
-	case *protocol.ReadRequest:
-		r.onReadRequest(&m.Req)
-	case *protocol.LeaseGrant:
-		r.rt.OnLeaseGrant(m)
 	case *Propose:
 		r.onPropose(env.From, m)
 	case *Support:
 		r.onSupport(env.From, m)
 	case *Certify:
 		r.onCertify(env.From, m)
-	case *protocol.Checkpoint:
-		r.rt.OnCheckpoint(m)
-	case *protocol.Fetch:
-		r.rt.HandleFetch(m)
 	case *protocol.FetchReply:
 		r.onFetchReply(m)
-	case *protocol.SnapshotRequest:
-		r.rt.HandleSnapshotRequest(m)
-	case *protocol.SnapshotOffer:
-		r.rt.Sync.OnOffer(m)
-	case *protocol.SnapshotChunk:
-		r.rt.Sync.OnChunk(m)
-	case *protocol.VCRequest:
-		r.OnVCRequest(m)
-	case *protocol.NVPropose:
-		r.OnNVPropose(env.From, m)
-	}
-}
-
-// --- hybrid-consistency read path ---
-
-// onReadRequest serves a tiered read-only request without ordering when the
-// tier's precondition holds, and falls back to the ordering pipeline
-// otherwise. The verify pipeline already checked the client signature and
-// that the transaction is read-only with a non-ordered tier.
-func (r *Replica) onReadRequest(req *types.Request) {
-	switch req.Txn.Consistency {
-	case types.ConsistencySpeculative:
-		// Any replica answers from its executed (speculative) prefix, in any
-		// status: the reply is tagged with the serving (seq, state digest)
-		// and re-answered through the repair path if a rollback truncates it.
-		r.rt.ServeLocalRead(req, types.ConsistencySpeculative, r.View())
-	case types.ConsistencyStrong:
-		if r.tryServeStrong(req) {
-			return
-		}
-		if r.IsPrimary() && r.Normal() {
-			// Lease held but the executed head trails the proposals (or the
-			// lease is one renewal short): park the read; afterExecution
-			// drains it the moment the head catches up.
-			r.strongQ.Defer(req, time.Now())
-			return
-		}
-		r.FallbackRead(req)
+	case *protocol.ReadRequest:
+		r.OnReadRequest(&m.Req)
+	case *protocol.LeaseGrant:
+		r.rt.OnLeaseGrant(m)
 	default:
-		r.FallbackRead(req)
+		r.Dispatch(env)
 	}
-}
-
-// tryServeStrong answers a STRONG read from the local executed prefix iff
-// this replica is the primary, holds a quorum read lease, and is caught up
-// (executed head == proposal head, so every write it has acknowledged is in
-// the answered prefix). Under a valid lease no view change can assemble a
-// quorum — every grantor promised not to join a higher view — so no
-// conflicting write can commit elsewhere while the serve is current;
-// when the lease cannot be validated the read simply pays for ordering, so
-// linearizability never rests on clock synchronization.
-func (r *Replica) tryServeStrong(req *types.Request) bool {
-	if !r.IsPrimary() || !r.Normal() {
-		return false
-	}
-	if r.rt.Exec.LastExecuted()+1 != r.nextPropose {
-		return false
-	}
-	if !r.rt.Lease.HolderValid(r.View()) {
-		return false
-	}
-	r.rt.ServeLocalRead(req, types.ConsistencyStrong, r.View())
-	return true
-}
-
-// drainStrongReads retries deferred STRONG reads, falling back to ordering
-// for any that waited longer than half a lease duration.
-func (r *Replica) drainStrongReads(now time.Time) {
-	if r.strongQ.Len() == 0 {
-		return
-	}
-	r.strongQ.Drain(now, r.rt.Cfg.LeaseDuration/2, r.tryServeStrong, r.FallbackRead)
 }
 
 // --- primary: propose ---
 
-// ProposeReady proposes as many batches as the batcher and the out-of-order
-// window allow. With force, a lingering partial batch is proposed too.
-func (r *Replica) ProposeReady(force bool) {
-	if !r.IsPrimary() || !r.Normal() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	for r.nextPropose <= lastExec+types.SeqNum(r.rt.Cfg.Window) {
-		batch, ok := r.rt.Batcher.Take(force)
-		if !ok {
-			return
-		}
-		r.propose(batch)
-	}
-}
-
-func (r *Replica) propose(batch types.Batch) {
-	seq := r.nextPropose
-	r.nextPropose++
+// Propose implements protocol.Rules.
+func (r *Replica) Propose(seq types.SeqNum, batch types.Batch) {
 	m := &Propose{View: r.View(), Seq: seq, Batch: batch}
-	r.rt.Metrics.ProposedBatches.Add(1)
-	if r.byz != nil {
-		// Byzantine variants sign inline: the attack path is not the hot
-		// path, and per-target variants defeat single-payload batching.
-		m.Auth = r.rt.AuthBroadcast(m.SignedPayload())
-		for i := 0; i < r.rt.Cfg.N; i++ {
-			id := types.ReplicaID(i)
-			if id == r.rt.Cfg.ID {
-				continue
-			}
-			variant := r.byz.ProposeTo(id, m)
-			if variant == nil {
-				continue
-			}
-			if variant != m {
-				variant.Auth = r.rt.AuthBroadcast(variant.SignedPayload())
-			}
-			r.rt.SendReplica(id, variant)
-		}
-	} else {
-		// The payload digest is taken on the loop (memoizing the batch
-		// digest before the message is shared); the signature/MAC vector is
-		// computed on the egress pool and the broadcast released in order.
-		payload := m.SignedPayload()
-		r.rt.Egress.Enqueue(
-			func() { m.Auth = r.rt.AuthBroadcast(payload) },
-			func() { r.rt.Broadcast(m) },
-			nil)
-	}
+	r.rt.FanOut(m, r.adv, func() protocol.SignedProposal {
+		v := *m
+		v.Batch = r.adv.Variant(m.Batch)
+		return &v
+	})
 	r.handlePropose(r.rt.Cfg.ID, m)
 }
 
@@ -279,16 +115,7 @@ func (r *Replica) onPropose(from types.NodeID, m *Propose) {
 
 func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 	cfg := r.rt.Cfg
-	if !r.Active(m.View) || from != r.Primary() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	if m.Seq <= lastExec {
-		return
-	}
-	// High watermark: bound how far ahead of execution proposals are
-	// accepted (the paper's active-set watermarks, §II-F).
-	if m.Seq > lastExec+types.SeqNum(8*cfg.Window) {
+	if !r.Active(m.View) || from != r.Primary() || !r.InWindow(m.Seq) {
 		return
 	}
 	s := r.slot(m.Seq)
@@ -356,9 +183,10 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 	r.trySupported(m.Seq, s)
 }
 
+// slot returns seq's slot, creating it only inside the window; nil outside.
 func (r *Replica) slot(seq types.SeqNum) *slot {
 	s, ok := r.slots[seq]
-	if !ok {
+	if !ok && r.InWindow(seq) {
 		s = &slot{shares: make(map[types.ReplicaID]crypto.Share)}
 		r.slots[seq] = s
 		r.NoteSlot(seq)
@@ -378,17 +206,15 @@ func (r *Replica) onSupport(from types.NodeID, m *Support) {
 	if !collector {
 		return
 	}
-	lastExec := r.rt.Exec.LastExecuted()
-	if m.Seq <= lastExec || m.Seq > lastExec+types.SeqNum(8*cfg.Window) {
-		return
-	}
 	// The slot is created even when the proposal has not arrived yet: the
 	// verify pipeline dispatches small SUPPORT messages ahead of large
 	// proposals, and supports are sent exactly once — dropping an early one
 	// permanently costs a share. With a replica down the collector holds
 	// exactly nf live shares, so one dropped share wedges the slot forever
 	// (the stall the process-level kill/restart battery exposed).
-	r.addSupport(from.Replica(), m, r.slot(m.Seq))
+	if s := r.slot(m.Seq); s != nil {
+		r.addSupport(from.Replica(), m, s)
+	}
 }
 
 func (r *Replica) addSupport(from types.ReplicaID, m *Support, s *slot) {
@@ -437,7 +263,7 @@ func (r *Replica) trySupported(seq types.SeqNum, s *slot) {
 		r.commitSlot(seq, s, cert)
 	default:
 		// TS mode: the primary distributes the certificate.
-		if r.byz == nil || !r.byz.SilenceCertify(seq) {
+		if !r.adv.SilenceCert(seq) {
 			r.rt.Broadcast(&Certify{View: r.View(), Seq: seq, Digest: s.digest, Cert: cert})
 		}
 		r.commitSlot(seq, s, cert)
@@ -445,24 +271,26 @@ func (r *Replica) trySupported(seq types.SeqNum, s *slot) {
 }
 
 func (r *Replica) onCertify(from types.NodeID, m *Certify) {
-	if !from.IsReplica() || !r.Active(m.View) || from.Replica() != r.Primary() {
+	if !from.IsReplica() || !r.Active(m.View) || from.Replica() != r.Primary() || m.Seq <= r.rt.Exec.LastExecuted() {
 		return
 	}
-	s := r.slot(m.Seq)
-	r.handleCertify(m, s)
+	r.handleCertify(m, r.slot(m.Seq))
 }
 
+// handleCertify handles a certificate for a slot, nil beyond the window.
 func (r *Replica) handleCertify(m *Certify, s *slot) {
-	if s.committed {
+	if s != nil && s.committed {
 		return
 	}
-	if !s.haveBatch || !s.supported {
+	if s == nil || !s.haveBatch || !s.supported {
 		// The proposal may still be in flight; remember the certificate
 		// (Fig 3 requires the replica to have transmitted SUPPORT before
 		// view-committing). A valid certificate also proves the decision
 		// happened without us — the malicious primary may be keeping this
 		// replica in the dark (Example 3(2)) — so start state transfer.
-		s.pendingCert = m
+		if s != nil {
+			s.pendingCert = m
+		}
 		if r.rt.TS.Verify(m.Digest[:], m.Cert) {
 			r.rt.FetchFrom(r.rt.Exec.LastExecuted())
 		}
@@ -488,38 +316,26 @@ func (r *Replica) commitSlot(seq types.SeqNum, s *slot, cert []byte) {
 
 // afterExecution handles executor events: INFORM the clients (Fig 3,
 // Line 23), update metrics, trigger checkpoints, clear failure-detection
-// state, discard retired slots, and let the primary propose into the freed
-// window.
+// state, discard retired slots, let the primary propose into the freed
+// window, and tend the read gate.
 func (r *Replica) afterExecution(events []protocol.Executed) {
 	if len(events) == 0 {
 		return
 	}
 	for _, ev := range events {
 		r.NoteExecuted(ev.Rec)
-		r.rt.InformBatch(ev.Rec, ev.Results, false, types.ZeroDigest)
+		r.rt.InformBatch(ev.Rec, ev.Results, true, nil, nil)
 		delete(r.slots, ev.Rec.Seq)
 		r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
 		r.rt.MaybeCheckpoint(ev.Rec.Seq)
 	}
 	r.ProposeReady(false)
-	if r.Normal() {
-		// Execution progress is the under-load lease carrier (renewals ride
-		// next to the checkpoint broadcast) and the moment deferred STRONG
-		// reads may have caught up.
-		r.rt.MaybeGrantLease(r.View(), false)
-		r.drainStrongReads(time.Now())
-	}
+	r.TendReads(r.Now(), false)
 }
 
 // --- housekeeping ---
 
-func (r *Replica) onTick(now time.Time) {
-	suspecting := r.Tick(now)
-	if r.Normal() {
-		r.drainStrongReads(now)
-		r.rt.MaybeGrantLease(r.View(), suspecting)
-	}
-}
+func (r *Replica) onTick(now time.Time) { r.TendReads(now, r.Tick(now)) }
 
 func (r *Replica) onFetchReply(m *protocol.FetchReply) {
 	for i := range m.Records {
@@ -542,7 +358,6 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 			delete(r.slots, seq)
 		}
 	}
-	r.nextPropose = max(r.nextPropose, snap.Seq+1)
 	r.Installed(snap)
 	r.afterExecution(events)
 	r.rt.FetchFrom(r.rt.Exec.LastExecuted())
@@ -574,9 +389,4 @@ func (r *Replica) NewViewState(nv *protocol.NVPropose) {
 }
 
 // ResetSlots implements protocol.Rules.
-func (r *Replica) ResetSlots(kmax types.SeqNum) {
-	r.slots = make(map[types.SeqNum]*slot)
-	r.nextPropose = max(kmax, r.rt.Exec.LastExecuted()) + 1
-	// Reads the old primary parked can no longer be lease-served.
-	r.strongQ.FlushAll(r.FallbackRead)
-}
+func (r *Replica) ResetSlots() { r.slots = make(map[types.SeqNum]*slot) }

@@ -2,18 +2,17 @@ package protocol
 
 import "github.com/poexec/poe/internal/types"
 
-// AdversarySpec is the harness-level Byzantine behaviour specification: one
-// declarative description of a faulty leader that every protocol package
-// understands, replacing the PoE-only test hook the attack scenarios grew up
-// on. The harness installs a spec on exactly one replica (via each
+// AdversarySpec is the Byzantine behaviour specification: one declarative
+// description of a faulty leader that every protocol package understands.
+// The harness and tests install a spec on exactly one replica (via each
 // protocol's Options.Adversary); that replica then misbehaves on its
 // propose/certify paths whenever it holds the leader role, while its backup
 // roles stay honest — the classic "corrupt primary" adversary of the
 // paper's Example 3 and of DESIGN.md §6.
 //
-// How each protocol applies the spec (the leader-side message is re-signed
-// with the faulty replica's real keys, so honest verifiers accept it — this
-// is equivocation, not corruption):
+// How each protocol applies the spec (proposals go through Runtime.FanOut;
+// the leader-side message is re-signed with the faulty replica's real keys,
+// so honest verifiers accept it — this is equivocation, not corruption):
 //
 //   - PoE: PROPOSE variants/suppression per backup; SilenceCertificates
 //     withholds the CERTIFY broadcast in the threshold-signature mode
@@ -57,6 +56,46 @@ const (
 	ProposeEquivocate
 	ProposeSilence
 )
+
+// SignedProposal is a leader's proposal message: its broadcast
+// authenticator covers SignedPayload.
+type SignedProposal interface {
+	SignedPayload() []byte
+	SetAuth(auth [][]byte)
+}
+
+// FanOut sends a leader's proposal m to every other replica. An honest
+// leader (adv nil) takes the payload on the event loop — memoizing the batch
+// digest before the message is shared — signs on the egress pool and
+// broadcasts in order. A Byzantine leader signs inline (the attack path is
+// not the hot path) and applies adv per destination: the equivocation
+// targets all receive one variant, built by variant and signed once, the
+// silenced receive nothing, the rest receive m.
+func (rt *Runtime) FanOut(m SignedProposal, adv *AdversarySpec, variant func() SignedProposal) {
+	if adv == nil {
+		payload := m.SignedPayload()
+		rt.Egress.Enqueue(
+			func() { m.SetAuth(rt.AuthBroadcast(payload)) },
+			func() { rt.Broadcast(m) },
+			nil)
+		return
+	}
+	m.SetAuth(rt.AuthBroadcast(m.SignedPayload()))
+	var v SignedProposal
+	for _, to := range rt.peers {
+		switch adv.ActionFor(to.Replica()) {
+		case ProposeSilence:
+		case ProposeEquivocate:
+			if v == nil {
+				v = variant()
+				v.SetAuth(rt.AuthBroadcast(v.SignedPayload()))
+			}
+			rt.Net.Send(to, v)
+		default:
+			rt.Net.Send(to, m)
+		}
+	}
+}
 
 // ActionFor returns the leader's behaviour toward one destination. Nil-safe.
 func (a *AdversarySpec) ActionFor(to types.ReplicaID) ProposeAction {

@@ -2,14 +2,13 @@
 // protocol in this repository: configuration and quorum arithmetic, the
 // client-facing message types, the ordered executor that drives the store
 // and ledger, the parallel authentication pipeline, the primary-side
-// request batcher, the checkpoint sub-protocol, the event loop, the
-// view-change state machine and failure detector of the primary-backup
-// protocols (Skeleton), and the analytic cost model behind the paper's
-// Fig 1.
+// request batcher, the proposal fan-out, the checkpoint sub-protocol, the
+// event loop, the normal case and view change the primary-backup protocols
+// share (Skeleton), and the analytic cost model behind the paper's Fig 1.
 //
-// Individual protocols (poe, pbft, zyzzyva, sbft, hotstuff) build their
-// replicas on these pieces, mirroring how the paper implements all five
-// protocols inside the one ResilientDB fabric (§III).
+// Individual protocols (poe, pbft, zyzzyva, sbft, hotstuff) add only their
+// ordering rounds and view-change rules, mirroring how the paper implements
+// all five protocols inside the one ResilientDB fabric (§III).
 //
 // Durability is opt-in through RuntimeOptions.Storage: the executor then
 // write-ahead-logs every executed batch before the replica answers its

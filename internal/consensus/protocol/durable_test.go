@@ -53,7 +53,7 @@ func TestDurableReplyHeldUntilGroupSync(t *testing.T) {
 	if len(evs) != 1 {
 		t.Fatalf("executed %d batches, want 1", len(evs))
 	}
-	rt.InformBatch(evs[0].Rec, evs[0].Results, false, types.ZeroDigest)
+	rt.InformBatch(evs[0].Rec, evs[0].Results, true, nil, nil)
 
 	if msg := recvInform(t, cli, 50*time.Millisecond); msg != nil {
 		t.Fatalf("client answered before the WAL group was durable: %+v", msg)
@@ -81,7 +81,7 @@ func TestCrashBeforeGroupSyncLosesReply(t *testing.T) {
 	rt.durable = true
 
 	evs := rt.Exec.Commit(1, 0, writeBatch(types.ClientIDBase, 1, "k", 1), nil)
-	rt.InformBatch(evs[0].Rec, evs[0].Results, false, types.ZeroDigest)
+	rt.InformBatch(evs[0].Rec, evs[0].Results, true, nil, nil)
 	// Crash window: seq 1 never reached the disk; the recovered replica
 	// resumes below it.
 	rt.dropPendingReplies(0)
@@ -116,7 +116,7 @@ func TestDurableReplyGroupSyncIntegration(t *testing.T) {
 		if len(evs) != 1 {
 			t.Fatalf("seq %d did not execute", seq)
 		}
-		rt.InformBatch(evs[0].Rec, evs[0].Results, false, types.ZeroDigest)
+		rt.InformBatch(evs[0].Rec, evs[0].Results, true, nil, nil)
 	}
 	for i := 0; i < n; i++ {
 		msg := recvInform(t, cli, 10*time.Second)

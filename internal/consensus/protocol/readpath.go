@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"errors"
 	"time"
 
 	"github.com/poexec/poe/internal/types"
@@ -15,11 +14,8 @@ import (
 // number, the replica re-answers the client with the repaired value. STRONG
 // reads are answered only by the current primary under a quorum-granted read
 // lease (lease.go); without a valid lease they fall back to ordering, so
-// linearizability never depends on the lease being live.
-
-// ErrReadPathUnsupported is returned by protocols that do not implement the
-// fast read path; callers fall back to ordering the read.
-var ErrReadPathUnsupported = errors.New("protocol: fast read path unsupported, ordering the read")
+// linearizability never depends on the lease being live. The gate that picks
+// between serving and ordering is the skeleton's (Skeleton.OnReadRequest).
 
 // maxSpecReadsTracked bounds the invalidation registry. Entries at or below
 // the stable checkpoint can never roll back and are pruned at every stable

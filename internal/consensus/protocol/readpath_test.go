@@ -14,8 +14,9 @@ import (
 // captureNet records every Send so tests can observe client-bound replies
 // produced through the egress pipeline.
 type captureNet struct {
-	mu   sync.Mutex
-	sent []network.Envelope
+	mu         sync.Mutex
+	sent       []network.Envelope
+	broadcasts int
 }
 
 func (c *captureNet) Node() types.NodeID { return types.ReplicaNode(1) }
@@ -25,6 +26,9 @@ func (c *captureNet) Send(to types.NodeID, msg any) {
 	c.mu.Unlock()
 }
 func (c *captureNet) Broadcast(tos []types.NodeID, msg any) {
+	c.mu.Lock()
+	c.broadcasts++
+	c.mu.Unlock()
 	for _, to := range tos {
 		c.Send(to, msg)
 	}

@@ -112,8 +112,8 @@ type Runtime struct {
 
 	// RecoveredSeq is the last sequence number rebuilt from durable state
 	// (snapshot + WAL replay) at construction; 0 for a fresh replica.
-	// Protocols use it to resume their sequencing (nextPropose, rounds)
-	// past the recovered prefix instead of restarting at 1.
+	// Sequencing (the skeleton's next proposal, HotStuff's decision counter)
+	// resumes past the recovered prefix instead of restarting at 1.
 	RecoveredSeq types.SeqNum
 
 	// peers is the fixed broadcast destination list (every replica but this
@@ -318,50 +318,73 @@ func (rt *Runtime) SendReplica(to types.ReplicaID, msg any) {
 	rt.Net.Send(types.ReplicaNode(to), msg)
 }
 
-// Reply is one client reply staged for delivery through the durability gate
-// and the egress pipeline.
-type Reply struct {
-	Client types.ClientID
-	Msg    *Inform
-}
-
-// SendReplies stages a batch's client replies. Once seq clears the
-// durability gate (immediately on a volatile replica), one egress job
-// computes every reply's MAC off the event loop — running prep first, which
-// protocols use to compute a shared threshold share — caches the replies for
+// InformBatch stages an INFORM for every result of an executed batch. Once
+// the batch clears the durability gate (immediately on a volatile replica),
+// one egress job runs prep — protocols use it to compute a shared threshold
+// share — then fill on every reply, for the protocol's Cert/Share/OrderProof
+// material, computes the MACs off the event loop, caches the replies for
 // duplicate suppression when cache is set, and releases the sends in
-// submission order. The replies and their messages must be owned by the
-// caller and never touched again after this call.
-func (rt *Runtime) SendReplies(seq types.SeqNum, replies []Reply, cache bool, prep func()) {
+// submission order. prep and fill may be nil; fill must not change what the
+// MAC covers (Inform.Key).
+func (rt *Runtime) InformBatch(rec *types.ExecRecord, results []types.Result, cache bool, prep func(), fill func(*Inform)) {
+	type reply struct {
+		client types.ClientID
+		msg    *Inform
+	}
+	replies := make([]reply, 0, len(results))
+	ri := 0
+	for i := range rec.Batch.Requests {
+		req := &rec.Batch.Requests[i]
+		// Results are produced in batch order for the deduplicated effective
+		// batch, so they zip against the requests with a single cursor.
+		if ri >= len(results) || results[ri].Client != req.Txn.Client || results[ri].Seq != req.Txn.Seq {
+			// Deduplicated away: answer from the reply cache instead.
+			rt.ReplayReply(req)
+			continue
+		}
+		res := results[ri]
+		ri++
+		replies = append(replies, reply{req.Txn.Client, &Inform{
+			From:      rt.Cfg.ID,
+			Digest:    req.Digest(),
+			View:      rec.View,
+			Seq:       rec.Seq,
+			ClientSeq: req.Txn.Seq,
+			Values:    res.Values,
+		}})
+	}
 	if len(replies) == 0 {
 		return
 	}
-	rt.GateOnDurable(seq, func() {
+	rt.GateOnDurable(rec.Seq, func() {
 		rt.Egress.Enqueue(func() {
 			if prep != nil {
 				prep()
 			}
 			for _, rp := range replies {
-				key := rp.Msg.Key()
-				rp.Msg.Tag = rt.Keys.MAC(types.ClientNode(rp.Client), key.Digest[:])
+				if fill != nil {
+					fill(rp.msg)
+				}
+				key := rp.msg.Key()
+				rp.msg.Tag = rt.Keys.MAC(types.ClientNode(rp.client), key.Digest[:])
 			}
 			if cache {
 				// Cache only fully built replies: ReplayReply may re-send
 				// them from another goroutine the moment they are visible.
 				rt.replyMu.Lock()
 				for _, rp := range replies {
-					ring, ok := rt.lastReply[rp.Client]
+					ring, ok := rt.lastReply[rp.client]
 					if !ok {
 						ring = &replyRing{}
-						rt.lastReply[rp.Client] = ring
+						rt.lastReply[rp.client] = ring
 					}
-					ring.add(rp.Msg)
+					ring.add(rp.msg)
 				}
 				rt.replyMu.Unlock()
 			}
 		}, func() {
 			for _, rp := range replies {
-				rt.Net.Send(types.ClientNode(rp.Client), rp.Msg)
+				rt.Net.Send(types.ClientNode(rp.client), rp.msg)
 			}
 		}, nil)
 	})
@@ -433,35 +456,6 @@ func (rt *Runtime) ReplayReply(req *types.Request) bool {
 	}
 	rt.Net.Send(types.ClientNode(req.Txn.Client), last)
 	return true
-}
-
-// InformBatch stages INFORMs for every result of an executed batch.
-func (rt *Runtime) InformBatch(rec *types.ExecRecord, results []types.Result, speculative bool, orderProof types.Digest) {
-	replies := make([]Reply, 0, len(results))
-	ri := 0
-	for i := range rec.Batch.Requests {
-		req := &rec.Batch.Requests[i]
-		// Results are produced in batch order for the deduplicated effective
-		// batch, so they zip against the requests with a single cursor.
-		if ri >= len(results) || results[ri].Client != req.Txn.Client || results[ri].Seq != req.Txn.Seq {
-			// Deduplicated away: answer from the reply cache instead.
-			rt.ReplayReply(req)
-			continue
-		}
-		res := results[ri]
-		ri++
-		replies = append(replies, Reply{Client: req.Txn.Client, Msg: &Inform{
-			From:        rt.Cfg.ID,
-			Digest:      req.Digest(),
-			View:        rec.View,
-			Seq:         rec.Seq,
-			ClientSeq:   req.Txn.Seq,
-			Values:      res.Values,
-			Speculative: speculative,
-			OrderProof:  orderProof,
-		}})
-	}
-	rt.SendReplies(rec.Seq, replies, true, nil)
 }
 
 // StartPipeline starts the replica's authentication pipelines — the inbound

@@ -5,13 +5,15 @@ import (
 	"sync/atomic"
 	"time"
 
+	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/storage"
 	"github.com/poexec/poe/internal/types"
 )
 
-// This file is the view-change state machine and failure detector shared by
-// the four primary-backup protocols (PoE, PBFT, SBFT, Zyzzyva). The skeleton
-// is §II-C (Fig 5) with everything protocol-specific factored into Rules:
+// This file is the replica machine shared by the four primary-backup
+// protocols (PoE, PBFT, SBFT, Zyzzyva): sequencing and the propose loop,
+// request intake and the common message dispatch, the STRONG-read gate, and
+// the view-change state machine and failure detector of §II-C (Fig 5):
 //
 //  1. Failure detection: a replica that suspects the primary (outstanding
 //     work older than the current timeout, or f+1 VC-REQUESTs from others —
@@ -22,11 +24,10 @@ import (
 //     the nf requests (Rules.NewViewState) and enters the view.
 //
 // A protocol differs from its siblings only in its ordering rounds and in
-// its Rules; request intake, timers, backoff, retransmission, the join rules
-// and the lonely-view-change escape are the same code for all four.
+// its Rules.
 
-// Rules is what distinguishes one primary-backup protocol's view change
-// from another's. All methods run on the event loop.
+// Rules is what distinguishes one primary-backup protocol from another. All
+// methods run on the event loop.
 type Rules interface {
 	// VCEntries returns what this replica's VC-REQUEST carries above its
 	// stable checkpoint, given the records it executed there.
@@ -39,14 +40,13 @@ type Rules interface {
 	// execution to match, calls EnterView, and then handles whatever that
 	// executed.
 	NewViewState(nv *NVPropose)
-	// ResetSlots discards the old view's per-slot state and resumes
-	// sequencing after kmax; EnterView calls it before anything is proposed
-	// or forwarded in the new view.
-	ResetSlots(kmax types.SeqNum)
-	// ProposeReady proposes the batches the batcher and the window allow;
-	// with force a lingering partial batch goes out too. It must be a no-op
-	// unless this replica is the primary in normal status.
-	ProposeReady(force bool)
+	// ResetSlots discards the old view's per-slot state; EnterView calls it
+	// before anything is proposed or forwarded in the new view.
+	ResetSlots()
+	// Propose builds, sends and handles one proposal of batch at seq in the
+	// current view. ProposeReady has already allocated seq, so Propose may
+	// re-enter ProposeReady (a self-handled proposal that executes at once).
+	Propose(seq types.SeqNum, batch types.Batch)
 }
 
 type status int
@@ -61,8 +61,8 @@ type pendingReq struct {
 	since time.Time
 }
 
-// Skeleton is one replica's view, failure detector and view-change state.
-// Protocol replicas embed it. Event-loop owned.
+// Skeleton is one replica's view, sequencing, read gate, failure detector
+// and view-change state. Protocol replicas embed it. Event-loop owned.
 type Skeleton struct {
 	rt    *Runtime
 	rules Rules
@@ -73,6 +73,14 @@ type Skeleton struct {
 	// view is atomic only so tests may read View while the loop runs.
 	view   atomic.Uint64
 	status status
+
+	// nextPropose is the sequence number the primary proposes next.
+	nextPropose types.SeqNum
+
+	// strongQ holds STRONG reads the primary deferred because its executed
+	// head still trailed its proposals; drained after every execution burst
+	// and on the tick, with a bounded wait before falling back to ordering.
+	strongQ StrongReads
 
 	// Failure detection: requests this replica knows are outstanding, slots
 	// it knows are open (each with the time it first saw them), the last
@@ -117,6 +125,7 @@ func NewSkeleton(rt *Runtime, rules Rules) *Skeleton {
 		rt:           rt,
 		rules:        rules,
 		Now:          time.Now,
+		nextPropose:  rt.Exec.LastExecuted() + 1,
 		pendingReqs:  make(map[types.Digest]pendingReq),
 		slotSince:    make(map[types.SeqNum]time.Time),
 		execHigh:     make(map[types.ClientID]uint64),
@@ -155,6 +164,69 @@ func (s *Skeleton) Primary() types.ReplicaID { return s.rt.Cfg.Primary(s.View())
 // IsPrimary reports whether this replica leads the current view.
 func (s *Skeleton) IsPrimary() bool { return s.rt.Cfg.IsPrimary(s.View()) }
 
+// InWindow reports whether seq lies in the window of slots a replica keeps
+// state for: above its executed head, and at most 8·Window beyond it (the
+// paper's active-set watermarks, §II-F). A slot at or below the head is
+// looked up, never created: its batch is executed and its late quorum
+// messages complete nothing.
+func (s *Skeleton) InWindow(seq types.SeqNum) bool {
+	lastExec := s.rt.Exec.LastExecuted()
+	return seq > lastExec && seq <= lastExec+types.SeqNum(8*s.rt.Cfg.Window)
+}
+
+// --- sequencing ---
+
+// ProposeReady proposes as many batches as the batcher and the out-of-order
+// window allow; with force a lingering partial batch goes out too. A no-op
+// unless this replica is the primary in normal status.
+func (s *Skeleton) ProposeReady(force bool) {
+	if !s.IsPrimary() || s.status != statusNormal {
+		return
+	}
+	lastExec := s.rt.Exec.LastExecuted()
+	for s.nextPropose <= lastExec+types.SeqNum(s.rt.Cfg.Window) {
+		batch, ok := s.rt.Batcher.Take(force)
+		if !ok {
+			return
+		}
+		seq := s.nextPropose
+		s.nextPropose++
+		s.rt.Metrics.ProposedBatches.Add(1)
+		s.rules.Propose(seq, batch)
+	}
+}
+
+// Dispatch handles the messages every primary-backup protocol treats alike.
+// A protocol's dispatch handles its own messages and falls through to it. By
+// default a tiered read is ordered like any other request — it is
+// dedup-exempt end to end, so its separate client-local sequence space
+// cannot collide with writes — and a lease grant is dropped; protocols that
+// serve reads locally intercept both.
+func (s *Skeleton) Dispatch(env network.Envelope) {
+	switch m := env.Msg.(type) {
+	case *ClientRequest:
+		s.OnClientRequest(env.From, &m.Req)
+	case *ForwardRequest:
+		s.OnForwardRequest(&m.Req)
+	case *ReadRequest:
+		s.FallbackRead(&m.Req)
+	case *Checkpoint:
+		s.rt.OnCheckpoint(m)
+	case *Fetch:
+		s.rt.HandleFetch(m)
+	case *SnapshotRequest:
+		s.rt.HandleSnapshotRequest(m)
+	case *SnapshotOffer:
+		s.rt.Sync.OnOffer(m)
+	case *SnapshotChunk:
+		s.rt.Sync.OnChunk(m)
+	case *VCRequest:
+		s.OnVCRequest(m)
+	case *NVPropose:
+		s.OnNVPropose(env.From, m)
+	}
+}
+
 // --- request intake ---
 
 // OnClientRequest handles a client request whose origin and signature the
@@ -173,7 +245,7 @@ func (s *Skeleton) OnClientRequest(from types.NodeID, req *types.Request) {
 	}
 	if s.IsPrimary() {
 		s.rt.Batcher.Add(*req)
-		s.rules.ProposeReady(false)
+		s.ProposeReady(false)
 		return
 	}
 	// A client only contacts a backup when it suspects the primary: forward
@@ -191,7 +263,7 @@ func (s *Skeleton) OnForwardRequest(req *types.Request) {
 		return
 	}
 	s.rt.Batcher.Add(*req)
-	s.rules.ProposeReady(false)
+	s.ProposeReady(false)
 }
 
 // FallbackRead routes a tiered read through the ordering pipeline: the
@@ -212,10 +284,79 @@ func (s *Skeleton) FallbackRead(req *types.Request) {
 			return
 		}
 		s.rt.Batcher.Add(*req)
-		s.rules.ProposeReady(false)
+		s.ProposeReady(false)
 		return
 	}
 	s.rt.SendReplica(s.Primary(), &ForwardRequest{Req: *req})
+}
+
+// --- the STRONG-read gate ---
+
+// OnReadRequest serves a tiered read-only request without ordering when the
+// tier's precondition holds, and falls back to the ordering pipeline
+// otherwise. The verify pipeline already checked the client's authenticator
+// and that the transaction is read-only with a non-ordered tier.
+func (s *Skeleton) OnReadRequest(req *types.Request) {
+	switch req.Txn.Consistency {
+	case types.ConsistencySpeculative:
+		// Any replica answers from its executed prefix, in any status: the
+		// reply is tagged with the serving (seq, state digest) and, where the
+		// protocol can roll back, re-answered through the repair path if a
+		// rollback truncates it.
+		s.rt.ServeLocalRead(req, types.ConsistencySpeculative, s.View())
+	case types.ConsistencyStrong:
+		if s.tryServeStrong(req) {
+			return
+		}
+		if s.IsPrimary() && s.status == statusNormal {
+			// Lease held but the executed head trails the proposals (or the
+			// lease is one renewal short): park the read; TendReads serves
+			// it the moment the head catches up.
+			s.strongQ.Defer(req, s.Now())
+			return
+		}
+		s.FallbackRead(req)
+	default:
+		s.FallbackRead(req)
+	}
+}
+
+// tryServeStrong answers a STRONG read from the local executed prefix iff
+// this replica is the primary, holds a quorum read lease, and is caught up
+// (executed head == proposal head, so every write it has acknowledged is in
+// the answered prefix). Under a valid lease no view change can assemble a
+// quorum — every grantor promised not to join a higher view — so no
+// conflicting write can commit elsewhere while the serve is current; when
+// the lease cannot be validated the read simply pays for ordering, so
+// linearizability never rests on clock synchronization.
+func (s *Skeleton) tryServeStrong(req *types.Request) bool {
+	if !s.IsPrimary() || s.status != statusNormal {
+		return false
+	}
+	if s.rt.Exec.LastExecuted()+1 != s.nextPropose {
+		return false
+	}
+	if !s.rt.Lease.HolderValid(s.View()) {
+		return false
+	}
+	s.rt.ServeLocalRead(req, types.ConsistencyStrong, s.View())
+	return true
+}
+
+// TendReads renews this replica's read-lease grant and retries deferred
+// STRONG reads, ordering any that waited longer than half a lease duration.
+// Protocols that serve reads call it after every execution burst — the
+// under-load lease carrier, and the moment deferred reads may have caught
+// up — and on every tick with Tick's verdict: a suspecting replica stops
+// renewing, so its outstanding promise drains within one LeaseDuration.
+func (s *Skeleton) TendReads(now time.Time, suspecting bool) {
+	if s.status != statusNormal {
+		return
+	}
+	s.rt.MaybeGrantLease(s.View(), suspecting)
+	if s.strongQ.Len() > 0 {
+		s.strongQ.Drain(now, s.rt.Cfg.LeaseDuration/2, s.tryServeStrong, s.FallbackRead)
+	}
 }
 
 func (s *Skeleton) trackPending(req *types.Request) {
@@ -260,13 +401,14 @@ func (s *Skeleton) NoteExecuted(rec *types.ExecRecord) {
 	delete(s.slotSince, rec.Seq)
 }
 
-// Installed is the shared half of resuming around an installed snapshot: the
-// view jumps forward with the snapshot and the failure detector starts over.
-// Requests executed inside the snapshot prefix never pass through
-// NoteExecuted here, so their pending entries would go stale and feed the
-// failure detector. They are all dropped: clients retry anything genuinely
-// outstanding, which re-tracks it with a fresh timer.
+// Installed is the shared half of resuming around an installed snapshot:
+// sequencing and the view jump forward with the snapshot and the failure
+// detector starts over. Requests executed inside the snapshot prefix never
+// pass through NoteExecuted here, so their pending entries would go stale
+// and feed the failure detector. They are all dropped: clients retry
+// anything genuinely outstanding, which re-tracks it with a fresh timer.
 func (s *Skeleton) Installed(snap *storage.Snapshot) {
+	s.nextPropose = max(s.nextPropose, snap.Seq+1)
 	if snap.Head.View > s.View() {
 		s.view.Store(uint64(snap.Head.View))
 		s.status = statusNormal
@@ -302,7 +444,7 @@ func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 	s.maybeFetch()
 	if s.status == statusNormal {
 		if s.IsPrimary() && s.rt.Batcher.Ripe(now) {
-			s.rules.ProposeReady(true)
+			s.ProposeReady(true)
 		}
 		if !s.suspectPrimary(now) {
 			return false
@@ -632,16 +774,21 @@ func (s *Skeleton) EnterView(v types.View, kmax types.SeqNum) {
 			delete(s.sentVC, target)
 		}
 	}
-	s.rules.ResetSlots(kmax)
+	s.rules.ResetSlots()
+	// The new view proposes from kmax+1 (Fig 5, §II-C3), or past whatever
+	// this replica already executed beyond it.
+	s.nextPropose = max(kmax, s.rt.Exec.LastExecuted()) + 1
+	// Reads the old primary parked can no longer be lease-served.
+	s.strongQ.FlushAll(s.FallbackRead)
 	if s.IsPrimary() {
-		// The new primary proposes from kmax+1 (Fig 5, §II-C3). Its batching
-		// dedup history is rebuilt from the new-view state, so the
-		// proposed-map is reset and pending requests re-enter the queue.
+		// The new primary's batching dedup history is rebuilt from the
+		// new-view state, so the proposed-map is reset and pending requests
+		// re-enter the queue.
 		s.rt.Batcher.ResetProposed()
 		for _, p := range s.pendingReqs {
 			s.rt.Batcher.Add(p.req)
 		}
-		s.rules.ProposeReady(true)
+		s.ProposeReady(true)
 		return
 	}
 	// Re-forward outstanding requests to the new primary; their

@@ -11,7 +11,8 @@ import (
 	"github.com/poexec/poe/internal/types"
 )
 
-// The shared view-change machine, driven directly: no cluster, no goroutines.
+// The shared replica machine — sequencing, the read gate, the proposal
+// fan-out and the view change — driven directly: no cluster, no goroutines.
 // A fake clock is passed in, the transport records what would have been sent,
 // and a stub stands in for a protocol's rules. The egress pipeline is not
 // started, so every send happens inline.
@@ -19,27 +20,24 @@ import (
 const skelTimeout = 100 * time.Millisecond
 
 // stubRules is the smallest protocol: its VC-REQUESTs carry the executed
-// prefix, every entry is valid unless the sender is listed in reject, and
-// the new view starts at the end of the longest prefix.
+// prefix, every entry is valid unless the sender is listed in reject, the
+// new view starts at the end of the longest prefix, and a proposal is only
+// recorded.
 type stubRules struct {
-	sk      *Skeleton
-	reject  map[types.ReplicaID]bool
-	applied []*NVPropose
-	resets  []types.SeqNum
-	forced  int
+	sk       *Skeleton
+	reject   map[types.ReplicaID]bool
+	applied  []*NVPropose
+	resets   int
+	proposed []types.SeqNum
 }
 
 func (r *stubRules) VCEntries(executed []types.ExecRecord) []types.ExecRecord { return executed }
 func (r *stubRules) ValidEntries(m *VCRequest) bool                           { return !r.reject[m.From] }
-func (r *stubRules) ResetSlots(kmax types.SeqNum)                             { r.resets = append(r.resets, kmax) }
+func (r *stubRules) ResetSlots()                                              { r.resets++ }
+func (r *stubRules) Propose(seq types.SeqNum, _ types.Batch)                  { r.proposed = append(r.proposed, seq) }
 func (r *stubRules) NewViewState(nv *NVPropose) {
 	r.applied = append(r.applied, nv)
 	r.sk.EnterView(nv.NewView, LongestPrefix(nv.Requests).End())
-}
-func (r *stubRules) ProposeReady(force bool) {
-	if force {
-		r.forced++
-	}
 }
 
 type skelFixture struct {
@@ -56,7 +54,7 @@ type skelFixture struct {
 func newSkelFixture(t *testing.T, id types.ReplicaID) *skelFixture {
 	t.Helper()
 	f := &skelFixture{t: t, ring: crypto.NewKeyRing(4, []byte("skeleton")), net: &captureNet{}, now: time.Now()}
-	cfg := Config{ID: id, N: 4, F: 1, Scheme: crypto.SchemeED, ViewTimeout: skelTimeout}.WithDefaults()
+	cfg := Config{ID: id, N: 4, F: 1, Scheme: crypto.SchemeED, ViewTimeout: skelTimeout, BatchSize: 1}.WithDefaults()
 	f.rt = NewRuntime(cfg, f.ring, f.net, RuntimeOptions{})
 	f.rules = &stubRules{reject: map[types.ReplicaID]bool{}}
 	f.sk = NewSkeleton(f.rt, f.rules)
@@ -105,6 +103,13 @@ func (f *skelFixture) wantNormal(view types.View) {
 	if !f.sk.Active(view) {
 		f.t.Fatalf("normal=%v view=%d, want normal in view %d", f.sk.Normal(), f.sk.View(), view)
 	}
+}
+
+// request returns client c's signed request seq in the given tier, a read.
+func (f *skelFixture) request(c types.ClientID, seq uint64, tier types.Consistency) *types.Request {
+	txn := types.Transaction{Client: c, Seq: seq, Consistency: tier, Ops: []types.Op{{Kind: types.OpRead, Key: "k"}}}
+	req := SignRequest(f.ring.NodeKeys(types.ClientNode(c)), f.rt.Cfg.Scheme, f.rt.Cfg.N, txn)
+	return &req
 }
 
 // stuckRequest makes the failure detector's evidence: a client request this
@@ -221,8 +226,8 @@ func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	if f.sk.curTimeout != skelTimeout {
 		t.Fatalf("timeout %v after entering a view, want it reset", f.sk.curTimeout)
 	}
-	if len(f.rules.resets) != 1 || f.rules.forced != 1 {
-		t.Fatalf("entering the view reset slots %d times and forced %d proposals, want 1 and 1", len(f.rules.resets), f.rules.forced)
+	if f.rules.resets != 1 {
+		t.Fatalf("entering the view reset slots %d times, want once", f.rules.resets)
 	}
 }
 
@@ -377,5 +382,197 @@ func TestQuickNewViewChoiceDeterministic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestSkeletonProposeReadyWindowAndResume(t *testing.T) {
+	f := newSkelFixture(t, 0) // primary of view 0
+	f.rt.Cfg.Window = 3
+	c := types.ClientID(types.ClientIDBase)
+	for seq := uint64(1); seq <= 5; seq++ {
+		f.sk.OnClientRequest(types.ClientNode(c), f.request(c, seq, types.ConsistencyOrdered))
+	}
+	if got := f.rules.proposed; len(got) != 3 || got[0] != 1 || got[2] != 3 || f.rt.Batcher.Pending() != 2 {
+		t.Fatalf("proposed %v with %d pending, want seqs 1..3 (the window) and 2 pending", got, f.rt.Batcher.Pending())
+	}
+	if n := f.rt.Metrics.ProposedBatches.Load(); n != 3 {
+		t.Fatalf("ProposedBatches = %d, want 3", n)
+	}
+	// Executing seq 1 frees one window slot.
+	f.rt.Exec.Commit(1, 0, types.Batch{}, nil)
+	f.sk.ProposeReady(false)
+	if got := f.rules.proposed; len(got) != 4 || got[3] != 4 {
+		t.Fatalf("proposed %v after executing seq 1, want seq 4 next", got)
+	}
+	// A backup never proposes.
+	b := newSkelFixture(t, 1)
+	b.rt.Batcher.Add(*b.request(c, 1, types.ConsistencyOrdered))
+	b.sk.ProposeReady(true)
+	if len(b.rules.proposed) != 0 {
+		t.Fatalf("backup proposed %v", b.rules.proposed)
+	}
+
+	// A new view resumes at max(kmax, lastExec)+1: past this replica's own
+	// execution when kmax trails it...
+	f.rt.Exec.Commit(2, 0, types.Batch{}, nil)
+	f.sk.EnterView(4, 1)
+	if got := f.rules.proposed; len(got) != 5 || got[4] != 3 {
+		t.Fatalf("proposed %v after entering view 4 with kmax 1 at lastExec 2, want seq 3 next", got)
+	}
+	// ...and past kmax when kmax leads.
+	f.sk.EnterView(8, 10)
+	if f.sk.nextPropose != 11 {
+		t.Fatalf("next proposal %d after entering view 8 with kmax 10, want 11", f.sk.nextPropose)
+	}
+	// An installed snapshot moves sequencing forward, never back.
+	f.sk.Installed(&storage.Snapshot{Seq: 20, Head: ledger.Block{Seq: 20, View: 8}})
+	f.sk.Installed(&storage.Snapshot{Seq: 5, Head: ledger.Block{Seq: 5, View: 8}})
+	if f.sk.nextPropose != 21 {
+		t.Fatalf("next proposal %d after installing snapshots at 20 and 5, want 21", f.sk.nextPropose)
+	}
+}
+
+func TestSkeletonStrongReadGate(t *testing.T) {
+	f := newSkelFixture(t, 0) // primary of view 0
+	c := types.ClientID(types.ClientIDBase + 1)
+	served := func() int64 { return f.rt.Metrics.StrongReads.Load() }
+	ordered := func() int64 { return f.rt.Metrics.ReadFallbacks.Load() }
+
+	// Without a lease the primary parks the read, then orders it once it
+	// has waited half a lease duration.
+	f.sk.OnReadRequest(f.request(c, 1, types.ConsistencyStrong))
+	if served() != 0 || ordered() != 0 || f.sk.strongQ.Len() != 1 {
+		t.Fatalf("no lease: served %d, ordered %d, queued %d; want the read parked", served(), ordered(), f.sk.strongQ.Len())
+	}
+	half := f.rt.Cfg.LeaseDuration / 2
+	f.sk.TendReads(f.advance(half-time.Millisecond), false)
+	if ordered() != 0 {
+		t.Fatal("a parked read was ordered before half a lease duration")
+	}
+	f.sk.TendReads(f.advance(time.Millisecond), false)
+	if ordered() != 1 || f.sk.strongQ.Len() != 0 || len(f.rules.proposed) != 1 {
+		t.Fatalf("after half a lease: ordered %d, queued %d, proposed %v; want the read ordered", ordered(), f.sk.strongQ.Len(), f.rules.proposed)
+	}
+
+	// nf grants (two plus the primary's own) make the lease valid, but the
+	// ordered read's slot is still open: the head trails, so the read waits
+	// and is served the moment that slot executes.
+	for _, from := range []types.ReplicaID{1, 2} {
+		f.rt.Lease.OnGrant(&LeaseGrant{From: from, View: 0, DurationNanos: int64(f.rt.Cfg.LeaseDuration)})
+	}
+	f.sk.OnReadRequest(f.request(c, 2, types.ConsistencyStrong))
+	if served() != 0 || f.sk.strongQ.Len() != 1 {
+		t.Fatalf("head trailing: served %d, queued %d; want the read parked", served(), f.sk.strongQ.Len())
+	}
+	f.rt.Exec.Commit(1, 0, types.Batch{}, nil)
+	f.sk.TendReads(f.now, false)
+	if served() != 1 || f.sk.strongQ.Len() != 0 {
+		t.Fatalf("head caught up: served %d, queued %d; want the parked read served", served(), f.sk.strongQ.Len())
+	}
+	f.sk.OnReadRequest(f.request(c, 3, types.ConsistencyStrong))
+	if served() != 2 {
+		t.Fatal("a caught-up primary under a valid lease did not serve at once")
+	}
+	replies := f.net.readReplies()
+	if len(replies) != 2 || replies[1].Tier != types.ConsistencyStrong || replies[1].ExecSeq != 1 {
+		t.Fatalf("read replies %+v, want two STRONG serves at seq 1", replies)
+	}
+
+	// A view change flushes parked reads to ordering: replica 0 is a backup
+	// in view 1 and forwards them to the new primary.
+	f.sk.OnClientRequest(types.ClientNode(c), f.request(c, 4, types.ConsistencyOrdered))
+	f.sk.OnReadRequest(f.request(c, 5, types.ConsistencyStrong))
+	if f.sk.strongQ.Len() != 1 {
+		t.Fatal("read not parked behind an open slot")
+	}
+	f.sk.EnterView(1, 1)
+	if f.sk.strongQ.Len() != 0 || ordered() != 2 || len(sentTo[*ForwardRequest](f, 1)) != 1 {
+		t.Fatalf("after the view change: queued %d, ordered %d; want the parked read forwarded", f.sk.strongQ.Len(), ordered())
+	}
+	// A backup orders STRONG reads.
+	f.sk.OnReadRequest(f.request(c, 6, types.ConsistencyStrong))
+	if served() != 2 || ordered() != 3 {
+		t.Fatalf("backup: served %d, ordered %d; want the read ordered", served(), ordered())
+	}
+	// A replica changing views orders STRONG reads but serves SPECULATIVE
+	// ones from its executed prefix.
+	f.sk.Suspect()
+	f.wantViewChange(2)
+	f.sk.OnReadRequest(f.request(c, 7, types.ConsistencyStrong))
+	f.sk.OnReadRequest(f.request(c, 8, types.ConsistencySpeculative))
+	if served() != 2 || ordered() != 4 || f.rt.Metrics.SpecReads.Load() != 1 {
+		t.Fatalf("view-changing: served %d strong, ordered %d, served %d speculative; want 2, 4, 1",
+			served(), ordered(), f.rt.Metrics.SpecReads.Load())
+	}
+}
+
+// testProposal is the smallest SignedProposal; it counts its signings.
+type testProposal struct {
+	Batch types.Batch
+	Auth  [][]byte
+	signs int
+}
+
+func (m *testProposal) SignedPayload() []byte { d := m.Batch.Digest(); return d[:] }
+func (m *testProposal) SetAuth(auth [][]byte) { m.Auth = auth; m.signs++ }
+
+func TestSkeletonFanOut(t *testing.T) {
+	const n = 7
+	ring := crypto.NewKeyRing(n, []byte("fan-out"))
+	net := &captureNet{}
+	rt := NewRuntime(Config{ID: 0, N: n, F: 2, Scheme: crypto.SchemeED}, ring, net, RuntimeOptions{})
+	req := SignRequest(ring.NodeKeys(types.ClientNode(types.ClientIDBase)), crypto.SchemeED, n,
+		types.Transaction{Client: types.ClientIDBase, Seq: 1})
+	received := func(to types.ReplicaID) []any {
+		var out []any
+		for _, env := range net.sent {
+			if env.To == types.ReplicaNode(to) {
+				out = append(out, env.Msg)
+			}
+		}
+		return out
+	}
+	verifies := func(m *testProposal) bool {
+		return ring.NodeKeys(types.ReplicaNode(1)).VerifyFrom(types.ReplicaNode(0), m.SignedPayload(), m.Auth[0])
+	}
+
+	// Honest: one signed broadcast.
+	m := &testProposal{Batch: types.Batch{Requests: []types.Request{req}}}
+	rt.FanOut(m, nil, nil)
+	if net.broadcasts != 1 || m.signs != 1 || !verifies(m) {
+		t.Fatalf("honest: %d broadcasts, %d signings, valid=%v; want one signed broadcast", net.broadcasts, m.signs, verifies(m))
+	}
+	for id := types.ReplicaID(1); id < n; id++ {
+		if got := received(id); len(got) != 1 || got[0] != m {
+			t.Fatalf("honest: replica %d received %v", id, got)
+		}
+	}
+
+	// Byzantine: 1 and 2 get the variant, 3 and 4 nothing, 5 and 6 the
+	// original.
+	net.sent, net.broadcasts = nil, 0
+	adv := &AdversarySpec{
+		EquivocateTo: map[types.ReplicaID]bool{1: true, 2: true},
+		SilenceTo:    map[types.ReplicaID]bool{3: true, 4: true},
+	}
+	m = &testProposal{Batch: types.Batch{Requests: []types.Request{req}}}
+	var variants []*testProposal
+	rt.FanOut(m, adv, func() SignedProposal {
+		v := &testProposal{Batch: adv.Variant(m.Batch)}
+		variants = append(variants, v)
+		return v
+	})
+	if len(variants) != 1 || variants[0].signs != 1 || m.signs != 1 || net.broadcasts != 0 {
+		t.Fatalf("byzantine: %d variants, broadcasts %d; want one variant, each proposal signed once, no broadcast", len(variants), net.broadcasts)
+	}
+	v := variants[0]
+	if string(v.SignedPayload()) == string(m.SignedPayload()) || !verifies(v) || !verifies(m) {
+		t.Fatal("byzantine: the variant must carry a different, validly signed payload")
+	}
+	for id, want := range map[types.ReplicaID]any{1: v, 2: v, 3: nil, 4: nil, 5: m, 6: m} {
+		got := received(id)
+		if want == nil && len(got) != 0 || want != nil && (len(got) != 1 || got[0] != want) {
+			t.Fatalf("byzantine: replica %d received %v, want %v", id, got, want)
+		}
 	}
 }

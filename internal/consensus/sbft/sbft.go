@@ -55,6 +55,9 @@ func (m *PrePrepare) SignedPayload() []byte {
 	return d[:]
 }
 
+// SetAuth stores the broadcast authenticator (protocol.SignedProposal).
+func (m *PrePrepare) SetAuth(auth [][]byte) { m.Auth = auth }
+
 // SignShare carries a replica's signature share to the collector.
 type SignShare struct {
 	View  types.View
@@ -147,16 +150,15 @@ type Options struct {
 	CollectorTimeout time.Duration
 }
 
-// Replica is one SBFT replica. The view-change skeleton and the failure
-// detector are the embedded protocol.Skeleton's; the rules SBFT gives it are
-// at the end of this file.
+// Replica is one SBFT replica. Sequencing, request intake, the view-change
+// skeleton and the failure detector are the embedded protocol.Skeleton's;
+// the rules SBFT gives it are at the end of this file.
 type Replica struct {
 	*protocol.Skeleton
 	rt  *protocol.Runtime
 	adv *protocol.AdversarySpec
 
-	nextPropose types.SeqNum
-	slots       map[types.SeqNum]*slot
+	slots map[types.SeqNum]*slot
 
 	collTimeout time.Duration
 }
@@ -172,7 +174,7 @@ type slot struct {
 	shares2    map[types.ReplicaID]crypto.Share
 	proofSent  bool
 	committed  bool
-	// executor-side
+	// executor-side, kept by the executor only
 	stateShares map[types.ReplicaID]crypto.Share
 	ackSent     bool
 	execHead    types.Digest
@@ -194,7 +196,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 	r := &Replica{
 		rt:          rt,
 		adv:         opts.Adversary,
-		nextPropose: rt.Exec.LastExecuted() + 1,
 		slots:       make(map[types.SeqNum]*slot),
 		collTimeout: ct,
 	}
@@ -213,18 +214,6 @@ func (r *Replica) Run(ctx context.Context) {
 
 func (r *Replica) dispatch(env network.Envelope) {
 	switch m := env.Msg.(type) {
-	case *protocol.ClientRequest:
-		r.OnClientRequest(env.From, &m.Req)
-	case *protocol.ForwardRequest:
-		r.OnForwardRequest(&m.Req)
-	case *protocol.ReadRequest:
-		// SBFT does not implement the fast read path
-		// (protocol.ErrReadPathUnsupported): tiered reads are ordered like
-		// any other request. They are dedup-exempt end to end, so their
-		// separate client-local sequence space cannot collide with writes.
-		r.FallbackRead(&m.Req)
-	case *protocol.LeaseGrant:
-		// No lease machinery without the fast read path; grants are inert.
 	case *PrePrepare:
 		if env.From.IsReplica() {
 			r.handlePrePrepare(env.From.Replica(), m)
@@ -250,22 +239,10 @@ func (r *Replica) dispatch(env network.Envelope) {
 	case *ExecuteAck:
 		// Replicas learn the execution is client-visible; nothing further
 		// to do in this implementation (the record is already durable).
-	case *protocol.Checkpoint:
-		r.rt.OnCheckpoint(m)
-	case *protocol.Fetch:
-		r.rt.HandleFetch(m)
 	case *protocol.FetchReply:
 		r.onFetchReply(m)
-	case *protocol.SnapshotRequest:
-		r.rt.HandleSnapshotRequest(m)
-	case *protocol.SnapshotOffer:
-		r.rt.Sync.OnOffer(m)
-	case *protocol.SnapshotChunk:
-		r.rt.Sync.OnChunk(m)
-	case *protocol.VCRequest:
-		r.OnVCRequest(m)
-	case *protocol.NVPropose:
-		r.OnNVPropose(env.From, m)
+	default:
+		r.Dispatch(env)
 	}
 }
 
@@ -274,87 +251,44 @@ func (r *Replica) isExecutor() bool  { return Executor(r.rt.Cfg, r.View()) == r.
 
 // --- normal case ---
 
-// ProposeReady implements protocol.Rules.
-func (r *Replica) ProposeReady(force bool) {
-	if !r.IsPrimary() || !r.Normal() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	for r.nextPropose <= lastExec+types.SeqNum(r.rt.Cfg.Window) {
-		batch, ok := r.rt.Batcher.Take(force)
-		if !ok {
-			return
-		}
-		seq := r.nextPropose
-		r.nextPropose++
-		m := &PrePrepare{View: r.View(), Seq: seq, Batch: batch}
-		r.rt.Metrics.ProposedBatches.Add(1)
-		if r.adv == nil {
-			payload := m.SignedPayload() // memoizes the batch digest on the loop
-			r.rt.Egress.Enqueue(
-				func() { m.Auth = r.rt.AuthBroadcast(payload) },
-				func() { r.rt.Broadcast(m) },
-				nil)
-		} else {
-			// Byzantine variants sign inline: not the hot path.
-			m.Auth = r.rt.AuthBroadcast(m.SignedPayload())
-			r.broadcastPrePrepare(m)
-		}
-		r.handlePrePrepare(r.rt.Cfg.ID, m)
-	}
+// Propose implements protocol.Rules.
+func (r *Replica) Propose(seq types.SeqNum, batch types.Batch) {
+	m := &PrePrepare{View: r.View(), Seq: seq, Batch: batch}
+	r.rt.FanOut(m, r.adv, func() protocol.SignedProposal {
+		v := *m
+		v.Batch = r.adv.Variant(m.Batch)
+		return &v
+	})
+	r.handlePrePrepare(r.rt.Cfg.ID, m)
 }
 
-// broadcastPrePrepare sends an adversarial proposal to every backup
-// (equivocating variants are re-signed with this replica's real keys, so
-// honest verifiers accept them).
-func (r *Replica) broadcastPrePrepare(m *PrePrepare) {
-	if r.adv == nil {
-		r.rt.Broadcast(m)
-		return
-	}
-	var variant *PrePrepare
-	for i := 0; i < r.rt.Cfg.N; i++ {
-		id := types.ReplicaID(i)
-		if id == r.rt.Cfg.ID {
-			continue
-		}
-		switch r.adv.ActionFor(id) {
-		case protocol.ProposeSilence:
-		case protocol.ProposeEquivocate:
-			if variant == nil {
-				v := *m
-				v.Batch = r.adv.Variant(m.Batch)
-				v.Auth = r.rt.AuthBroadcast(v.SignedPayload())
-				variant = &v
-			}
-			r.rt.SendReplica(id, variant)
-		default:
-			r.rt.SendReplica(id, m)
-		}
-	}
-}
-
+// slot returns seq's slot, creating it only inside the window; nil outside.
+// A backup drops its slot when it executes the batch: the late shares and
+// proofs for it complete nothing. The executor keeps its slot until
+// EXECUTE-ACK, and from then on drops the late SIGN-STATEs too — the
+// certificate they would join has already gone out.
 func (r *Replica) slot(seq types.SeqNum) *slot {
 	s, ok := r.slots[seq]
-	if !ok {
-		s = &slot{
-			shares:      make(map[types.ReplicaID]crypto.Share),
-			shares2:     make(map[types.ReplicaID]crypto.Share),
-			stateShares: make(map[types.ReplicaID]crypto.Share),
-		}
-		r.slots[seq] = s
-		r.NoteSlot(seq)
+	if !ok && r.InWindow(seq) {
+		s = r.newSlot(seq)
 	}
+	return s
+}
+
+func (r *Replica) newSlot(seq types.SeqNum) *slot {
+	s := &slot{
+		shares:      make(map[types.ReplicaID]crypto.Share),
+		shares2:     make(map[types.ReplicaID]crypto.Share),
+		stateShares: make(map[types.ReplicaID]crypto.Share),
+	}
+	r.slots[seq] = s
+	r.NoteSlot(seq)
 	return s
 }
 
 func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	cfg := r.rt.Cfg
-	if !r.Active(m.View) || from != r.Primary() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	if m.Seq <= lastExec || m.Seq > lastExec+types.SeqNum(8*cfg.Window) {
+	if !r.Active(m.View) || from != r.Primary() || !r.InWindow(m.Seq) {
 		return
 	}
 	s := r.slot(m.Seq)
@@ -407,11 +341,7 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 }
 
 func (r *Replica) onSignShare(from types.ReplicaID, m *SignShare) {
-	if !r.Active(m.View) || !r.isCollector() || m.Share.Signer != from {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	if m.Seq <= lastExec || m.Seq > lastExec+types.SeqNum(8*r.rt.Cfg.Window) {
+	if !r.Active(m.View) || !r.isCollector() || m.Share.Signer != from || !r.InWindow(m.Seq) {
 		return
 	}
 	// The slot is created even when the pre-prepare has not arrived yet: the
@@ -496,7 +426,7 @@ func (r *Replica) onPrepare2(from types.ReplicaID, m *Prepare2) {
 		return
 	}
 	s := r.slot(m.Seq)
-	if !s.haveBatch || s.digest != m.Digest || !r.rt.TS.Verify(m.Digest[:], m.Cert) {
+	if s == nil || !s.haveBatch || s.digest != m.Digest || !r.rt.TS.Verify(m.Digest[:], m.Cert) {
 		return
 	}
 	d2 := share2Digest(s.digest)
@@ -575,7 +505,7 @@ func (r *Replica) onFullCommitProof(m *FullCommitProof) {
 		return
 	}
 	s := r.slot(m.Seq)
-	if s.committed || !s.haveBatch {
+	if s == nil || s.committed || !s.haveBatch {
 		return
 	}
 	if s.digest != m.Digest || !r.rt.TS.Verify(m.Digest[:], m.Cert) {
@@ -602,16 +532,21 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 	}
 	view := r.View()
 	exec := Executor(r.rt.Cfg, view)
+	isExec := exec == r.rt.Cfg.ID
 	for _, ev := range events {
 		r.NoteExecuted(ev.Rec)
 		head, _ := r.rt.Exec.Chain().Get(ev.Rec.Seq)
 		headHash := head.Hash()
-		r.noteExecution(ev, headHash)
+		if isExec {
+			r.noteExecution(ev, headHash)
+		} else {
+			delete(r.slots, ev.Rec.Seq)
+			r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
+		}
 		// The SIGN-STATE share is signed on the egress pool; the executor
 		// replica's own share loops back onto the event loop.
 		payload := ExecPayload(ev.Rec.Seq, headHash)
 		ss := &SignState{View: view, Seq: ev.Rec.Seq}
-		isExec := exec == r.rt.Cfg.ID
 		var local func()
 		if isExec {
 			local = func() {
@@ -635,9 +570,14 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 
 // noteExecution retains the executor-side context needed to answer clients
 // once the state certificate forms, and registers the state-share payload so
-// the pipeline verifies arriving SIGN-STATE shares off the event loop.
+// the pipeline verifies arriving SIGN-STATE shares off the event loop. The
+// slot is created even though its batch has just executed: the executor
+// holds it until EXECUTE-ACK.
 func (r *Replica) noteExecution(ev protocol.Executed, headHash types.Digest) {
-	s := r.slot(ev.Rec.Seq)
+	s, ok := r.slots[ev.Rec.Seq]
+	if !ok {
+		s = r.newSlot(ev.Rec.Seq)
+	}
 	s.execHead = headHash
 	s.results = ev.Results
 	s.rec = ev.Rec
@@ -653,7 +593,7 @@ func (r *Replica) onSignState(from types.ReplicaID, m *SignState) {
 
 func (r *Replica) addSignState(from types.ReplicaID, m *SignState) {
 	s := r.slot(m.Seq)
-	if s.ackSent {
+	if s == nil || s.ackSent {
 		return
 	}
 	if _, dup := s.stateShares[from]; dup {
@@ -683,45 +623,11 @@ func (r *Replica) tryAck(seq types.SeqNum, s *slot) {
 	r.rt.Broadcast(&ExecuteAck{View: r.View(), Seq: seq, Head: s.execHead, Cert: cert})
 	// Aggregated replies to the clients: one message each, carrying the
 	// certificate (the paper's executor role).
-	r.informClients(s, cert)
+	head := s.execHead
+	r.rt.InformBatch(s.rec, s.results, false, nil, func(m *protocol.Inform) { m.OrderProof, m.Cert = head, cert })
 	delete(r.slots, seq)
 	r.rt.Pipeline.ForgetDigests(s.view, seq)
 	r.rt.Pipeline.ForgetDigests(r.View(), seq)
-}
-
-// informClients stages the executor's aggregated replies: MACs are computed
-// on the egress pool and, on a durable replica, the sends are held until the
-// batch's WAL group is committed.
-func (r *Replica) informClients(s *slot, cert []byte) {
-	byKey := make(map[types.ClientID]map[uint64]types.Result, len(s.results))
-	for _, res := range s.results {
-		inner, ok := byKey[res.Client]
-		if !ok {
-			inner = make(map[uint64]types.Result)
-			byKey[res.Client] = inner
-		}
-		inner[res.Seq] = res
-	}
-	replies := make([]protocol.Reply, 0, len(s.rec.Batch.Requests))
-	for i := range s.rec.Batch.Requests {
-		req := &s.rec.Batch.Requests[i]
-		res, ok := byKey[req.Txn.Client][req.Txn.Seq]
-		if !ok {
-			r.rt.ReplayReply(req)
-			continue
-		}
-		replies = append(replies, protocol.Reply{Client: req.Txn.Client, Msg: &protocol.Inform{
-			From:       r.rt.Cfg.ID,
-			Digest:     req.Digest(),
-			View:       s.rec.View,
-			Seq:        s.rec.Seq,
-			ClientSeq:  req.Txn.Seq,
-			Values:     res.Values,
-			OrderProof: s.execHead,
-			Cert:       cert,
-		}})
-	}
-	r.rt.SendReplies(s.rec.Seq, replies, false, nil)
 }
 
 // --- housekeeping ---
@@ -742,7 +648,6 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 			delete(r.slots, seq)
 		}
 	}
-	r.nextPropose = max(r.nextPropose, snap.Seq+1)
 	r.Installed(snap)
 	r.afterExecution(events)
 	r.rt.FetchFrom(r.rt.Exec.LastExecuted())
@@ -799,7 +704,4 @@ func (r *Replica) NewViewState(nv *protocol.NVPropose) {
 }
 
 // ResetSlots implements protocol.Rules.
-func (r *Replica) ResetSlots(kmax types.SeqNum) {
-	r.slots = make(map[types.SeqNum]*slot)
-	r.nextPropose = max(kmax, r.rt.Exec.LastExecuted()) + 1
-}
+func (r *Replica) ResetSlots() { r.slots = make(map[types.SeqNum]*slot) }

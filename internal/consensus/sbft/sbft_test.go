@@ -3,6 +3,7 @@ package sbft
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ type cluster struct {
 	ring     *crypto.KeyRing
 	replicas []*Replica
 	cfgs     []protocol.Config
+	stop     func() // cancels the replicas and waits for their loops to exit
 }
 
 func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time.Duration) *cluster {
@@ -27,6 +29,7 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time
 	ring := crypto.NewKeyRing(n, []byte("test-seed"))
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &cluster{t: t, net: net, ring: ring}
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		cfg := protocol.Config{
 			ID: types.ReplicaID(i), N: n, F: f, Scheme: scheme,
@@ -41,10 +44,18 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time
 		}
 		c.replicas = append(c.replicas, r)
 		c.cfgs = append(c.cfgs, cfg)
-		go r.Run(ctx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.Run(ctx)
+		}()
+	}
+	c.stop = func() {
+		cancel()
+		wg.Wait()
 	}
 	t.Cleanup(func() {
-		cancel()
+		c.stop()
 		net.Close()
 	})
 	return c
@@ -166,5 +177,38 @@ func TestPrimaryFailureViewChange(t *testing.T) {
 		if c.replicas[i].View() == 0 {
 			t.Fatalf("replica %d did not change view", i)
 		}
+	}
+}
+
+// TestExecutedSlotsRetired: a backup drops a slot when it executes it, and
+// the executor when it sends EXECUTE-ACK; the late shares and proofs for it
+// must not re-create it. The slot maps are read after the replicas stop.
+func TestExecutedSlotsRetired(t *testing.T) {
+	for _, scheme := range []crypto.Scheme{crypto.SchemeMAC, crypto.SchemeTS} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			c := startCluster(t, 4, 1, scheme, 50*time.Millisecond)
+			cl := c.newClient(0)
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			const txns = 50
+			for i := 0; i < txns; i++ {
+				if _, err := cl.Submit(ctx, writeOp(fmt.Sprintf("k%d", i), "v")); err != nil {
+					t.Fatalf("submit %d: %v", i, err)
+				}
+			}
+			waitExecuted(t, c.replicas, txns, 2*time.Second)
+			c.stop()
+			for i, r := range c.replicas {
+				last, held := r.rt.Exec.LastExecuted(), 0
+				for seq := range r.slots {
+					if seq <= last {
+						held++
+					}
+				}
+				if held > 0 {
+					t.Errorf("replica %d holds %d slots at or below its executed head %d (%d in all)", i, held, last, len(r.slots))
+				}
+			}
+		})
 	}
 }

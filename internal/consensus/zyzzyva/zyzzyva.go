@@ -59,6 +59,9 @@ func (m *OrderReq) SignedPayload() []byte {
 	return d[:]
 }
 
+// SetAuth stores the broadcast authenticator (protocol.SignedProposal).
+func (m *OrderReq) SetAuth(auth [][]byte) { m.Auth = auth }
+
 // specPayload is the payload replicas sign in speculative-response shares;
 // nf of them form the client's commit certificate. The history digest is a
 // ledger block hash, which already binds the batch digest and the whole
@@ -105,16 +108,16 @@ type Options struct {
 	Adversary *protocol.AdversarySpec
 }
 
-// Replica is one Zyzzyva replica. The view-change skeleton and the failure
-// detector are the embedded protocol.Skeleton's; the rules Zyzzyva gives it
-// are at the end of this file.
+// Replica is one Zyzzyva replica. Sequencing, request intake, the
+// view-change skeleton and the failure detector are the embedded
+// protocol.Skeleton's; the rules Zyzzyva gives it are at the end of this
+// file.
 type Replica struct {
 	*protocol.Skeleton
 	rt  *protocol.Runtime
 	adv *protocol.AdversarySpec
 
-	nextPropose types.SeqNum
-	orders      map[types.SeqNum]*OrderReq
+	orders map[types.SeqNum]*OrderReq
 
 	// primaryHistories caches the primary's predicted history digests for
 	// in-flight (proposed but not yet executed) sequence numbers. The
@@ -136,7 +139,6 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 	r := &Replica{
 		rt:               rt,
 		adv:              opts.Adversary,
-		nextPropose:      rt.Exec.LastExecuted() + 1,
 		orders:           make(map[types.SeqNum]*OrderReq),
 		primaryHistories: make(map[types.SeqNum]types.Digest),
 		committedStable:  rt.Exec.StableCheckpointSeq(),
@@ -156,18 +158,6 @@ func (r *Replica) Run(ctx context.Context) {
 
 func (r *Replica) dispatch(env network.Envelope) {
 	switch m := env.Msg.(type) {
-	case *protocol.ClientRequest:
-		r.OnClientRequest(env.From, &m.Req)
-	case *protocol.ForwardRequest:
-		r.OnForwardRequest(&m.Req)
-	case *protocol.ReadRequest:
-		// Zyzzyva does not implement the fast read path
-		// (protocol.ErrReadPathUnsupported): tiered reads are ordered like
-		// any other request. They are dedup-exempt end to end, so their
-		// separate client-local sequence space cannot collide with writes.
-		r.FallbackRead(&m.Req)
-	case *protocol.LeaseGrant:
-		// No lease machinery without the fast read path; grants are inert.
 	case *OrderReq:
 		if env.From.IsReplica() {
 			r.handleOrderReq(env.From.Replica(), m)
@@ -176,94 +166,35 @@ func (r *Replica) dispatch(env network.Envelope) {
 		if env.From.IsClient() {
 			r.onCommitReq(m)
 		}
-	case *protocol.Checkpoint:
-		r.rt.OnCheckpoint(m)
-	case *protocol.SnapshotRequest:
-		r.rt.HandleSnapshotRequest(m)
-	case *protocol.SnapshotOffer:
-		r.rt.Sync.OnOffer(m)
-	case *protocol.SnapshotChunk:
-		r.rt.Sync.OnChunk(m)
-	case *protocol.VCRequest:
-		r.OnVCRequest(m)
-	case *protocol.NVPropose:
-		r.OnNVPropose(env.From, m)
+	case *protocol.Fetch:
+		// Fetch and FetchReply are deliberately unhandled: records carry no
+		// certificates here, so there is no record-fetch bridge, and the
+		// skeleton's catch-up fetches go unanswered.
+	default:
+		r.Dispatch(env)
 	}
-	// Fetch and FetchReply are deliberately unhandled: records carry no
-	// certificates here, so there is no record-fetch bridge, and the
-	// skeleton's catch-up fetches go unanswered.
 }
 
 // --- normal case (fast path) ---
 
-// ProposeReady implements protocol.Rules.
-func (r *Replica) ProposeReady(force bool) {
-	if !r.IsPrimary() || !r.Normal() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	for r.nextPropose <= lastExec+types.SeqNum(r.rt.Cfg.Window) {
-		batch, ok := r.rt.Batcher.Take(force)
-		if !ok {
-			return
-		}
-		seq := r.nextPropose
-		r.nextPropose++
-		// The history digest for seq is the ledger block hash the batch
-		// will produce; the primary predicts it for in-flight proposals.
-		bd := batch.Digest()
-		prev := r.prevHistory(seq)
-		hist := historyDigest(seq, r.View(), bd, prev)
-		r.primaryHistories[seq] = hist
-		m := &OrderReq{View: r.View(), Seq: seq, History: hist, Batch: batch}
-		r.rt.Metrics.ProposedBatches.Add(1)
-		if r.adv == nil {
-			payload := m.SignedPayload() // memoizes the batch digest on the loop
-			r.rt.Egress.Enqueue(
-				func() { m.Auth = r.rt.AuthBroadcast(payload) },
-				func() { r.rt.Broadcast(m) },
-				nil)
-		} else {
-			// Byzantine variants sign inline: not the hot path.
-			m.Auth = r.rt.AuthBroadcast(m.SignedPayload())
-			r.broadcastOrderReq(m, prev)
-		}
-		r.handleOrderReq(r.rt.Cfg.ID, m)
-	}
-}
-
-// broadcastOrderReq sends the ordering message to every backup, applying the
-// Byzantine adversary spec if one is installed. An equivocation variant
-// carries a different (validly signed) batch and the matching re-derived
-// history digest, so its receivers speculatively execute it — Zyzzyva's
-// replicas diverge until the view change rolls the losers back.
-func (r *Replica) broadcastOrderReq(m *OrderReq, prev types.Digest) {
-	if r.adv == nil {
-		r.rt.Broadcast(m)
-		return
-	}
-	var variant *OrderReq
-	for i := 0; i < r.rt.Cfg.N; i++ {
-		id := types.ReplicaID(i)
-		if id == r.rt.Cfg.ID {
-			continue
-		}
-		switch r.adv.ActionFor(id) {
-		case protocol.ProposeSilence:
-		case protocol.ProposeEquivocate:
-			if variant == nil {
-				vb := r.adv.Variant(m.Batch)
-				v := *m
-				v.Batch = vb
-				v.History = historyDigest(m.Seq, m.View, vb.Digest(), prev)
-				v.Auth = r.rt.AuthBroadcast(v.SignedPayload())
-				variant = &v
-			}
-			r.rt.SendReplica(id, variant)
-		default:
-			r.rt.SendReplica(id, m)
-		}
-	}
+// Propose implements protocol.Rules. The history digest for seq is the
+// ledger block hash the batch will produce; the primary predicts it for
+// in-flight proposals. An equivocation variant carries a different batch
+// and the matching re-derived history digest, so its receivers
+// speculatively execute it — Zyzzyva's replicas diverge until the view
+// change rolls the losers back.
+func (r *Replica) Propose(seq types.SeqNum, batch types.Batch) {
+	prev := r.prevHistory(seq)
+	m := &OrderReq{View: r.View(), Seq: seq, Batch: batch}
+	m.History = historyDigest(seq, m.View, m.Batch.Digest(), prev)
+	r.primaryHistories[seq] = m.History
+	r.rt.FanOut(m, r.adv, func() protocol.SignedProposal {
+		v := *m
+		v.Batch = r.adv.Variant(m.Batch)
+		v.History = historyDigest(seq, m.View, v.Batch.Digest(), prev)
+		return &v
+	})
+	r.handleOrderReq(r.rt.Cfg.ID, m)
 }
 
 // prevHistory returns the history digest a proposal at seq chains from:
@@ -279,12 +210,7 @@ func (r *Replica) prevHistory(seq types.SeqNum) types.Digest {
 }
 
 func (r *Replica) handleOrderReq(from types.ReplicaID, m *OrderReq) {
-	cfg := r.rt.Cfg
-	if !r.Active(m.View) || from != r.Primary() {
-		return
-	}
-	lastExec := r.rt.Exec.LastExecuted()
-	if m.Seq <= lastExec || m.Seq > lastExec+types.SeqNum(8*cfg.Window) {
+	if !r.Active(m.View) || from != r.Primary() || !r.InWindow(m.Seq) {
 		return
 	}
 	if _, dup := r.orders[m.Seq]; dup {
@@ -350,7 +276,6 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 			delete(r.primaryHistories, seq)
 		}
 	}
-	r.nextPropose = max(r.nextPropose, snap.Seq+1)
 	r.committedStable = max(r.committedStable, snap.Seq)
 	r.Installed(snap)
 	r.afterExecution(events)
@@ -366,39 +291,9 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 func (r *Replica) informSpeculative(ev protocol.Executed) {
 	hist := r.headHistory()
 	payload := specPayload(ev.Rec.Seq, hist)
-	byKey := make(map[types.ClientID]map[uint64]types.Result, len(ev.Results))
-	for _, res := range ev.Results {
-		inner, ok := byKey[res.Client]
-		if !ok {
-			inner = make(map[uint64]types.Result)
-			byKey[res.Client] = inner
-		}
-		inner[res.Seq] = res
-	}
-	replies := make([]protocol.Reply, 0, len(ev.Rec.Batch.Requests))
-	for i := range ev.Rec.Batch.Requests {
-		req := &ev.Rec.Batch.Requests[i]
-		res, ok := byKey[req.Txn.Client][req.Txn.Seq]
-		if !ok {
-			r.rt.ReplayReply(req)
-			continue
-		}
-		replies = append(replies, protocol.Reply{Client: req.Txn.Client, Msg: &protocol.Inform{
-			From:        r.rt.Cfg.ID,
-			Digest:      req.Digest(),
-			View:        ev.Rec.View,
-			Seq:         ev.Rec.Seq,
-			ClientSeq:   req.Txn.Seq,
-			Values:      res.Values,
-			Speculative: true,
-			OrderProof:  hist,
-		}})
-	}
-	r.rt.SendReplies(ev.Rec.Seq, replies, false, func() {
-		share := r.rt.TS.Share(payload)
-		for _, rp := range replies {
-			rp.Msg.Share = share
-		}
+	var share crypto.Share
+	r.rt.InformBatch(ev.Rec, ev.Results, false, func() { share = r.rt.TS.Share(payload) }, func(m *protocol.Inform) {
+		m.Speculative, m.OrderProof, m.Share = true, hist, share
 	})
 }
 
@@ -463,8 +358,7 @@ func (r *Replica) NewViewState(nv *protocol.NVPropose) {
 
 // ResetSlots implements protocol.Rules. Histories re-anchor on the ledger
 // head the new view starts from.
-func (r *Replica) ResetSlots(kmax types.SeqNum) {
+func (r *Replica) ResetSlots() {
 	r.orders = make(map[types.SeqNum]*OrderReq)
 	r.primaryHistories = make(map[types.SeqNum]types.Digest)
-	r.nextPropose = max(kmax, r.rt.Exec.LastExecuted()) + 1
 }

@@ -324,8 +324,9 @@ func (rt *Runtime) SendReplica(to types.ReplicaID, msg any) {
 // share — then fill on every reply, for the protocol's Cert/Share/OrderProof
 // material, computes the MACs off the event loop, caches the replies for
 // duplicate suppression when cache is set, and releases the sends in
-// submission order. prep and fill may be nil; fill must not change what the
-// MAC covers (Inform.Key).
+// submission order. prep and fill may be nil. Both run on the egress pool,
+// so they may touch only the reply they are given and captured values that
+// nothing mutates after this call.
 func (rt *Runtime) InformBatch(rec *types.ExecRecord, results []types.Result, cache bool, prep func(), fill func(*Inform)) {
 	type reply struct {
 		client types.ClientID

@@ -54,7 +54,7 @@ type skelFixture struct {
 func newSkelFixture(t *testing.T, id types.ReplicaID) *skelFixture {
 	t.Helper()
 	f := &skelFixture{t: t, ring: crypto.NewKeyRing(4, []byte("skeleton")), net: &captureNet{}, now: time.Now()}
-	cfg := Config{ID: id, N: 4, F: 1, Scheme: crypto.SchemeED, ViewTimeout: skelTimeout, BatchSize: 1}.WithDefaults()
+	cfg := Config{ID: id, N: 4, F: 1, Scheme: crypto.SchemeED, ViewTimeout: skelTimeout}.WithDefaults()
 	f.rt = NewRuntime(cfg, f.ring, f.net, RuntimeOptions{})
 	f.rules = &stubRules{reject: map[types.ReplicaID]bool{}}
 	f.sk = NewSkeleton(f.rt, f.rules)
@@ -64,6 +64,12 @@ func newSkelFixture(t *testing.T, id types.ReplicaID) *skelFixture {
 	f.sk.lastProgress = f.now
 	f.rt.Lease.Now = clock
 	return f
+}
+
+// singleBatches makes every request a full batch, so each one is proposed
+// as it arrives, without force.
+func (f *skelFixture) singleBatches() {
+	f.rt.Batcher = NewBatcher(1, 0, false)
 }
 
 func (f *skelFixture) advance(d time.Duration) time.Time {
@@ -219,6 +225,10 @@ func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	if f.sk.curTimeout != 4*skelTimeout {
 		t.Fatalf("timeout %v after two view changes, want quadrupled", f.sk.curTimeout)
 	}
+	// A client request arrives mid view change: one request, far short of a
+	// full batch.
+	c := types.ClientID(types.ClientIDBase)
+	f.sk.OnClientRequest(types.ClientNode(c), f.request(c, 1, types.ConsistencyOrdered))
 	// View 2's primary (replica 2 itself) completes once nf requests are in.
 	f.sk.OnVCRequest(f.vc(0, 1))
 	f.sk.OnVCRequest(f.vc(1, 1))
@@ -228,6 +238,11 @@ func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	}
 	if f.rules.resets != 1 {
 		t.Fatalf("entering the view reset slots %d times, want once", f.rules.resets)
+	}
+	// The new primary forces the partial batch out at kmax+1 rather than
+	// waiting for it to fill.
+	if got := f.rules.proposed; len(got) != 1 || got[0] != 1 {
+		t.Fatalf("proposed %v on entering view 2 with kmax 0, want the pending request at seq 1", got)
 	}
 }
 
@@ -387,6 +402,7 @@ func TestQuickNewViewChoiceDeterministic(t *testing.T) {
 
 func TestSkeletonProposeReadyWindowAndResume(t *testing.T) {
 	f := newSkelFixture(t, 0) // primary of view 0
+	f.singleBatches()
 	f.rt.Cfg.Window = 3
 	c := types.ClientID(types.ClientIDBase)
 	for seq := uint64(1); seq <= 5; seq++ {
@@ -434,6 +450,7 @@ func TestSkeletonProposeReadyWindowAndResume(t *testing.T) {
 
 func TestSkeletonStrongReadGate(t *testing.T) {
 	f := newSkelFixture(t, 0) // primary of view 0
+	f.singleBatches()
 	c := types.ClientID(types.ClientIDBase + 1)
 	served := func() int64 { return f.rt.Metrics.StrongReads.Load() }
 	ordered := func() int64 { return f.rt.Metrics.ReadFallbacks.Load() }

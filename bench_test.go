@@ -1,39 +1,28 @@
-// Benchmarks regenerating every table and figure of the paper's evaluation
-// (§IV). Each benchmark prints the same rows/series the paper reports and
-// exports throughput as the "txn/s" metric. Replica counts and durations
-// are scaled down so the full suite runs on a laptop; `go run ./cmd/poebench
-// -full` runs the larger configurations (up to the paper's n = 91).
+// Ablation benchmarks for the design choices DESIGN.md §5 calls out, each
+// exporting throughput as the "txn/s" metric. The paper's tables and
+// figures are regenerated by `go run ./cmd/poebench -fig <n>`; the deployed
+// system is measured by `go run ./bench`.
 //
 // Absolute numbers differ from the paper (its substrate was a 91-machine
 // Google Cloud deployment; ours is an in-process fabric) — the claims under
 // test are the *shapes*: who wins, by roughly what factor, and where the
-// crossovers are. EXPERIMENTS.md records paper-vs-measured for each figure.
+// crossovers are.
 package poe
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
-	"github.com/poexec/poe/internal/client"
-	poeimpl "github.com/poexec/poe/internal/consensus/poe"
-	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/harness"
-	"github.com/poexec/poe/internal/network"
-	"github.com/poexec/poe/internal/sim"
-	"github.com/poexec/poe/internal/types"
 )
 
-// benchScales holds the scaled-down experiment dimensions.
+// The scaled-down experiment dimensions.
 var (
-	benchNs         = []int{4, 8, 16, 32}
-	benchBatchSizes = []int{10, 50, 100, 200, 400}
-	benchWarmup     = 400 * time.Millisecond
-	benchMeasure    = 800 * time.Millisecond
+	benchNs      = []int{4, 8, 16, 32}
+	benchWarmup  = 400 * time.Millisecond
+	benchMeasure = 800 * time.Millisecond
 )
 
 func runOnce(b *testing.B, opts harness.Options) harness.Result {
@@ -46,199 +35,6 @@ func runOnce(b *testing.B, opts harness.Options) harness.Result {
 	}
 	return res
 }
-
-// BenchmarkFig01CostModel regenerates the analytic comparison table (Fig 1).
-func BenchmarkFig01CostModel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = protocol.FormatCostTable(91, 30)
-	}
-	b.Log("\n" + protocol.FormatCostTable(91, 30))
-}
-
-// BenchmarkFig07UpperBound measures the fabric ceiling without consensus:
-// primary-only no-execution vs execution (Fig 7).
-func BenchmarkFig07UpperBound(b *testing.B) {
-	for _, execute := range []bool{false, true} {
-		name := "NoExec"
-		if execute {
-			name = "Exec"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.RunUpperBound(harness.UpperBoundOptions{
-					Execute: execute, Warmup: benchWarmup, Measure: benchMeasure,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(res.Throughput, "txn/s")
-				b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "ms/lat")
-			}
-		})
-	}
-}
-
-// BenchmarkFig08Signatures runs PBFT under the three signature schemes of
-// Fig 8 (None, ED, CMAC→HMAC) at n = 16.
-func BenchmarkFig08Signatures(b *testing.B) {
-	for _, tc := range []struct {
-		name   string
-		scheme crypto.Scheme
-	}{{"None", crypto.SchemeNone}, {"ED", crypto.SchemeED}, {"CMAC", crypto.SchemeMAC}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runOnce(b, harness.Options{
-					Protocol: harness.PBFT, N: 16, Scheme: tc.scheme,
-					BatchSize: 50, Clients: 32, Outstanding: 16,
-				})
-				b.ReportMetric(res.Throughput, "txn/s")
-				b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "ms/lat")
-			}
-		})
-	}
-}
-
-func scalabilityBench(b *testing.B, crash, zeroPayload bool) {
-	for _, p := range harness.AllProtocols {
-		for _, n := range benchNs {
-			b.Run(fmt.Sprintf("%s/n=%d", p, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := runOnce(b, harness.Options{
-						Protocol: p, N: n,
-						BatchSize: 50, Clients: 32, Outstanding: 16,
-						CrashBackup: crash, ZeroPayload: zeroPayload,
-					})
-					b.ReportMetric(res.Throughput, "txn/s")
-					b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "ms/lat")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig09abScalabilityFailure: standard payload, one crashed backup.
-func BenchmarkFig09abScalabilityFailure(b *testing.B) { scalabilityBench(b, true, false) }
-
-// BenchmarkFig09cdScalabilityNoFailure: standard payload, fault-free.
-func BenchmarkFig09cdScalabilityNoFailure(b *testing.B) { scalabilityBench(b, false, false) }
-
-// BenchmarkFig09efZeroPayloadFailure: zero payload, one crashed backup.
-func BenchmarkFig09efZeroPayloadFailure(b *testing.B) { scalabilityBench(b, true, true) }
-
-// BenchmarkFig09ghZeroPayloadNoFailure: zero payload, fault-free.
-func BenchmarkFig09ghZeroPayloadNoFailure(b *testing.B) { scalabilityBench(b, false, true) }
-
-// BenchmarkFig09ijBatching sweeps the batch size under a single backup
-// failure (paper: n = 32; scaled to n = 8 here).
-func BenchmarkFig09ijBatching(b *testing.B) {
-	for _, p := range harness.AllProtocols {
-		for _, bs := range benchBatchSizes {
-			b.Run(fmt.Sprintf("%s/batch=%d", p, bs), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := runOnce(b, harness.Options{
-						Protocol: p, N: 8,
-						// The client pool must be able to fill the largest
-						// batches (the paper drives this sweep with 320k
-						// clients).
-						BatchSize: bs, Clients: 64, Outstanding: 16,
-						CrashBackup: true,
-					})
-					b.ReportMetric(res.Throughput, "txn/s")
-					b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "ms/lat")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig09klNoOutOfOrder disables out-of-order processing: the window
-// is 1 and every client runs closed-loop (one outstanding request). A 5 ms
-// link delay stands in for the paper's real network: without delay the
-// window never binds. HotStuff keeps its natural 4-deep chained pipeline,
-// which is why the paper shows it ahead in this experiment.
-func BenchmarkFig09klNoOutOfOrder(b *testing.B) {
-	for _, p := range harness.AllProtocols {
-		for _, n := range benchNs {
-			b.Run(fmt.Sprintf("%s/n=%d", p, n), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					res := runOnce(b, harness.Options{
-						Protocol: p, N: n,
-						BatchSize: 100, Clients: 64, Outstanding: 1,
-						Window:   1,
-						NetDelay: 5 * time.Millisecond,
-					})
-					b.ReportMetric(res.Throughput, "txn/s")
-					b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "ms/lat")
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkFig10ViewChange crashes the primary mid-run and reports the
-// throughput timeline around the view change (PoE vs PBFT, paper n = 32;
-// scaled to n = 8).
-func BenchmarkFig10ViewChange(b *testing.B) {
-	for _, p := range []harness.Protocol{harness.PoE, harness.PBFT} {
-		b.Run(string(p), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res, err := harness.Run(harness.Options{
-					Protocol: p, N: 8,
-					BatchSize: 50, Clients: 32, Outstanding: 16,
-					Warmup: benchWarmup, Measure: 2 * time.Second,
-					CrashPrimaryAfter: 500 * time.Millisecond,
-					SampleEvery:       100 * time.Millisecond,
-					ViewTimeout:       300 * time.Millisecond,
-					ClientTimeout:     300 * time.Millisecond,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					for _, pt := range res.Timeline {
-						b.Logf("%s t=%5.1fs %10.0f txn/s", p, pt.Offset.Seconds(), pt.Throughput)
-					}
-				}
-				b.ReportMetric(res.Throughput, "txn/s")
-				b.ReportMetric(float64(res.ViewChanges), "viewchanges")
-			}
-		})
-	}
-}
-
-// BenchmarkFig11Simulation runs the discrete-event simulation: decisions/s
-// as a function of message delay for 4/16/128 replicas, sequential and
-// out-of-order (paper: 500 decisions, 250-deep window).
-func BenchmarkFig11Simulation(b *testing.B) {
-	delays := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
-	for _, n := range []int{4, 16, 128} {
-		for _, p := range []sim.Protocol{sim.PoE, sim.PBFT, sim.HotStuff} {
-			for _, d := range delays {
-				b.Run(fmt.Sprintf("seq/n=%d/%v/delay=%v", n, p, d), func(b *testing.B) {
-					var res sim.Result
-					for i := 0; i < b.N; i++ {
-						res = sim.Run(sim.Config{Protocol: p, N: n, Delay: d, Decisions: 500, Window: 1})
-					}
-					b.ReportMetric(res.DecisionsPS, "decisions/s")
-				})
-			}
-		}
-	}
-	// The out-of-order plot (only PoE* and PBFT* in the paper).
-	for _, p := range []sim.Protocol{sim.PoE, sim.PBFT} {
-		for _, d := range delays {
-			b.Run(fmt.Sprintf("ooo/n=128/%v/delay=%v", p, d), func(b *testing.B) {
-				var res sim.Result
-				for i := 0; i < b.N; i++ {
-					res = sim.Run(sim.Config{Protocol: p, N: 128, Delay: d, Decisions: 500, Window: 250})
-				}
-				b.ReportMetric(res.DecisionsPS, "decisions/s")
-			})
-		}
-	}
-}
-
-// --- ablation benches for the design choices called out in DESIGN.md §5 ---
 
 // BenchmarkAblationSpeculation contrasts speculative execution (PoE: execute
 // after prepare, saving one phase before the client sees a result) with
@@ -315,33 +111,6 @@ func BenchmarkAblationBatchZeroPayload(b *testing.B) {
 	}
 }
 
-// BenchmarkDurableWAL measures durable-mode throughput (DataDir + fsync):
-// group commit — a burst of in-order executed batches framed in one buffered
-// write and one fsync, replies released after the group is durable — against
-// the per-record-sync baseline it replaced. The gap is the amortized fsync.
-func BenchmarkDurableWAL(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		noGroup bool
-	}{{"group-commit", false}, {"per-record-sync", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Small batches and deep client pipelining: the record rate —
-				// and so the fsync rate the baseline pays — is high, and the
-				// in-flight window keeps the cluster busy while groups sync.
-				res := runOnce(b, harness.Options{
-					Protocol: harness.PoE, N: 4,
-					BatchSize: 20, Clients: 64, Outstanding: 32,
-					DataDir: b.TempDir(), Fsync: true, NoGroupCommit: tc.noGroup,
-				})
-				b.ReportMetric(res.Throughput, "txn/s")
-				b.ReportMetric(float64(res.AvgLatency.Microseconds())/1000, "ms/lat")
-				b.ReportMetric(res.WALGroupMean(), "recs/group")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationCheckpointInterval varies the checkpoint cadence, which
 // trades undo-log/view-change size against checkpoint traffic (§II-D).
 func BenchmarkAblationCheckpointInterval(b *testing.B) {
@@ -352,150 +121,6 @@ func BenchmarkAblationCheckpointInterval(b *testing.B) {
 					Protocol: harness.PoE, N: 8,
 					BatchSize: 50, Clients: 32, Outstanding: 16,
 					CheckpointInterval: interval,
-				})
-				b.ReportMetric(res.Throughput, "txn/s")
-			}
-		})
-	}
-}
-
-// BenchmarkTCPLoopbackCluster runs a PoE cluster over real TCP connections
-// on localhost — wire-codec framing, marshal-once broadcast fan-out, and
-// write(2) syscalls included — so serialization wins are visible outside the
-// in-process ChanNet fabric (whose send-cost model they calibrate,
-// DESIGN.md §3). Reported txn/s is end-to-end client throughput.
-func BenchmarkTCPLoopbackCluster(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		b.ReportMetric(runTCPCluster(b), "txn/s")
-	}
-}
-
-func runTCPCluster(b *testing.B) float64 {
-	b.Helper()
-	const n, f, nClients, outstanding = 4, 1, 8, 8
-	ring := crypto.NewKeyRing(n, []byte("tcp-bench"))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	// Bind every node on an ephemeral port first, then rebuild the final
-	// transports over the shared address book (TCPNet dials lazily).
-	addrs := make(map[types.NodeID]string, n+nClients)
-	probe := make([]*network.TCPNet, 0, n+nClients)
-	nodes := make([]types.NodeID, 0, n+nClients)
-	for i := 0; i < n; i++ {
-		nodes = append(nodes, types.ReplicaNode(types.ReplicaID(i)))
-	}
-	for i := 0; i < nClients; i++ {
-		nodes = append(nodes, types.NthClient(i))
-	}
-	for _, node := range nodes {
-		tn, err := network.NewTCPNet(node, map[types.NodeID]string{node: "127.0.0.1:0"})
-		if err != nil {
-			b.Fatal(err)
-		}
-		probe = append(probe, tn)
-		addrs[node] = tn.Addr()
-	}
-	for _, tn := range probe {
-		tn.Close()
-	}
-	book := func() map[types.NodeID]string {
-		m := make(map[types.NodeID]string, len(addrs))
-		for k, v := range addrs {
-			m[k] = v
-		}
-		return m
-	}
-
-	for i := 0; i < n; i++ {
-		tn, err := network.NewTCPNet(types.ReplicaNode(types.ReplicaID(i)), book())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer tn.Close()
-		cfg := protocol.Config{
-			ID: types.ReplicaID(i), N: n, F: f, Scheme: crypto.SchemeMAC,
-			BatchSize: 50, BatchLinger: time.Millisecond,
-			Window: 64, CheckpointInterval: 64,
-			ViewTimeout: 2 * time.Second,
-		}
-		r, err := poeimpl.New(cfg, ring, tn, poeimpl.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		go r.Run(ctx)
-	}
-
-	var completed atomic.Int64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for c := 0; c < nClients; c++ {
-		cn, err := network.NewTCPNet(types.NthClient(c), book())
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer cn.Close()
-		cl, err := client.New(client.Config{
-			ID: types.ClientIDBase + types.ClientID(c), N: n, F: f,
-			Scheme: crypto.SchemeMAC, Timeout: 2 * time.Second,
-		}, ring, cn)
-		if err != nil {
-			b.Fatal(err)
-		}
-		cl.Start(ctx)
-		// Pipeline several submissions per client so the cluster is CPU-
-		// bound (where serialization shows) rather than round-trip-bound.
-		for o := 0; o < outstanding; o++ {
-			wg.Add(1)
-			go func(c, o int, cl *client.Client) {
-				defer wg.Done()
-				for j := 0; ; j++ {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					ops := []types.Op{{Kind: types.OpWrite, Key: fmt.Sprintf("k%d-%d-%d", c, o, j%64), Value: []byte("value-payload-0123456789abcdef")}}
-					if _, err := cl.Submit(ctx, ops); err == nil {
-						completed.Add(1)
-					}
-				}
-			}(c, o, cl)
-		}
-	}
-
-	warmup := 500 * time.Millisecond
-	measure := 1500 * time.Millisecond
-	time.Sleep(warmup)
-	start := completed.Load()
-	time.Sleep(measure)
-	delta := completed.Load() - start
-	close(stop)
-	cancel()
-	wg.Wait()
-	return float64(delta) / measure.Seconds()
-}
-
-// BenchmarkSendCostModel contrasts ChanNet's two sender-cost models on the
-// PBFT quadratic fan-out at n=16: the flat 10 µs/message charge the
-// harness has used since PR 1, and the size-calibrated model (Options.
-// WireCost) in which every logical message pays one real wire-codec encode
-// plus a per-destination write cost scaled by its true encoded size —
-// ChanNet's analogue of TCPNet's marshal-once broadcast (DESIGN.md §3).
-// Under the calibrated model the small all-to-all share messages stop being
-// charged like full batches, which is the honest version of the cost
-// structure the flat model approximated.
-func BenchmarkSendCostModel(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		wire bool
-	}{{"flat", false}, {"wire-calibrated", true}} {
-		b.Run(tc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				res := runOnce(b, harness.Options{
-					Protocol: harness.PBFT, N: 16,
-					BatchSize: 50, Clients: 32, Outstanding: 16,
-					WireCost: tc.wire,
 				})
 				b.ReportMetric(res.Throughput, "txn/s")
 			}

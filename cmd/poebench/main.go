@@ -29,17 +29,13 @@ import (
 	"github.com/poexec/poe/internal/sim"
 )
 
-// benchEntry is one row of the machine-readable -json snapshot
-// (BENCH_PR5.json schema, superset of the PR 4 one): benchmark name →
-// throughput and latency. Harness rows fill TxnPerSec/LatencyMs; simulation
-// rows (fig 11) fill DecisionsPerSec; codec rows (fig codec) fill
-// OpsPerSec/MBPerSec.
+// benchEntry is one row of the machine-readable -json snapshot: benchmark
+// name → throughput and latency. Harness rows fill TxnPerSec/LatencyMs;
+// simulation rows (fig 11) fill DecisionsPerSec.
 type benchEntry struct {
 	TxnPerSec       float64 `json:"txn_s,omitempty"`
 	LatencyMs       float64 `json:"latency_ms,omitempty"`
 	DecisionsPerSec float64 `json:"decisions_s,omitempty"`
-	OpsPerSec       float64 `json:"ops_s,omitempty"`
-	MBPerSec        float64 `json:"mb_s,omitempty"`
 	// Read-path rows (fig reads): speedup over the all-consensus baseline
 	// of the same sweep, and the digest-prefix audit verdict.
 	Speedup        float64 `json:"speedup,omitempty"`
@@ -48,8 +44,7 @@ type benchEntry struct {
 	ReadFallbackPc float64 `json:"read_fallback_pct,omitempty"`
 }
 
-// benchSnapshot is the file the CI job uploads next to the fig-11 output so
-// the perf trajectory is tracked per push.
+// benchSnapshot is the file -json writes.
 type benchSnapshot struct {
 	Schema     string                `json:"schema"`
 	Benchmarks map[string]benchEntry `json:"benchmarks"`
@@ -90,7 +85,7 @@ type scale struct {
 }
 
 func main() {
-	fig := flag.String("fig", "all", "figure to regenerate: 1,7,8,9ab,9cd,9ef,9gh,9ij,9kl,10,11,codec,reads,all; or the chaos scenario suite: chaos")
+	fig := flag.String("fig", "all", "figure to regenerate: 1,7,8,9ab,9cd,9ef,9gh,9ij,9kl,10,11,reads,all; or the chaos scenario suite: chaos")
 	full := flag.Bool("full", false, "run the larger (paper-scale) configurations")
 	jsonPath := flag.String("json", "", "write a machine-readable benchmark snapshot (benchmark name → txn/s, latency) to this file")
 	flag.Parse()
@@ -171,10 +166,6 @@ func main() {
 	if run("chaos") && *fig != "all" {
 		any = true
 		figChaos(sc)
-	}
-	if run("codec") {
-		any = true
-		figCodec()
 	}
 	if run("reads") {
 		any = true
@@ -274,6 +265,7 @@ func fig9(sc scale, title string, crash, zero bool) {
 
 func fig9ij(sc scale) {
 	header("9ij: batching under single backup failure")
+	// The backup crashes mid-warmup, as in fig9.
 	batches := []int{10, 50, 100, 200, 400}
 	fmt.Printf("%-9s", "protocol")
 	for _, bs := range batches {
@@ -286,8 +278,8 @@ func fig9ij(sc scale) {
 			res, err := harness.Run(harness.Options{
 				Protocol: p, N: sc.batchN,
 				BatchSize: bs, Clients: sc.clients, Outstanding: sc.out,
-				CrashBackup: true,
-				Warmup:      sc.warmup, Measure: sc.measure,
+				CrashBackupAfter: sc.warmup / 2,
+				Warmup:           sc.warmup, Measure: sc.measure,
 			})
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)

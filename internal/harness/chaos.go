@@ -17,18 +17,13 @@ package harness
 // in DESIGN.md §6.
 
 import (
-	"context"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
-	"github.com/poexec/poe/internal/storage"
 	"github.com/poexec/poe/internal/types"
-	"github.com/poexec/poe/internal/workload"
 )
 
 // Attack names a Byzantine behaviour for the faulty replica.
@@ -181,24 +176,18 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 	if (opts.PartitionAt > 0) != (opts.HealAt > 0) || opts.HealAt < opts.PartitionAt {
 		return ChaosReport{}, fmt.Errorf("harness: need 0 < PartitionAt < HealAt (got %v, %v)", opts.PartitionAt, opts.HealAt)
 	}
-	ring := crypto.NewKeyRing(opts.N, []byte(fmt.Sprintf("harness-%d", opts.Seed)))
-	adv, err := adversaryFor(opts, ring)
+	c := newCluster(opts.Options, true)
+	defer c.stop()
+	adv, err := adversaryFor(opts, c.ring)
 	if err != nil {
 		return ChaosReport{}, err
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	base := network.NewChanNet(opts.netOptions()...)
-	defer base.Close()
-	fn := network.NewFaultNet(base, network.WithFaultSeed(opts.Seed))
-	defer fn.Close()
+	c.adv, c.faulty = adv, opts.Faulty
 	if !opts.Faults.IsZero() {
 		for i := 0; i < opts.N; i++ {
 			for j := 0; j < opts.N; j++ {
 				if i != j {
-					fn.SetLink(types.ReplicaNode(types.ReplicaID(i)), types.ReplicaNode(types.ReplicaID(j)), opts.Faults)
+					c.fn.SetLink(types.ReplicaNode(types.ReplicaID(i)), types.ReplicaNode(types.ReplicaID(j)), opts.Faults)
 				}
 			}
 		}
@@ -230,151 +219,51 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 		plan.HealAt(opts.HealAt)
 	}
 
-	wcfg := workload.DefaultConfig(opts.Records)
-	wcfg.Seed = opts.Seed
-	var table map[string][]byte
-	if !opts.ZeroPayload {
-		table = workload.InitialTable(wcfg)
+	if err := c.start(); err != nil {
+		return ChaosReport{}, err
 	}
-
-	replicas := make([]replicaHandle, opts.N)
-	replicaDone := make([]chan struct{}, opts.N)
-	for i := 0; i < opts.N; i++ {
-		ropts := protocol.RuntimeOptions{ZeroPayload: opts.ZeroPayload, InitialTable: table}
-		if opts.DataDir != "" {
-			st, err := storage.Open(replicaDir(opts.DataDir, i), opts.storageOptions())
-			if err != nil {
-				return ChaosReport{}, err
-			}
-			defer st.Close()
-			ropts.Storage = st
-		}
-		var radv *protocol.AdversarySpec
-		if i == opts.Faulty {
-			radv = adv
-		}
-		tr := fn.Join(types.ReplicaNode(types.ReplicaID(i)))
-		h, err := buildReplica(opts.Options, replicaConfig(opts.Options, i), ring, tr, ropts, radv)
-		if err != nil {
-			return ChaosReport{}, err
-		}
-		replicas[i] = h
-		done := make(chan struct{})
-		replicaDone[i] = done
-		go func(h replicaHandle) {
-			h.Run(ctx)
-			close(done)
-		}(h)
-	}
-
-	var completed atomic.Int64
-	var latencySum atomic.Int64
-	var measuring atomic.Bool
-	clients := make([]submitter, opts.Clients)
-	for i := 0; i < opts.Clients; i++ {
-		s, err := buildClient(opts.Options, i, ring, fn)
-		if err != nil {
-			return ChaosReport{}, err
-		}
-		s.Start(ctx)
-		clients[i] = s
-	}
-	var wg sync.WaitGroup
-	startLoad(ctx, &wg, opts.Options, wcfg, clients, &completed, &latencySum, &measuring, newReadStats())
-
-	select {
-	case <-time.After(opts.Warmup):
-	case <-ctx.Done():
-	}
-	measuring.Store(true)
-	runStart := time.Now()
-	fn.Execute(ctx, plan)
+	c.warmUp()
+	c.fn.Execute(c.ctx, plan)
 
 	// eventAt marks the end of the last scheduled disruption: completions
 	// after it are the liveness signal. Pure-attack runs (nothing scheduled)
 	// use the window midpoint — by then the view change away from the faulty
 	// leader must have happened for the run to count as live.
 	eventAt := opts.HealAt
-	for _, s := range planOffsets(plan) {
-		if s > eventAt {
-			eventAt = s
-		}
+	for _, s := range plan.Offsets() {
+		eventAt = max(eventAt, s)
 	}
 	if eventAt == 0 || eventAt > opts.Measure {
 		eventAt = opts.Measure / 2
 	}
-	sleepUntil(ctx, runStart, eventAt)
-	report := ChaosReport{CompletedAtEvent: completed.Load()}
+	c.sleepUntil(eventAt)
+	report := ChaosReport{CompletedAtEvent: c.completed.Load()}
+	c.sleepUntil(opts.Measure)
+	c.stop()
+	report.Result = c.result()
+	report.CompletedAfterEvent = report.Completed - report.CompletedAtEvent
+	report.Net = c.fn.Stats()
 
-	sleepUntil(ctx, runStart, opts.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(runStart)
-	cancel()
-	fn.Close()
-	base.Close()
-	wg.Wait()
-	for _, done := range replicaDone {
-		<-done
-	}
-
-	total := completed.Load()
-	report.CompletedAfterEvent = total - report.CompletedAtEvent
-	report.Result = Result{
-		Protocol:   opts.Protocol,
-		N:          opts.N,
-		BatchSize:  opts.BatchSize,
-		Completed:  total,
-		Throughput: float64(total) / elapsed.Seconds(),
-	}
-	if total > 0 {
-		report.Result.AvgLatency = time.Duration(latencySum.Load() / total)
-	}
-	for _, h := range replicas {
-		report.Result.addReplicaMetrics(h.Runtime().Metrics)
-	}
-	report.Net = fn.Stats()
-
-	// Safety: every honest ledger internally hash-linked, plus pairwise
-	// digest-prefix agreement among honest replicas. The Byzantine replica
-	// is excluded — its state is unconstrained. The hash-link check runs
-	// per replica (comparePrefix only verifies its first argument, which
-	// would leave the highest-index replica's links unchecked).
-	report.PrefixMatch = true
-	first := true
+	// Safety over the honest replicas; the Byzantine one is excluded — its
+	// state is unconstrained.
+	var honest []int
 	for i := 0; i < opts.N; i++ {
-		if opts.Attack != AttackNone && i == opts.Faulty {
-			continue
+		if opts.Attack == AttackNone || i != opts.Faulty {
+			honest = append(honest, i)
 		}
-		if seq, ok := replicas[i].Runtime().Exec.Chain().Verify(); !ok && report.PrefixMatch {
-			report.PrefixMatch = false
-			report.Divergence = fmt.Sprintf("replica %d: chain hash link broken at seq %d", i, seq)
-		}
-		if _, ok := replicas[i].Runtime().Exec.Store().Get(forgedKey); ok {
+	}
+	report.PrefixMatch, report.Divergence = c.prefixSafety(honest, opts.CompareStable)
+	for k, i := range honest {
+		exec := c.replicas[i].Runtime().Exec
+		if _, ok := exec.Store().Get(forgedKey); ok {
 			report.ForgedExecuted++
 		}
-		last := replicas[i].Runtime().Exec.LastExecuted()
-		if first || last < report.MinHonestSeq {
+		last := exec.LastExecuted()
+		if k == 0 || last < report.MinHonestSeq {
 			report.MinHonestSeq = last
 		}
-		if first || last > report.MaxHonestSeq {
+		if k == 0 || last > report.MaxHonestSeq {
 			report.MaxHonestSeq = last
-		}
-		first = false
-		for j := i + 1; j < opts.N; j++ {
-			if opts.Attack != AttackNone && j == opts.Faulty {
-				continue
-			}
-			limit := types.SeqNum(^uint64(0))
-			if opts.CompareStable {
-				limit = replicas[i].Runtime().Exec.StableCheckpointSeq()
-				if s := replicas[j].Runtime().Exec.StableCheckpointSeq(); s < limit {
-					limit = s
-				}
-			}
-			if ok, why := comparePrefixUpTo(replicas[i], replicas[j], limit); !ok && report.PrefixMatch {
-				report.PrefixMatch = false
-				report.Divergence = fmt.Sprintf("replicas %d vs %d: %s", i, j, why)
-			}
 		}
 	}
 	return report, nil
@@ -403,12 +292,4 @@ func FlakyLeaderPlan(n, rounds int, start, period, outage time.Duration) *networ
 		plan.HealAt(at + outage)
 	}
 	return plan
-}
-
-// planOffsets lists a plan's step offsets (for the event marker).
-func planOffsets(p *network.Plan) []time.Duration {
-	if p == nil {
-		return nil
-	}
-	return p.Offsets()
 }

@@ -30,19 +30,6 @@ func TestAllProtocolsMakeProgress(t *testing.T) {
 	}
 }
 
-func TestPoESurvivesBackupFailure(t *testing.T) {
-	opts := quickOpts(PoE)
-	opts.CrashBackup = true
-	res, err := Run(opts)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.Completed == 0 {
-		t.Fatal("no progress under backup failure")
-	}
-	t.Logf("%v", res)
-}
-
 func TestZeroPayload(t *testing.T) {
 	opts := quickOpts(PoE)
 	opts.ZeroPayload = true
@@ -52,6 +39,33 @@ func TestZeroPayload(t *testing.T) {
 	}
 	if res.Completed == 0 {
 		t.Fatal("no progress under zero payload")
+	}
+}
+
+// TestReadPathAuditHolds runs the tiered read path on a YCSB-B mix, half
+// SPECULATIVE and half STRONG: both tiers must serve locally, and every
+// audited speculative answer must quote a (seq, state digest) prefix some
+// replica recorded.
+func TestReadPathAuditHolds(t *testing.T) {
+	for _, p := range []Protocol{PoE, PBFT} {
+		p := p
+		t.Run(string(p), func(t *testing.T) {
+			opts := quickOpts(p)
+			opts.ReadFraction = 0.95
+			opts.SpeculativeFraction = 0.5
+			opts.StrongFraction = 0.5
+			res, err := Run(opts)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			t.Logf("%v", res)
+			if res.ReadAuditChecked == 0 || res.ReadAuditMismatches != 0 {
+				t.Fatalf("read audit: %d checked, %d mismatches", res.ReadAuditChecked, res.ReadAuditMismatches)
+			}
+			if res.SpecServes == 0 || res.StrongServes == 0 {
+				t.Fatalf("local serves: %d speculative, %d strong", res.SpecServes, res.StrongServes)
+			}
+		})
 	}
 }
 

@@ -9,8 +9,6 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/consensus/protocol"
-	"github.com/poexec/poe/internal/crypto"
-	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/types"
 )
 
@@ -28,60 +26,22 @@ var skeletonProtocols = []Protocol{PoE, PBFT, SBFT, Zyzzyva}
 // quietCluster is a 4-replica cluster a test drives request by request, so
 // that it controls exactly when the cluster is idle.
 type quietCluster struct {
-	t        *testing.T
-	opts     Options
-	ctx      context.Context
-	fn       *network.FaultNet
-	ring     *crypto.KeyRing
-	replicas []replicaHandle
-	clients  []submitter
+	*cluster
+	t *testing.T
 }
 
 func startQuietCluster(t *testing.T, p Protocol, netDelay, clientTimeout time.Duration) *quietCluster {
 	t.Helper()
 	opts := Options{
-		Protocol: p, N: 4, BatchSize: 1, CheckpointInterval: 4, Clients: 8,
+		Protocol: p, N: 4, BatchSize: 1, CheckpointInterval: 4, Clients: 8, Records: 1,
 		ViewTimeout: spuriousTimeout, ClientTimeout: clientTimeout,
 		NetDelay: netDelay, SendCost: -1,
 	}.withDefaults()
-	ctx, cancel := context.WithCancel(context.Background())
-	base := network.NewChanNet(opts.netOptions()...)
-	fn := network.NewFaultNet(base, network.WithFaultSeed(opts.Seed))
-	c := &quietCluster{
-		t: t, opts: opts, ctx: ctx, fn: fn,
-		ring: crypto.NewKeyRing(opts.N, []byte("liveness")),
+	c := &quietCluster{cluster: newCluster(opts, true), t: t}
+	t.Cleanup(c.stop)
+	if err := c.start(); err != nil {
+		t.Fatal(err)
 	}
-	var done []chan struct{}
-	for i := 0; i < opts.N; i++ {
-		tr := fn.Join(types.ReplicaNode(types.ReplicaID(i)))
-		h, err := buildReplica(opts, replicaConfig(opts, i), c.ring, tr, protocol.RuntimeOptions{}, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.replicas = append(c.replicas, h)
-		d := make(chan struct{})
-		done = append(done, d)
-		go func() {
-			h.Run(ctx)
-			close(d)
-		}()
-	}
-	for i := 0; i < opts.Clients; i++ {
-		s, err := buildClient(opts, i, c.ring, fn)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s.Start(ctx)
-		c.clients = append(c.clients, s)
-	}
-	t.Cleanup(func() {
-		cancel()
-		fn.Close()
-		base.Close()
-		for _, d := range done {
-			<-d
-		}
-	})
 	return c
 }
 

@@ -20,38 +20,28 @@ import (
 // just echoes (no execution) or executes each query before replying, with
 // two parallel worker threads (the paper bounds the fabric at two workers).
 type UpperBoundOptions struct {
-	Execute     bool
-	Workers     int
-	Clients     int
-	Outstanding int
-	Records     int
-	Warmup      time.Duration
-	Measure     time.Duration
-	Seed        int64
+	Execute bool
+	Warmup  time.Duration
+	Measure time.Duration
 }
+
+// The fixed shape of the upper-bound run: the paper's two workers, and a
+// client pool deep enough to keep them busy.
+const (
+	upperBoundWorkers     = 2
+	upperBoundClients     = 16
+	upperBoundOutstanding = 16
+	upperBoundRecords     = 4096
+	upperBoundSeed        = 42
+)
 
 // RunUpperBound measures the fabric's no-consensus ceiling (Fig 7).
 func RunUpperBound(opts UpperBoundOptions) (Result, error) {
-	if opts.Workers == 0 {
-		opts.Workers = 2
-	}
-	if opts.Clients == 0 {
-		opts.Clients = 16
-	}
-	if opts.Outstanding == 0 {
-		opts.Outstanding = 16
-	}
-	if opts.Records == 0 {
-		opts.Records = 4096
-	}
 	if opts.Warmup == 0 {
 		opts.Warmup = 200 * time.Millisecond
 	}
 	if opts.Measure == 0 {
 		opts.Measure = time.Second
-	}
-	if opts.Seed == 0 {
-		opts.Seed = 42
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -60,8 +50,8 @@ func RunUpperBound(opts UpperBoundOptions) (Result, error) {
 	defer net.Close()
 	ring := crypto.NewKeyRing(1, []byte("upper-bound"))
 
-	wcfg := workload.DefaultConfig(opts.Records)
-	wcfg.Seed = opts.Seed
+	wcfg := workload.DefaultConfig(upperBoundRecords)
+	wcfg.Seed = upperBoundSeed
 	kv := store.New()
 	kv.Load(workload.InitialTable(wcfg))
 	keys := ring.NodeKeys(types.ReplicaNode(0))
@@ -70,7 +60,7 @@ func RunUpperBound(opts UpperBoundOptions) (Result, error) {
 	tr := net.Join(types.ReplicaNode(0))
 	var kvMu sync.Mutex
 	var seq atomic.Uint64
-	for w := 0; w < opts.Workers; w++ {
+	for w := 0; w < upperBoundWorkers; w++ {
 		go func() {
 			for {
 				select {
@@ -118,11 +108,8 @@ func RunUpperBound(opts UpperBoundOptions) (Result, error) {
 		}()
 	}
 
-	var completed atomic.Int64
-	var latencySum atomic.Int64
-	var measuring atomic.Bool
-	var wg sync.WaitGroup
-	for i := 0; i < opts.Clients; i++ {
+	clients := make([]submitter, upperBoundClients)
+	for i := range clients {
 		id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 		cl, err := client.New(client.Config{
 			ID: id, N: 1, F: 0, Scheme: crypto.SchemeNone,
@@ -132,49 +119,14 @@ func RunUpperBound(opts UpperBoundOptions) (Result, error) {
 			return Result{}, err
 		}
 		cl.Start(ctx)
-		gen := workload.NewGenerator(wcfg, id)
-		genMu := &sync.Mutex{}
-		for j := 0; j < opts.Outstanding; j++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for ctx.Err() == nil {
-					genMu.Lock()
-					txn := gen.Next()
-					genMu.Unlock()
-					txn.Seq = cl.NextSeq()
-					start := time.Now()
-					if _, err := cl.SubmitTxn(ctx, txn); err != nil {
-						return
-					}
-					if measuring.Load() {
-						completed.Add(1)
-						latencySum.Add(int64(time.Since(start)))
-					}
-				}
-			}()
-		}
+		clients[i] = cl
 	}
-
-	time.Sleep(opts.Warmup)
-	measuring.Store(true)
-	start := time.Now()
-	time.Sleep(opts.Measure)
-	measuring.Store(false)
-	elapsed := time.Since(start)
+	l := newLoad()
+	l.run(ctx, clients, wcfg, upperBoundOutstanding, false, opts.Warmup)
+	l.sleepUntil(opts.Measure)
+	l.closeWindow()
 	cancel()
 	net.Close()
-	wg.Wait()
-
-	total := completed.Load()
-	res := Result{
-		Protocol:   "none",
-		N:          1,
-		Completed:  total,
-		Throughput: float64(total) / elapsed.Seconds(),
-	}
-	if total > 0 {
-		res.AvgLatency = time.Duration(latencySum.Load() / total)
-	}
-	return res, nil
+	l.wg.Wait()
+	return l.measured("none", 1, 0), nil
 }

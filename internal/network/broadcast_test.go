@@ -232,28 +232,6 @@ func TestFaultNetBroadcastDeterminism(t *testing.T) {
 	}
 }
 
-// TestChanNetWireCost: the size-calibrated cost model delivers like the
-// plain network and only charges senders CPU.
-func TestChanNetWireCost(t *testing.T) {
-	net := NewChanNet(WithWireCost(time.Microsecond, 10*time.Microsecond))
-	defer net.Close()
-	a := net.Join(types.ReplicaNode(0))
-	b := net.Join(types.ReplicaNode(1))
-	start := time.Now()
-	a.Send(types.ReplicaNode(1), &ping{N: 1})
-	if elapsed := time.Since(start); elapsed < time.Microsecond {
-		t.Fatalf("no send cost charged (%v)", elapsed)
-	}
-	select {
-	case env := <-b.Inbox():
-		if env.Msg.(*ping).N != 1 {
-			t.Fatalf("got %+v", env.Msg)
-		}
-	case <-time.After(time.Second):
-		t.Fatal("message lost")
-	}
-}
-
 // TestFaultNetDelayedBroadcastMarshalsOnce: under WAN emulation (a default
 // link delay, the poeserver -fault-delay configuration) a broadcast through
 // the fabric over TCP must still marshal exactly once — delayed

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/types"
-	"github.com/poexec/poe/internal/wire"
 )
 
 // ChanNet is an in-process network: every joined node owns a buffered inbox
@@ -21,24 +20,21 @@ import (
 //
 // ChanNet is safe for concurrent use.
 type ChanNet struct {
-	mu         sync.RWMutex
-	inboxes    map[types.NodeID]chan Envelope
-	crashed    map[types.NodeID]bool
-	cut        map[linkKey]bool
-	delay      time.Duration
-	jitter     time.Duration
-	sendCost   time.Duration
-	wireCost   bool
-	writeBase  time.Duration
-	writePerKB time.Duration
-	dropProb   float64
-	rng        *rand.Rand
-	rngMu      sync.Mutex
-	buf        int
-	closed     bool
-	sent       atomic.Int64
-	delivered  atomic.Int64
-	dropped    atomic.Int64
+	mu        sync.RWMutex
+	inboxes   map[types.NodeID]chan Envelope
+	crashed   map[types.NodeID]bool
+	cut       map[linkKey]bool
+	delay     time.Duration
+	jitter    time.Duration
+	sendCost  time.Duration
+	dropProb  float64
+	rng       *rand.Rand
+	rngMu     sync.Mutex
+	buf       int
+	closed    bool
+	sent      atomic.Int64
+	delivered atomic.Int64
+	dropped   atomic.Int64
 }
 
 type linkKey struct{ from, to types.NodeID }
@@ -71,21 +67,6 @@ func WithSeed(seed int64) ChanNetOption {
 // restores that cost structure.
 func WithSendCost(d time.Duration) ChanNetOption {
 	return func(c *ChanNet) { c.sendCost = d }
-}
-
-// WithWireCost replaces the flat per-message charge with a model calibrated
-// from real encoded sizes (DESIGN.md §3): each logical message is wire-
-// encoded once through the actual codec (wire.EncodedSize — the sender pays
-// the true serialization CPU, once per broadcast, exactly like TCPNet's
-// marshal-once fan-out), and each destination is then charged
-// writeBase + writePerKB × size busy-wait, standing for the write(2) syscall
-// and kernel copy a real stream pays per peer. Messages that do not
-// implement wire.Message (test doubles) are charged writeBase alone.
-func WithWireCost(writeBase, writePerKB time.Duration) ChanNetOption {
-	return func(c *ChanNet) {
-		c.wireCost = true
-		c.writeBase, c.writePerKB = writeBase, writePerKB
-	}
 }
 
 // NewChanNet creates an empty in-process network.
@@ -198,50 +179,17 @@ func busyWait(d time.Duration) {
 	}
 }
 
-// writeCost returns the modeled per-destination write cost of a message of
-// the given encoded size (wireCost mode).
-func (c *ChanNet) writeCost(size int) time.Duration {
-	d := c.writeBase
-	if size > 0 && c.writePerKB > 0 {
-		d += time.Duration(int64(c.writePerKB) * int64(size) / 1024)
-	}
-	return d
-}
-
-// payEncode charges the one-per-broadcast serialization cost and returns
-// the encoded size. In wireCost mode the charge is the real marshal itself.
-func (c *ChanNet) payEncode(msg any) int {
-	if !c.wireCost {
-		return 0
-	}
-	return wire.EncodedSize(msg)
-}
-
 func (c *ChanNet) send(from, to types.NodeID, msg any) {
-	if c.wireCost {
-		busyWait(c.writeCost(c.payEncode(msg)))
-	} else {
-		// Busy-wait on the sender's goroutine: outgoing messages consume
-		// the sender's CPU the way marshalling + write(2) would.
-		busyWait(c.sendCost)
-	}
+	// Busy-wait on the sender's goroutine: outgoing messages consume the
+	// sender's CPU the way marshalling + write(2) would.
+	busyWait(c.sendCost)
 	c.dispatch(from, to, msg)
 }
 
-// broadcast is the marshal-once fan-out: the serialization cost is paid
-// once, the per-destination write cost once per peer.
+// broadcast sends to each destination in turn, paying the send cost each time.
 func (c *ChanNet) broadcast(from types.NodeID, tos []types.NodeID, msg any) {
-	if c.wireCost {
-		size := c.payEncode(msg)
-		for _, to := range tos {
-			busyWait(c.writeCost(size))
-			c.dispatch(from, to, msg)
-		}
-		return
-	}
 	for _, to := range tos {
-		busyWait(c.sendCost)
-		c.dispatch(from, to, msg)
+		c.send(from, to, msg)
 	}
 }
 

@@ -5,8 +5,7 @@
 //   - ChanNet, the in-process channel network used by tests, benchmarks,
 //     and the harness: direct channel writes, an optional per-message
 //     send cost (restoring the serialization/syscall cost broadcasts pay
-//     in a real deployment — DESIGN.md §3; WithWireCost calibrates it from
-//     real wire-codec encoded sizes), and basic built-in faults.
+//     in a real deployment — DESIGN.md §3), and basic built-in faults.
 //   - TCPNet, the wire-codec-over-TCP transport the cmd/ binaries use to
 //     spread a cluster across processes and machines. Messages travel as
 //     length-delimited frames of the hand-written zero-reflection codec

@@ -41,18 +41,7 @@ func (s *Store) startCommitter() {
 // has been written — and synced, when the store is in Sync mode — or with
 // the error that prevented it. Records must be queued in execution order;
 // an out-of-order record fails its whole group.
-//
-// With Options.NoGroupCommit the record is appended (and synced)
-// synchronously on the caller — the per-record baseline the group-commit
-// benchmarks compare against.
 func (s *Store) AppendAsync(rec *types.ExecRecord, onDurable func(error)) {
-	if s.opts.NoGroupCommit {
-		err := s.Append(rec)
-		if onDurable != nil {
-			onDurable(err)
-		}
-		return
-	}
 	s.gqMu.Lock()
 	if s.gqStop {
 		s.gqMu.Unlock()

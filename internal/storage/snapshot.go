@@ -115,9 +115,9 @@ func writeSnapshotFile(path string, snap *Snapshot) error {
 	})
 }
 
-// readSnapshotFile loads and validates a snapshot file. Wire-format
-// snapshots (format byte 0x01) decode through the zero-reflection codec;
-// anything else is a version-0 gob snapshot and takes the recovery fallback.
+// readSnapshotFile loads and validates a snapshot file. Only wire-format
+// snapshots (format byte formatWire) decode; anything else is refused like
+// an old WAL record.
 func readSnapshotFile(path string) (*Snapshot, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -135,14 +135,14 @@ func readSnapshotFile(path string) (*Snapshot, error) {
 	if crc32.Checksum(payload, crcTable) != crc {
 		return nil, fmt.Errorf("%w: %s: snapshot CRC mismatch", ErrCorrupt, path)
 	}
-	if len(payload) > 0 && payload[0] == formatWire {
-		var snap Snapshot
-		r := wire.NewReader(payload[1:])
-		snap.ReadWire(r)
-		if err := r.Close(); err != nil {
-			return nil, fmt.Errorf("%w: %s: snapshot decode: %v", ErrCorrupt, path, err)
-		}
-		return &snap, nil
+	if len(payload) == 0 || payload[0] != formatWire {
+		return nil, fmt.Errorf("%w: %s: snapshot written by an older storage format; wipe the data directory and rejoin via state transfer", ErrCorrupt, path)
 	}
-	return decodeSnapshotGob(path, payload)
+	var snap Snapshot
+	r := wire.NewReader(payload[1:])
+	snap.ReadWire(r)
+	if err := r.Close(); err != nil {
+		return nil, fmt.Errorf("%w: %s: snapshot decode: %v", ErrCorrupt, path, err)
+	}
+	return &snap, nil
 }

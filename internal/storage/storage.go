@@ -55,16 +55,11 @@ import (
 
 // Options tune a Store.
 type Options struct {
-	// Sync fsyncs the WAL after every commit group (or every append, with
-	// NoGroupCommit) and snapshot rotation. Without it durability is bounded
-	// by the OS page cache (process crashes are still fully recoverable;
-	// machine crashes may lose the cached suffix).
+	// Sync fsyncs the WAL after every commit group and snapshot rotation.
+	// Without it durability is bounded by the OS page cache (process crashes
+	// are still fully recoverable; machine crashes may lose the cached
+	// suffix).
 	Sync bool
-	// NoGroupCommit makes AppendAsync degrade to a synchronous per-record
-	// append + sync on the caller. It exists as the baseline the
-	// group-commit benchmarks compare against; production durable replicas
-	// leave it off.
-	NoGroupCommit bool
 }
 
 // Recovered is the state Open rebuilt from disk.

@@ -18,16 +18,13 @@ import (
 //
 // where the payload is one format byte followed by the record body:
 // formatWire2 (0x02) marks the current hand-written wire codec of
-// types.ExecRecord (types/wire.go) — the only format the append path writes.
-// formatWire (0x01) marked the same codec before transactions carried a
-// consistency-tier byte; its records no longer decode under the current
-// layout and recovery refuses them explicitly rather than mis-decoding.
-// Payloads whose first byte is anything else are the version-0 gob encoding
-// from before the codec existed and are decoded by the recovery fallback
-// (legacy.go); the discrimination is sound because a gob stream opens with a
-// type-definition message whose leading length byte is tens of bytes, never a
-// small format byte (see legacy.go). The framing gives the log two properties
-// crash recovery depends on:
+// types.ExecRecord (types/wire.go) — the only format the append path writes
+// and the only one recovery reads. Any other first byte — formatWire (0x01),
+// the same codec before transactions carried a consistency-tier byte, or the
+// opening of a gob record from before the codec existed — is refused as
+// ErrCorrupt rather than mis-decoded: the replica must wipe its data
+// directory and rejoin via state transfer. The framing gives the log two
+// properties crash recovery depends on:
 //
 //   - A torn final record — the tail the process was writing when it died,
 //     cut at an arbitrary byte — is recognized (the remaining bytes are
@@ -39,12 +36,11 @@ import (
 //     replay damaged history.
 const walHeaderSize = 8
 
-// formatWire is the payload format byte of wire-codec snapshots and of WAL
-// records written before transactions carried a consistency tier; formatWire2
-// is the current WAL record format (the transaction layout gained a byte, so
-// old records must be refused, not decoded under the new layout — snapshots
-// encode raw table state only and were unaffected). Version-0 (gob) payloads
-// carry no format byte.
+// formatWire is the payload format byte of wire-codec snapshots; formatWire2
+// is the WAL record format (the transaction layout gained a byte after
+// formatWire, so records of that format must be refused, not decoded under
+// the new layout — snapshots encode raw table state only and were
+// unaffected).
 const (
 	formatWire  = 0x01
 	formatWire2 = 0x02
@@ -57,17 +53,9 @@ const maxRecordSize = 64 << 20
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
 // ErrCorrupt reports a CRC or structural failure in the middle of a WAL or
-// snapshot file — damage that truncation cannot explain.
+// snapshot file — damage that truncation cannot explain — or a payload in a
+// format this version no longer reads.
 var ErrCorrupt = errors.New("storage: corrupt data")
-
-// frameRecord appends the framed payload to buf and returns the result.
-func frameRecord(buf []byte, payload []byte) []byte {
-	var hdr [walHeaderSize]byte
-	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, crcTable))
-	buf = append(buf, hdr[:]...)
-	return append(buf, payload...)
-}
 
 // appendFramedRecord appends one complete frame — header, format byte, wire
 // body — to buf in place: the header is reserved up front and patched once
@@ -86,25 +74,18 @@ func appendFramedRecord(buf []byte, rec *types.ExecRecord) []byte {
 	return buf
 }
 
-// decodeRecord decodes one framed payload, dispatching on the format byte:
-// wire-codec records decode through the zero-reflection path; anything else
-// falls back to the version-0 gob decoder kept for pre-codec logs.
+// decodeRecord decodes one framed payload. Refusing every format but the
+// current one is deliberate: silently mis-decoding durable history would be
+// far worse than requiring the replica to rejoin via snapshot state transfer.
 func decodeRecord(payload []byte) (types.ExecRecord, error) {
-	if len(payload) > 0 && payload[0] == formatWire2 {
-		var rec types.ExecRecord
-		if err := rec.Unmarshal(payload[1:]); err != nil {
-			return types.ExecRecord{}, fmt.Errorf("%w: record decode: %v", ErrCorrupt, err)
-		}
-		return rec, nil
+	if len(payload) == 0 || payload[0] != formatWire2 {
+		return types.ExecRecord{}, fmt.Errorf("%w: record written by an older storage format; wipe the data directory and rejoin via state transfer", ErrCorrupt)
 	}
-	if len(payload) > 0 && payload[0] == formatWire {
-		// Pre-consistency-tier transaction layout: the record body does not
-		// decode under the current codec. Refusing is deliberate — silently
-		// mis-decoding durable history would be far worse than requiring the
-		// replica to rejoin via snapshot state transfer.
-		return types.ExecRecord{}, fmt.Errorf("%w: record written by an older storage format (0x01); wipe the data directory and rejoin via state transfer", ErrCorrupt)
+	var rec types.ExecRecord
+	if err := rec.Unmarshal(payload[1:]); err != nil {
+		return types.ExecRecord{}, fmt.Errorf("%w: record decode: %v", ErrCorrupt, err)
 	}
-	return decodeRecordGob(payload)
+	return rec, nil
 }
 
 // walEntry is the file offset one record's frame starts at, kept so

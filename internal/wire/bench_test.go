@@ -1,22 +1,13 @@
 package wire_test
 
-// Codec micro-benchmarks: the wire codec against the gob baseline it
-// replaced, per hot message type. The headline acceptance number is Batch /
-// ExecRecord encode throughput (target ≥3× gob); decode and fan-out shapes
-// are measured too. Run:
+// Codec micro-benchmarks per hot message type: encode and decode of a
+// 50-request PROPOSE and its ExecRecord, an INFORM, and the marshal-once
+// broadcast fan-out. Run:
 //
-//	go test -bench 'BenchmarkWire|BenchmarkGob' -benchmem ./internal/wire
-//
-// Fairness: the replaced TCPNet kept one long-lived gob encoder per peer
-// stream, paying the type-dictionary transmission once per connection, so
-// the gob baselines here reuse a persistent encoder (resetting only the
-// byte sink) and amortize the decoder's dictionary over a 64-message
-// stream — steady-state per-message cost, not first-message cost.
-// docs/BENCHMARKS.md records the PR 5 same-box numbers.
+//	go test -bench 'BenchmarkWire|BenchmarkBroadcast' -benchmem ./internal/wire
 
 import (
 	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"github.com/poexec/poe/internal/consensus/poe"
@@ -45,11 +36,6 @@ func BenchmarkWireEncodeBatchPropose(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncodeBatchPropose(b *testing.B) {
-	m := &poe.Propose{View: 1, Seq: 2, Batch: benchBatch(), Auth: [][]byte{bytes.Repeat([]byte{1}, 64)}}
-	benchGobEncode(b, m)
-}
-
 func BenchmarkWireDecodeBatchPropose(b *testing.B) {
 	m := &poe.Propose{View: 1, Seq: 2, Batch: benchBatch(), Auth: [][]byte{bytes.Repeat([]byte{1}, 64)}}
 	buf := m.MarshalTo(nil)
@@ -64,11 +50,6 @@ func BenchmarkWireDecodeBatchPropose(b *testing.B) {
 	}
 }
 
-func BenchmarkGobDecodeBatchPropose(b *testing.B) {
-	m := &poe.Propose{View: 1, Seq: 2, Batch: benchBatch(), Auth: [][]byte{bytes.Repeat([]byte{1}, 64)}}
-	benchGobDecode(b, m, func() any { return &poe.Propose{} })
-}
-
 func BenchmarkWireEncodeExecRecord(b *testing.B) {
 	rec := benchRecord()
 	rec.Batch.MemoizeDigests()
@@ -79,11 +60,6 @@ func BenchmarkWireEncodeExecRecord(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf = rec.MarshalTo(buf[:0])
 	}
-}
-
-func BenchmarkGobEncodeExecRecord(b *testing.B) {
-	rec := benchRecord()
-	benchGobEncode(b, &rec)
 }
 
 func BenchmarkWireDecodeExecRecord(b *testing.B) {
@@ -100,11 +76,6 @@ func BenchmarkWireDecodeExecRecord(b *testing.B) {
 	}
 }
 
-func BenchmarkGobDecodeExecRecord(b *testing.B) {
-	rec := benchRecord()
-	benchGobDecode(b, &rec, func() any { return &types.ExecRecord{} })
-}
-
 func BenchmarkWireEncodeInform(b *testing.B) {
 	m := &protocol.Inform{From: 1, Digest: types.DigestBytes([]byte("d")), Seq: 9, ClientSeq: 2, Values: [][]byte{[]byte("v")}, Tag: bytes.Repeat([]byte{7}, 32)}
 	buf := m.MarshalTo(nil)
@@ -116,68 +87,8 @@ func BenchmarkWireEncodeInform(b *testing.B) {
 	}
 }
 
-func BenchmarkGobEncodeInform(b *testing.B) {
-	m := &protocol.Inform{From: 1, Digest: types.DigestBytes([]byte("d")), Seq: 9, ClientSeq: 2, Values: [][]byte{[]byte("v")}, Tag: bytes.Repeat([]byte{7}, 32)}
-	benchGobEncode(b, m)
-}
-
-// benchGobEncode measures steady-state gob encoding on one persistent
-// stream: the encoder survives across iterations (dictionary sent once,
-// like a long-lived peer connection); only the byte sink is reset.
-func benchGobEncode(b *testing.B, v any) {
-	var buf bytes.Buffer
-	enc := gob.NewEncoder(&buf)
-	if err := enc.Encode(v); err != nil { // dictionary + first value
-		b.Fatal(err)
-	}
-	buf.Reset()
-	if err := enc.Encode(v); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len())) // steady-state per-message size
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := enc.Encode(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// benchGobDecode measures steady-state gob decoding: the dictionary is
-// amortized over a 64-message stream, as on a long-lived connection.
-func benchGobDecode(b *testing.B, v any, fresh func() any) {
-	const streamLen = 64
-	var stream bytes.Buffer
-	enc := gob.NewEncoder(&stream)
-	for i := 0; i < streamLen; i++ {
-		if err := enc.Encode(v); err != nil {
-			b.Fatal(err)
-		}
-	}
-	data := stream.Bytes()
-	b.SetBytes(int64(len(data) / streamLen))
-	b.ReportAllocs()
-	b.ResetTimer()
-	dec := gob.NewDecoder(bytes.NewReader(data))
-	cnt := 0
-	for i := 0; i < b.N; i++ {
-		if cnt == streamLen {
-			dec = gob.NewDecoder(bytes.NewReader(data))
-			cnt = 0
-		}
-		if err := dec.Decode(fresh()); err != nil {
-			b.Fatal(err)
-		}
-		cnt++
-	}
-}
-
-// BenchmarkBroadcastFanout contrasts the two fan-out shapes for one PROPOSE
-// to n−1 peers: marshal-once (encode a frame once, copy per peer — what
-// TCPNet.Broadcast does) vs per-peer encoding (what per-peer gob streams
-// did).
+// BenchmarkBroadcastFanout measures TCPNet.Broadcast's fan-out shape for one
+// PROPOSE to n−1 peers: encode a frame once, copy it per peer.
 func BenchmarkBroadcastFanout(b *testing.B) {
 	m := &poe.Propose{View: 1, Seq: 2, Batch: benchBatch(), Auth: [][]byte{bytes.Repeat([]byte{1}, 64)}}
 	m.Batch.MemoizeDigests()
@@ -192,31 +103,6 @@ func BenchmarkBroadcastFanout(b *testing.B) {
 				sink = append(sink[:0], frame...) // the per-peer write(2) copy
 			}
 			wire.PutBuf(frame)
-		}
-	})
-	b.Run("per-peer-gob", func(b *testing.B) {
-		// Persistent per-peer encoders, like the replaced TCPNet: the type
-		// dictionary is paid once per stream, so each iteration measures 15
-		// steady-state encodes — gob's best case.
-		bufs := make([]*bytes.Buffer, peers)
-		encs := make([]*gob.Encoder, peers)
-		for p := 0; p < peers; p++ {
-			bufs[p] = &bytes.Buffer{}
-			encs[p] = gob.NewEncoder(bufs[p])
-			if err := encs[p].Encode(m); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for p := 0; p < peers; p++ {
-				bufs[p].Reset()
-				if err := encs[p].Encode(m); err != nil {
-					b.Fatal(err)
-				}
-				sink = append(sink[:0], bufs[p].Bytes()...)
-			}
 		}
 	})
 }

@@ -443,9 +443,7 @@ func DecodeFrame(body []byte) (from int32, m Message, err error) {
 }
 
 // EncodedSize returns the wire-encoded body size of msg, or -1 when msg does
-// not implement Message. It performs a real marshal into a pooled buffer —
-// callers that use it as a cost model (ChanNet's send-cost recalibration,
-// DESIGN.md §3) therefore charge the sender the true serialization CPU.
+// not implement Message. It performs a real marshal into a pooled buffer.
 func EncodedSize(msg any) int {
 	m, ok := msg.(Message)
 	if !ok {

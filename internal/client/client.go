@@ -44,9 +44,11 @@ type Config struct {
 	// CertAccept, if non-nil, completes a request immediately when a single
 	// reply satisfies it (SBFT's aggregated execute-ack).
 	CertAccept func(m *protocol.Inform) bool
-	// Timeout is how long to wait for a quorum before broadcasting the
-	// request to all replicas (paper: clients use coarse timeouts; §IV-D
-	// discusses the consequences).
+	// Timeout bounds how long a write waits for a quorum before the client
+	// broadcasts it to all replicas (paper: clients use coarse timeouts; §IV-D
+	// discusses the consequences). Once the client has measured its own
+	// reply latency it broadcasts sooner (rto.go); tiered reads always wait
+	// Timeout.
 	Timeout time.Duration
 	// VerifyReplyMAC enables checking the MAC tag on replies. Defaults on
 	// for all schemes but SchemeNone.
@@ -56,9 +58,9 @@ type Config struct {
 	// (HotStuff) need this: any replica may become the proposer.
 	BroadcastRequests bool
 	// MaxRetryInterval caps the retransmission backoff. Retries double the
-	// wait starting from Timeout — with ±25% jitter so a fleet of clients
-	// that timed out together does not re-broadcast in lockstep — up to
-	// this cap. Zero defaults to 8×Timeout.
+	// first wait — with ±25% jitter so a fleet of clients that timed out
+	// together does not re-broadcast in lockstep — up to this cap. Zero
+	// defaults to 8×Timeout.
 	MaxRetryInterval time.Duration
 }
 
@@ -73,6 +75,9 @@ type Client struct {
 
 	nextSeq  atomic.Uint64
 	viewHint atomic.Uint64 // latest view observed in replies
+
+	// rto times the first retransmission of a write.
+	rto rto
 
 	// nextReadSeq numbers tiered reads. Reads run in their own client-local
 	// sequence space — they bypass ordering, so threading them through the
@@ -154,6 +159,7 @@ func New(cfg Config, ring *crypto.KeyRing, net network.Transport) (*Client, erro
 	}
 	return &Client{
 		cfg:         cfg,
+		rto:         rto{max: cfg.Timeout},
 		keys:        ring.NodeKeys(types.ClientNode(cfg.ID)),
 		net:         net,
 		waiters:     make(map[uint64]*waiter),
@@ -226,13 +232,14 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 
 	// First attempt goes to the presumed primary (or everywhere, for
 	// rotating-leader protocols); retries broadcast.
+	sent := time.Now()
 	if c.cfg.BroadcastRequests {
 		network.Broadcast(c.net, c.cfg.N, &protocol.ClientRequest{Req: req}, false)
 	} else {
 		c.net.Send(c.primaryNode(), &protocol.ClientRequest{Req: req})
 	}
-	backoff := c.cfg.Timeout
-	timer := time.NewTimer(c.retryWait(backoff, txn.Seq, 0))
+	backoff := c.rto.wait()
+	timer := time.NewTimer(backoff)
 	defer timer.Stop()
 	for attempt := 1; ; attempt++ {
 		select {
@@ -241,6 +248,9 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 		case <-c.done:
 			return types.Result{}, ErrClosed
 		case res := <-w.ch:
+			if attempt == 1 {
+				c.rto.sample(time.Since(sent))
+			}
 			return res, nil
 		case <-timer.C:
 			// §II-B: on timeout, broadcast so replicas forward to the

@@ -48,13 +48,20 @@ func (f *fakeReplica) run(ctx context.Context, respond bool) {
 
 func setup(t *testing.T, responders int) (*Client, *network.ChanNet, context.CancelFunc) {
 	t.Helper()
+	return setupAnswering(t, func(id types.ReplicaID) bool { return int(id) < responders })
+}
+
+// setupAnswering builds a client over four fake replicas of which those
+// answers selects reply to every request.
+func setupAnswering(t *testing.T, answers func(types.ReplicaID) bool) (*Client, *network.ChanNet, context.CancelFunc) {
+	t.Helper()
 	const n, f = 4, 1
 	net := network.NewChanNet()
 	ring := crypto.NewKeyRing(n, []byte("client-test"))
 	ctx, cancel := context.WithCancel(context.Background())
 	for i := 0; i < n; i++ {
 		fr := &fakeReplica{id: types.ReplicaID(i), ring: ring, tr: net.Join(types.ReplicaNode(types.ReplicaID(i)))}
-		go fr.run(ctx, i < responders)
+		go fr.run(ctx, answers(types.ReplicaID(i)))
 	}
 	id := types.ClientID(types.ClientIDBase)
 	cl, err := New(Config{

@@ -71,6 +71,11 @@ func commitDigest(h types.Digest) types.Digest {
 	return types.DigestConcat([]byte("pbft-commit"), h[:])
 }
 
+// InView places each normal-case message in its view (protocol.ViewBound).
+func (m *PrePrepare) InView() types.View { return m.View }
+func (m *Prepare) InView() types.View    { return m.View }
+func (m *Commit) InView() types.View     { return m.View }
+
 func init() {
 	wire.Register(func() wire.Message { return &PrePrepare{} })
 	wire.Register(func() wire.Message { return &Prepare{} })
@@ -132,10 +137,11 @@ func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 
 // Run processes messages until ctx is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	r.rt.Run(ctx, r.verifyInbound, r.dispatch, r.onTick)
+	r.rt.Run(ctx, r.verifyInbound, r.Deliver, r.onTick)
 }
 
-func (r *Replica) dispatch(env network.Envelope) {
+// Handle implements protocol.Rules.
+func (r *Replica) Handle(env network.Envelope) {
 	switch m := env.Msg.(type) {
 	case *PrePrepare:
 		if env.From.IsReplica() {
@@ -157,7 +163,7 @@ func (r *Replica) dispatch(env network.Envelope) {
 		// still lets the client audit the prefix against checkpoints.
 		r.OnReadRequest(&m.Req)
 	case *protocol.LeaseGrant:
-		r.rt.OnLeaseGrant(m)
+		r.rt.Lease.OnGrant(m)
 	default:
 		r.Dispatch(env)
 	}

@@ -67,6 +67,11 @@ type Certify struct {
 	Cert   []byte
 }
 
+// InView places each normal-case message in its view (protocol.ViewBound).
+func (m *Propose) InView() types.View { return m.View }
+func (m *Support) InView() types.View { return m.View }
+func (m *Certify) InView() types.View { return m.View }
+
 func init() {
 	wire.Register(func() wire.Message { return &Propose{} })
 	wire.Register(func() wire.Message { return &Support{} })

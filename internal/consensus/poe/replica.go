@@ -69,10 +69,11 @@ func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 
 // Run processes messages until the context is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	r.rt.Run(ctx, r.verifyInbound, r.dispatch, r.onTick)
+	r.rt.Run(ctx, r.verifyInbound, r.Deliver, r.onTick)
 }
 
-func (r *Replica) dispatch(env network.Envelope) {
+// Handle implements protocol.Rules.
+func (r *Replica) Handle(env network.Envelope) {
 	switch m := env.Msg.(type) {
 	case *Propose:
 		r.onPropose(env.From, m)
@@ -85,7 +86,7 @@ func (r *Replica) dispatch(env network.Envelope) {
 	case *protocol.ReadRequest:
 		r.OnReadRequest(&m.Req)
 	case *protocol.LeaseGrant:
-		r.rt.OnLeaseGrant(m)
+		r.rt.Lease.OnGrant(m)
 	default:
 		r.Dispatch(env)
 	}

@@ -16,12 +16,14 @@ import (
 // Both roles live in this one struct because every replica plays both:
 //
 //   - As a *grantor*, a replica periodically sends the primary of its
-//     current view a signed LeaseGrant and promises not to join any higher
-//     view until LeaseDuration has elapsed on its own clock since the grant
-//     was produced. Protocols enforce the promise by consulting
+//     current view a MAC-authenticated LeaseGrant and promises not to join
+//     any higher view until LeaseDuration has elapsed on its own clock since
+//     the grant was produced. Protocols enforce the promise by consulting
 //     CanAdvanceView before starting or joining a view change; a blocked
 //     advance is retried from the regular tick, so the promise delays a view
-//     change by at most one LeaseDuration.
+//     change by at most one LeaseDuration. A replica stops renewing once its
+//     own failure detector would fire within one LeaseDuration
+//     (Skeleton.TendReads), so its own suspicion is never held back.
 //
 //   - As a *holder*, the primary counts a received grant as valid for only
 //     half the grantor's promise window, measured from receipt on its own

@@ -189,25 +189,25 @@ func valuesDigest(values [][]byte) []byte {
 // conflicting view can commit writes while the lease is valid. Both sides
 // measure only durations on their own clocks; clock synchronization is never
 // assumed (only bounded drift and delivery delay, and those affect just the
-// fast path — expiry falls back to ordering).
+// fast path — expiry falls back to ordering). Only the addressed primary ever
+// counts a grant, so a pairwise MAC authenticates it, as it does an INFORM.
 type LeaseGrant struct {
 	From          types.ReplicaID
 	View          types.View
 	Seq           types.SeqNum // grantor's executed head at grant time
 	DurationNanos int64        // grantor's promise window
-	Sig           []byte
+	Tag           []byte       // MAC over Payload(), grantor → primary
 }
 
-// SignedPayload returns the bytes covered by the grant signature.
-func (g *LeaseGrant) SignedPayload() []byte {
-	d := types.DigestConcat(
+// Payload returns the digest the grant's MAC covers.
+func (g *LeaseGrant) Payload() types.Digest {
+	return types.DigestConcat(
 		[]byte("leasegrant"),
 		types.U64(uint64(g.From)),
 		types.U64(uint64(g.View)),
 		types.U64(uint64(g.Seq)),
 		types.U64(uint64(g.DurationNanos)),
 	)
-	return d[:]
 }
 
 // Checkpoint announces that the sender executed every batch up to Seq and

@@ -176,25 +176,12 @@ func (rt *Runtime) MaybeGrantLease(view types.View, suspecting bool) {
 	// The promise must start before the grant can possibly arrive.
 	rt.Lease.NoteGranted(view)
 	rt.Metrics.LeaseGrants.Add(1)
-	payload := g.SignedPayload()
-	primary := rt.Cfg.Primary(view)
+	primary := types.ReplicaNode(rt.Cfg.Primary(view))
 	rt.Egress.Enqueue(
-		func() { g.Sig = rt.Keys.Sign(payload) },
-		func() { rt.SendReplica(primary, g) },
+		func() { p := g.Payload(); g.Tag = rt.Keys.MAC(primary, p[:]) },
+		func() { rt.Net.Send(primary, g) },
 		nil,
 	)
-}
-
-// OnLeaseGrant verifies and records a received grant. Only the primary of
-// the grant's view accumulates them; anyone else ignores the message.
-func (rt *Runtime) OnLeaseGrant(g *LeaseGrant) {
-	if !rt.Cfg.IsPrimary(g.View) || g.From == rt.Cfg.ID {
-		return
-	}
-	if !rt.Keys.VerifyFrom(types.ReplicaNode(g.From), g.SignedPayload(), g.Sig) {
-		return
-	}
-	rt.Lease.OnGrant(g)
 }
 
 // --- primary-side STRONG read deferral ---

@@ -628,10 +628,14 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		}
 		return true, true
 	case *LeaseGrant:
-		// The Ed25519 grant signature is verified by OnLeaseGrant on the
-		// event loop (grants are low-rate); here only spoofs of our own
-		// identity are rejected, mirroring Checkpoint.
-		return m.From != rt.Cfg.ID, true
+		// Only the primary of the grant's view counts it (Lease.OnGrant),
+		// and the grant is addressed to it alone: its MAC is checked here,
+		// off the event loop, and a grant anyone else receives is dropped.
+		if !env.From.IsReplica() || env.From.Replica() != m.From || m.From == rt.Cfg.ID || !rt.Cfg.IsPrimary(m.View) {
+			return false, true
+		}
+		p := m.Payload()
+		return rt.Keys.CheckMAC(env.From, p[:], m.Tag), true
 	case *ReadReply:
 		// Client-bound only; a replica receiving one is a misroute.
 		return false, true

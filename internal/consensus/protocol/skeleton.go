@@ -47,7 +47,14 @@ type Rules interface {
 	// current view. ProposeReady has already allocated seq, so Propose may
 	// re-enter ProposeReady (a self-handled proposal that executes at once).
 	Propose(seq types.SeqNum, batch types.Batch)
+	// Handle dispatches one authenticated inbound message: the protocol's
+	// own messages, everything else to Skeleton.Dispatch. Deliver calls it.
+	Handle(env network.Envelope)
 }
+
+// ViewBound is a normal-case message of one view: a proposal or a vote on
+// one. Deliver parks those of the next view.
+type ViewBound interface{ InView() types.View }
 
 type status int
 
@@ -107,6 +114,10 @@ type Skeleton struct {
 	vcVotes    map[types.View]map[types.ReplicaID]*VCRequest
 	sentVC     map[types.View]bool
 	lastNV     *NVPropose // cached by the new primary for late joiners
+
+	// parked holds normal-case messages of the next view that arrived before
+	// this replica entered it; they are replayed once it has.
+	parked []network.Envelope
 
 	// catchup marks a replica restarted from durable state: the first tick
 	// proactively fetches past the recovered prefix.
@@ -196,8 +207,44 @@ func (s *Skeleton) ProposeReady(force bool) {
 	}
 }
 
+// Deliver is the replica's inbound dispatch. A normal-case message of the
+// next view — the one this replica is changing into, or the one after its
+// current view — is parked instead of handled: the replicas enter a new view
+// within a few milliseconds of each other, and a vote of the new view that
+// reaches one still changing views would otherwise be dropped. With a
+// replica down that vote may be one of exactly nf, and the slot would wedge.
+// The park is bounded (a replica's window of slots for each peer); the new
+// view's messages are replayed once its state is in place, the rest dropped.
+// Everything else goes straight to Rules.Handle.
+func (s *Skeleton) Deliver(env network.Envelope) {
+	if m, ok := env.Msg.(ViewBound); ok && m.InView() > s.View() {
+		next := s.View() + 1
+		if s.status == statusViewChange {
+			next = s.vcTarget
+		}
+		if m.InView() == next && len(s.parked) < s.rt.Cfg.N*s.rt.Cfg.Window {
+			s.parked = append(s.parked, env)
+		}
+		return
+	}
+	s.rules.Handle(env)
+}
+
+// newViewState applies a validated NV-PROPOSE and then replays the messages
+// parked for the view it entered.
+func (s *Skeleton) newViewState(nv *NVPropose) {
+	s.rules.NewViewState(nv)
+	parked := s.parked
+	s.parked = nil
+	for _, env := range parked {
+		if env.Msg.(ViewBound).InView() == s.View() {
+			s.Deliver(env)
+		}
+	}
+}
+
 // Dispatch handles the messages every primary-backup protocol treats alike.
-// A protocol's dispatch handles its own messages and falls through to it. By
+// A protocol's Handle handles its own messages and falls through to it. By
 // default a tiered read is ordered like any other request — it is
 // dedup-exempt end to end, so its separate client-local sequence space
 // cannot collide with writes — and a lease grant is dropped; protocols that
@@ -347,13 +394,16 @@ func (s *Skeleton) tryServeStrong(req *types.Request) bool {
 // STRONG reads, ordering any that waited longer than half a lease duration.
 // Protocols that serve reads call it after every execution burst — the
 // under-load lease carrier, and the moment deferred reads may have caught
-// up — and on every tick with Tick's verdict: a suspecting replica stops
-// renewing, so its outstanding promise drains within one LeaseDuration.
+// up — and on every tick with Tick's verdict. A replica stops renewing once
+// its failure detector would fire within one LeaseDuration: the promise has
+// then lapsed by the time suspicion fires, and the view change starts on
+// that tick instead of waiting the promise out. Withholding a grant is
+// always safe; the primary merely orders its STRONG reads.
 func (s *Skeleton) TendReads(now time.Time, suspecting bool) {
 	if s.status != statusNormal {
 		return
 	}
-	s.rt.MaybeGrantLease(s.View(), suspecting)
+	s.rt.MaybeGrantLease(s.View(), suspecting || s.suspectPrimary(now.Add(s.rt.Cfg.LeaseDuration)))
 	if s.strongQ.Len() > 0 {
 		s.strongQ.Drain(now, s.rt.Cfg.LeaseDuration/2, s.tryServeStrong, s.FallbackRead)
 	}
@@ -428,9 +478,7 @@ func (s *Skeleton) Installed(snap *storage.Snapshot) {
 // Tick runs the shared housekeeping: catch-up fetches, state sync, the
 // linger flush, failure detection, and view-change retransmission and
 // escalation. It reports whether this replica currently suspects the
-// primary, so a protocol that grants read leases can stop renewing: a
-// suspecting replica's outstanding promise then drains within one
-// LeaseDuration.
+// primary, for TendReads.
 func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 	if s.catchup {
 		s.catchup = false
@@ -709,7 +757,7 @@ func (s *Skeleton) maybeProposeNewView(target types.View) {
 	}
 	s.lastNV = nv
 	s.rt.Broadcast(nv)
-	s.rules.NewViewState(nv)
+	s.newViewState(nv)
 }
 
 // OnNVPropose handles the new primary's new-view proposal.
@@ -726,7 +774,7 @@ func (s *Skeleton) OnNVPropose(from types.NodeID, m *NVPropose) {
 		s.startViewChange(m.NewView + 1)
 		return
 	}
-	s.rules.NewViewState(m)
+	s.newViewState(m)
 }
 
 // validateNVPropose re-runs the checks the new primary performed when

@@ -7,6 +7,7 @@ import (
 
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/ledger"
+	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/storage"
 	"github.com/poexec/poe/internal/types"
 )
@@ -29,12 +30,14 @@ type stubRules struct {
 	applied  []*NVPropose
 	resets   int
 	proposed []types.SeqNum
+	handled  []network.Envelope
 }
 
 func (r *stubRules) VCEntries(executed []types.ExecRecord) []types.ExecRecord { return executed }
 func (r *stubRules) ValidEntries(m *VCRequest) bool                           { return !r.reject[m.From] }
 func (r *stubRules) ResetSlots()                                              { r.resets++ }
 func (r *stubRules) Propose(seq types.SeqNum, _ types.Batch)                  { r.proposed = append(r.proposed, seq) }
+func (r *stubRules) Handle(env network.Envelope)                              { r.handled = append(r.handled, env) }
 func (r *stubRules) NewViewState(nv *NVPropose) {
 	r.applied = append(r.applied, nv)
 	r.sk.EnterView(nv.NewView, LongestPrefix(nv.Requests).End())
@@ -591,5 +594,92 @@ func TestSkeletonFanOut(t *testing.T) {
 		if want == nil && len(got) != 0 || want != nil && (len(got) != 1 || got[0] != want) {
 			t.Fatalf("byzantine: replica %d received %v, want %v", id, got, want)
 		}
+	}
+}
+
+// TestSkeletonLeaseLapsesBeforeSuspicion: a backup stops renewing its lease
+// grant once its failure detector would fire within one LeaseDuration, so
+// when suspicion fires the promise has already lapsed and the view change
+// starts on that very tick.
+func TestSkeletonLeaseLapsesBeforeSuspicion(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	lease := f.rt.Cfg.LeaseDuration
+	tick := func(d time.Duration) {
+		now := f.advance(d)
+		f.sk.TendReads(now, f.sk.Tick(now))
+	}
+	grants := func() int { return len(sentTo[*LeaseGrant](f, 0)) }
+	c := types.ClientID(types.ClientIDBase)
+	f.sk.OnClientRequest(types.ClientNode(c), &types.Request{Txn: types.Transaction{Client: c, Seq: 1}})
+	tick(0)
+	if grants() != 1 {
+		t.Fatalf("%d grants on the first tick, want 1", grants())
+	}
+	// The request is curTimeout − LeaseDuration − 1ms old: the detector is
+	// still more than a lease away from firing, so the grant is renewed.
+	tick(skelTimeout - lease - time.Millisecond)
+	if grants() != 2 {
+		t.Fatalf("%d grants a lease before the detector fires, want a renewal", grants())
+	}
+	// A renewal falls due, but the detector would now fire within one lease.
+	tick(lease/3 + time.Millisecond)
+	if grants() != 2 {
+		t.Fatalf("%d grants within a lease of suspicion, want none after the second", grants())
+	}
+	f.wantNormal(0)
+	// The request ages past the timeout: the last promise ran out two
+	// milliseconds ago, so the view change starts at once.
+	tick(lease - lease/3 + time.Millisecond)
+	f.wantViewChange(1)
+}
+
+// viewMsg is the smallest normal-case message.
+type viewMsg struct{ v types.View }
+
+func (m *viewMsg) InView() types.View { return m.v }
+
+// TestSkeletonParksNextViewMessages pins Deliver's park: messages of the view
+// this replica is changing into wait for it, everything of the current view
+// is handled at once, and the rest is dropped.
+func TestSkeletonParksNextViewMessages(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	deliver := func(v types.View) *viewMsg {
+		m := &viewMsg{v}
+		f.sk.Deliver(network.Envelope{From: types.ReplicaNode(3), Msg: m})
+		return m
+	}
+	handled := func() []any {
+		var out []any
+		for _, env := range f.rules.handled {
+			out = append(out, env.Msg)
+		}
+		return out
+	}
+	cur := deliver(0)
+	early := deliver(1) // the view after the current one, before any view change
+	deliver(2)          // two views ahead: dropped
+	f.sk.OnVCRequest(f.vc(1, 0))
+	f.sk.OnVCRequest(f.vc(3, 0))
+	f.wantViewChange(1)
+	vc := deliver(1) // the view being entered
+	deliver(0)       // the view being left: handled, and dropped by the protocol
+	if got := handled(); len(got) != 2 || got[0] != cur {
+		t.Fatalf("handled %v before the new view, want only the view-0 messages", got)
+	}
+	f.sk.OnNVPropose(types.ReplicaNode(1), &NVPropose{NewView: 1, Requests: []VCRequest{*f.vc(0, 0), *f.vc(1, 0), *f.vc(3, 0)}})
+	f.wantNormal(1)
+	if got := handled(); len(got) != 4 || got[2] != early || got[3] != vc {
+		t.Fatalf("handled %v after entering view 1, want the two parked view-1 messages replayed in order", got)
+	}
+	if len(f.sk.parked) != 0 {
+		t.Fatalf("%d messages still parked", len(f.sk.parked))
+	}
+	// The park is bounded.
+	limit := f.rt.Cfg.N * f.rt.Cfg.Window
+	for i := 0; i < limit+10; i++ {
+		deliver(2)
+	}
+	if len(f.sk.parked) != limit {
+		t.Fatalf("%d messages parked, want the bound %d", len(f.sk.parked), limit)
 	}
 }

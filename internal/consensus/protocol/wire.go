@@ -264,7 +264,7 @@ func (m *LeaseGrant) MarshalTo(buf []byte) []byte {
 	buf = wire.AppendU64(buf, uint64(m.View))
 	buf = wire.AppendU64(buf, uint64(m.Seq))
 	buf = wire.AppendI64(buf, m.DurationNanos)
-	return wire.AppendBytes(buf, m.Sig)
+	return wire.AppendBytes(buf, m.Tag)
 }
 
 // Unmarshal implements wire.Message.
@@ -274,7 +274,7 @@ func (m *LeaseGrant) Unmarshal(data []byte) error {
 	m.View = types.View(r.U64())
 	m.Seq = types.SeqNum(r.U64())
 	m.DurationNanos = r.I64()
-	m.Sig = r.Bytes()
+	m.Tag = r.Bytes()
 	return r.Close()
 }
 

@@ -114,6 +114,14 @@ func ExecPayload(seq types.SeqNum, head types.Digest) []byte {
 	return d[:]
 }
 
+// InView places each normal-case message in its view (protocol.ViewBound).
+func (m *PrePrepare) InView() types.View      { return m.View }
+func (m *SignShare) InView() types.View       { return m.View }
+func (m *Prepare2) InView() types.View        { return m.View }
+func (m *Share2) InView() types.View          { return m.View }
+func (m *FullCommitProof) InView() types.View { return m.View }
+func (m *SignState) InView() types.View       { return m.View }
+
 func init() {
 	wire.Register(func() wire.Message { return &PrePrepare{} })
 	wire.Register(func() wire.Message { return &SignShare{} })
@@ -209,10 +217,11 @@ func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 
 // Run processes messages until ctx is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	r.rt.Run(ctx, r.verifyInbound, r.dispatch, r.onTick)
+	r.rt.Run(ctx, r.verifyInbound, r.Deliver, r.onTick)
 }
 
-func (r *Replica) dispatch(env network.Envelope) {
+// Handle implements protocol.Rules.
+func (r *Replica) Handle(env network.Envelope) {
 	switch m := env.Msg.(type) {
 	case *PrePrepare:
 		if env.From.IsReplica() {

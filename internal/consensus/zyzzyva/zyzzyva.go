@@ -62,6 +62,9 @@ func (m *OrderReq) SignedPayload() []byte {
 // SetAuth stores the broadcast authenticator (protocol.SignedProposal).
 func (m *OrderReq) SetAuth(auth [][]byte) { m.Auth = auth }
 
+// InView places the proposal in its view (protocol.ViewBound).
+func (m *OrderReq) InView() types.View { return m.View }
+
 // specPayload is the payload replicas sign in speculative-response shares;
 // nf of them form the client's commit certificate. The history digest is a
 // ledger block hash, which already binds the batch digest and the whole
@@ -153,10 +156,11 @@ func (r *Replica) Runtime() *protocol.Runtime { return r.rt }
 
 // Run processes messages until ctx is cancelled.
 func (r *Replica) Run(ctx context.Context) {
-	r.rt.Run(ctx, r.verifyInbound, r.dispatch, func(now time.Time) { r.Tick(now) })
+	r.rt.Run(ctx, r.verifyInbound, r.Deliver, func(now time.Time) { r.Tick(now) })
 }
 
-func (r *Replica) dispatch(env network.Envelope) {
+// Handle implements protocol.Rules.
+func (r *Replica) Handle(env network.Envelope) {
 	switch m := env.Msg.(type) {
 	case *OrderReq:
 		if env.From.IsReplica() {

@@ -310,7 +310,9 @@ type load struct {
 	completed  atomic.Int64
 	latencySum atomic.Int64 // nanoseconds
 	measuring  atomic.Bool
-	opened     time.Time // when the measurement window opened
+	lastDone   atomic.Int64 // unix nanoseconds of the latest measured completion
+	longestGap atomic.Int64 // nanoseconds
+	opened     time.Time    // when the measurement window opened
 	elapsed    time.Duration
 	reads      *readStats
 }
@@ -360,8 +362,10 @@ func (l *load) run(ctx context.Context, clients []submitter, wcfg workload.Confi
 						return
 					}
 					if l.measuring.Load() {
+						now := time.Now()
 						l.completed.Add(1)
-						l.latencySum.Add(int64(time.Since(start)))
+						l.latencySum.Add(int64(now.Sub(start)))
+						l.noteGap(now.UnixNano())
 					}
 				}
 			}(s)
@@ -370,6 +374,22 @@ func (l *load) run(ctx context.Context, clients []submitter, wcfg workload.Confi
 	time.Sleep(warmup)
 	l.opened = time.Now()
 	l.measuring.Store(true)
+}
+
+// noteGap records a completion at now and keeps the longest stretch between
+// two consecutive completions.
+func (l *load) noteGap(now int64) {
+	prev := l.lastDone.Swap(now)
+	if prev == 0 {
+		return
+	}
+	gap := now - prev
+	for {
+		cur := l.longestGap.Load()
+		if gap <= cur || l.longestGap.CompareAndSwap(cur, gap) {
+			return
+		}
+	}
 }
 
 // sleepUntil sleeps until offset past the opening of the measurement window
@@ -396,6 +416,7 @@ func (l *load) measured(p Protocol, n, batch int) Result {
 		ReadsCompleted: l.reads.completed.Load(),
 		ReadsFallback:  l.reads.fallback.Load(),
 		ReadsRepaired:  l.reads.repaired.Load(),
+		LongestGap:     time.Duration(l.longestGap.Load()),
 	}
 	if total > 0 {
 		res.AvgLatency = time.Duration(l.latencySum.Load() / total)

@@ -218,6 +218,9 @@ type Result struct {
 	ViewChangesDone int64
 	Rollbacks       int64
 	Timeline        []TimelinePoint
+	// LongestGap is the longest stretch of the measurement window between
+	// two completed requests: under a primary crash, the outage.
+	LongestGap time.Duration
 
 	// ExecutedTxns is the number of ordered transactions every replica
 	// executed — the fewest any of them did, warm-up included — and

@@ -132,7 +132,7 @@ func samples() []wire.Message {
 			StateDigest: types.DigestBytes([]byte("s")), View: 2,
 			Tier: types.ConsistencySpeculative, Repaired: true, Tag: []byte("mac"),
 		},
-		&protocol.LeaseGrant{}, &protocol.LeaseGrant{From: 2, View: 3, Seq: 128, DurationNanos: 5e7, Sig: []byte("sig")},
+		&protocol.LeaseGrant{}, &protocol.LeaseGrant{From: 2, View: 3, Seq: 128, DurationNanos: 5e7, Tag: []byte("tag")},
 		&protocol.VCRequest{}, &protocol.VCRequest{From: 1, View: 2, StableSeq: 3, Entries: []types.ExecRecord{sampleRecord(4)}, Sig: []byte("s")},
 		// PBFT-shaped: gapped entries, one a no-op filler without a certificate.
 		&protocol.VCRequest{From: 2, View: 2, StableSeq: 3, Entries: []types.ExecRecord{sampleRecord(5), {Seq: 7, View: 2, Digest: new(types.Batch).Digest()}}, Sig: []byte("s")},

@@ -64,6 +64,20 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "chaos: seed for the fault randomness")
 	flag.Parse()
 
+	// Take over SIGINT/SIGTERM before the listener opens: a runner that sees
+	// the port accept may stop the replica while it is still recovering its
+	// WAL, and the signal must then mean a graceful exit, not the default
+	// kill.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	sig := make(chan os.Signal, 1)
+	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
+	go func() {
+		s := <-sig
+		fmt.Printf("received %v, shutting down\n", s)
+		cancel()
+	}()
+
 	addrs := strings.Split(*peerList, ",")
 	n := len(addrs)
 	if n < 4 {
@@ -139,16 +153,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	go func() {
-		sig := make(chan os.Signal, 1)
-		signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-		s := <-sig
-		fmt.Printf("received %v, shutting down\n", s)
-		cancel()
-	}()
 
 	fmt.Printf("poe replica %d/%d listening on %s (scheme %s)\n", *id, n, tr.Addr(), sch)
 	replica.Runtime().Metrics.Start()

@@ -131,7 +131,7 @@ type Replica struct {
 	lastVoted types.View
 	execSeq   types.SeqNum // decision counter driving the executor
 
-	votes    map[types.Digest]map[types.ReplicaID]crypto.Share
+	votes    map[types.View][]*nodeVotes // see onVote
 	newViews map[types.View]map[types.ReplicaID]QC
 	sentNV   map[types.View]bool
 
@@ -156,6 +156,21 @@ type Replica struct {
 	genesisHash types.Digest
 }
 
+// nodeVotes collects one round's votes for one node. A round holds more than
+// one only under an equivocating leader.
+type nodeVotes struct {
+	node  types.Digest
+	votes crypto.Quorum
+}
+
+// voteHorizon is how many rounds past its own a replica holds votes for. A
+// vote for round R reaches the leader of R+1 about when the proposal of R
+// does, so an honest vote runs ahead of its collector only by the proposals
+// the collector has yet to process; a collector further behind catches up
+// through proposals and NEW-VIEWs. Without the bound one Byzantine voter
+// could add a table entry for every round it names.
+const voteHorizon = 4
+
 // New creates a HotStuff replica.
 func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
@@ -169,7 +184,7 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		curRound:   1,
 		nodes:      make(map[types.Digest]*Node),
 		committed:  make(map[types.Digest]bool),
-		votes:      make(map[types.Digest]map[types.ReplicaID]crypto.Share),
+		votes:      make(map[types.View][]*nodeVotes),
 		newViews:   make(map[types.View]map[types.ReplicaID]QC),
 		sentNV:     make(map[types.View]bool),
 		roundStart: time.Now(),
@@ -238,7 +253,11 @@ func (r *Replica) dispatch(env network.Envelope) {
 			r.onVote(env.From.Replica(), m)
 		}
 	case *NewView:
-		r.onNewView(m)
+		// A NEW-VIEW counts for the replica that sent it, not for the one
+		// its body names.
+		if env.From.IsReplica() && env.From.Replica() == m.From {
+			r.onNewView(m)
+		}
 	case *FetchNodes:
 		r.onFetchNodes(m)
 	case *NodeBundle:
@@ -441,35 +460,43 @@ func (r *Replica) extendsLocked(node *Node) bool {
 	}
 }
 
+// onVote counts a vote toward its node's QC. The vote table holds only the
+// rounds whose QC this replica could still use — above the high QC, from the
+// previous round up to voteHorizon ahead — and at most one vote per sender
+// per round, so neither a long run nor a Byzantine voter grows it.
 func (r *Replica) onVote(from types.ReplicaID, m *Vote) {
 	cfg := r.rt.Cfg
-	if Leader(cfg.N, m.Round+1) != cfg.ID || m.Share.Signer != from {
+	if Leader(cfg.N, m.Round+1) != cfg.ID || m.Round <= r.highQC.Round ||
+		m.Round+1 < r.curRound || m.Round > r.curRound+voteHorizon {
 		return
 	}
-	if !r.rt.TS.VerifyShare(m.Node[:], m.Share) {
+	round := r.votes[m.Round]
+	var nv *nodeVotes
+	for _, v := range round {
+		if v.votes.Has(from) {
+			return
+		}
+		if v.node == m.Node {
+			nv = v
+		}
+	}
+	if nv == nil {
+		nv = &nodeVotes{node: m.Node, votes: crypto.NewQuorum(r.rt.TS, cfg.ID)}
+		nv.votes.Fix(nv.node[:])
+		round = append(round, nv)
+	}
+	if !nv.votes.Add(from, m.Share) {
+		return // a new node's entry is kept only once it holds a vote
+	}
+	r.votes[m.Round] = round
+	if nv.votes.Len() < cfg.NF() {
 		return
 	}
-	votes, ok := r.votes[m.Node]
-	if !ok {
-		votes = make(map[types.ReplicaID]crypto.Share)
-		r.votes[m.Node] = votes
-	}
-	if _, dup := votes[from]; dup {
-		return
-	}
-	votes[from] = m.Share
-	if len(votes) < cfg.NF() {
-		return
-	}
-	shares := make([]crypto.Share, 0, len(votes))
-	for _, sh := range votes {
-		shares = append(shares, sh)
-	}
-	cert, err := r.rt.TS.Combine(m.Node[:], shares)
+	cert, err := nv.votes.Combine()
 	if err != nil {
 		return
 	}
-	delete(r.votes, m.Node)
+	delete(r.votes, m.Round)
 	qc := QC{Round: m.Round, Node: m.Node, Cert: cert}
 	r.updateHighQC(qc)
 	r.advanceRound(m.Round + 1)
@@ -498,6 +525,11 @@ func (r *Replica) advanceRound(round types.View) {
 	for rd := range r.newViews {
 		if rd < round {
 			delete(r.newViews, rd)
+		}
+	}
+	for rd := range r.votes {
+		if rd+1 < round || rd <= r.highQC.Round {
+			delete(r.votes, rd)
 		}
 	}
 	for rd := range r.sentNV {

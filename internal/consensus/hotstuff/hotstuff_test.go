@@ -3,6 +3,7 @@ package hotstuff
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 	"time"
 
@@ -19,6 +20,7 @@ type cluster struct {
 	ring     *crypto.KeyRing
 	replicas []*Replica
 	cfgs     []protocol.Config
+	stop     func() // cancels the replicas and waits for their loops to exit
 }
 
 func startCluster(t *testing.T, n, f int) *cluster {
@@ -27,6 +29,7 @@ func startCluster(t *testing.T, n, f int) *cluster {
 	ring := crypto.NewKeyRing(n, []byte("test-seed"))
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &cluster{t: t, net: net, ring: ring}
+	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		cfg := protocol.Config{
 			ID: types.ReplicaID(i), N: n, F: f, Scheme: crypto.SchemeTS,
@@ -41,10 +44,18 @@ func startCluster(t *testing.T, n, f int) *cluster {
 		}
 		c.replicas = append(c.replicas, r)
 		c.cfgs = append(c.cfgs, cfg)
-		go r.Run(ctx)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.Run(ctx)
+		}()
+	}
+	c.stop = func() {
+		cancel()
+		wg.Wait()
 	}
 	t.Cleanup(func() {
-		cancel()
+		c.stop()
 		net.Close()
 	})
 	return c

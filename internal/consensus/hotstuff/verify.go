@@ -54,6 +54,9 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		// are verifiable without any replica state.
 		return rt.TS.VerifyShare(m.Node[:], m.Share)
 	case *NewView:
+		if !env.From.IsReplica() || m.From != env.From.Replica() || m.From == rt.Cfg.ID {
+			return false
+		}
 		return r.verifyQC(m.High)
 	case *NodeBundle:
 		b := m

@@ -107,10 +107,10 @@ type slot struct {
 	view          types.View
 	haveBatch     bool
 	batch         types.Batch
-	digest        types.Digest // h = D(k||v||D(batch))
-	prepares      map[types.ReplicaID]crypto.Share
-	commits       map[types.ReplicaID]crypto.Share
-	preparedCert  []byte // nf prepare shares combined
+	digest        types.Digest  // h = D(k||v||D(batch))
+	prepares      crypto.Quorum // over h
+	commits       crypto.Quorum // over commitDigest(h)
+	preparedCert  []byte        // nf prepare shares combined
 	committedCert []byte
 	committed     bool
 }
@@ -190,8 +190,8 @@ func (r *Replica) slot(seq types.SeqNum) *slot {
 	s, ok := r.slots[seq]
 	if !ok && r.InWindow(seq) {
 		s = &slot{
-			prepares: make(map[types.ReplicaID]crypto.Share),
-			commits:  make(map[types.ReplicaID]crypto.Share),
+			prepares: crypto.NewQuorum(r.rt.TS, r.rt.Cfg.ID),
+			commits:  crypto.NewQuorum(r.rt.TS, r.rt.Cfg.ID),
 		}
 		r.slots[seq] = s
 		r.NoteSlot(seq)
@@ -215,10 +215,13 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	s.batch = m.Batch
 	s.digest = types.ProposalDigest(m.Seq, m.View, m.Batch.Digest())
 	// Register both phase payloads so the pipeline verifies prepare and
-	// commit shares for this slot off the event loop.
+	// commit shares for this slot off the event loop, and validate the
+	// shares that arrived before this pre-prepare fixed them.
 	cd := commitDigest(s.digest)
 	r.rt.Pipeline.NoteDigest(kindPrepare, m.View, m.Seq, s.digest[:])
 	r.rt.Pipeline.NoteDigest(kindCommit, m.View, m.Seq, cd[:])
+	s.prepares.Fix(s.digest[:])
+	s.commits.Fix(cd[:])
 	// Broadcast PREPARE and count our own: the share is signed on the
 	// egress pool; the self-vote loops back onto the event loop afterwards,
 	// re-checking view/status since the slot may have been abandoned.
@@ -236,7 +239,7 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 }
 
 func (r *Replica) onPrepare(from types.ReplicaID, m *Prepare) {
-	if !r.Active(m.View) || m.Share.Signer != from {
+	if !r.Active(m.View) {
 		return
 	}
 	if s := r.slot(m.Seq); s != nil {
@@ -245,30 +248,18 @@ func (r *Replica) onPrepare(from types.ReplicaID, m *Prepare) {
 }
 
 func (r *Replica) addPrepare(from types.ReplicaID, m *Prepare, s *slot) {
-	if s.preparedCert != nil {
-		return
+	if s.preparedCert == nil && s.prepares.Add(from, m.Share) {
+		r.tryPrepared(m.Seq, s)
 	}
-	if _, dup := s.prepares[from]; dup {
-		return
-	}
-	s.prepares[from] = m.Share
-	r.tryPrepared(m.Seq, s)
 }
 
 // tryPrepared fires once the slot has the batch and nf prepare shares: the
 // replica is "prepared" and broadcasts COMMIT.
 func (r *Replica) tryPrepared(seq types.SeqNum, s *slot) {
-	if s.preparedCert != nil || !s.haveBatch || len(s.prepares) < r.rt.Cfg.NF() {
+	if s.preparedCert != nil || !s.haveBatch || s.prepares.Len() < r.rt.Cfg.NF() {
 		return
 	}
-	// Shares may have arrived before the pre-prepare fixed the digest;
-	// validate them now (in parallel; pipeline-verified shares are memo
-	// hits) and drop mismatches.
-	shares := crypto.FilterValidShares(r.rt.TS, s.digest[:], s.prepares)
-	if len(shares) < r.rt.Cfg.NF() {
-		return
-	}
-	cert, err := r.rt.TS.Combine(s.digest[:], shares)
+	cert, err := s.prepares.Combine()
 	if err != nil {
 		return
 	}
@@ -288,7 +279,7 @@ func (r *Replica) tryPrepared(seq types.SeqNum, s *slot) {
 }
 
 func (r *Replica) onCommit(from types.ReplicaID, m *Commit) {
-	if !r.Active(m.View) || m.Share.Signer != from {
+	if !r.Active(m.View) {
 		return
 	}
 	if s := r.slot(m.Seq); s != nil {
@@ -297,28 +288,18 @@ func (r *Replica) onCommit(from types.ReplicaID, m *Commit) {
 }
 
 func (r *Replica) addCommit(from types.ReplicaID, m *Commit, s *slot) {
-	if s.committed {
-		return
+	if !s.committed && s.commits.Add(from, m.Share) {
+		r.tryCommitted(m.Seq, s)
 	}
-	if _, dup := s.commits[from]; dup {
-		return
-	}
-	s.commits[from] = m.Share
-	r.tryCommitted(m.Seq, s)
 }
 
 // tryCommitted fires once the replica is prepared and holds nf commit
 // shares: the batch is committed-local and scheduled for execution.
 func (r *Replica) tryCommitted(seq types.SeqNum, s *slot) {
-	if s.committed || s.preparedCert == nil || len(s.commits) < r.rt.Cfg.NF() {
+	if s.committed || s.preparedCert == nil || s.commits.Len() < r.rt.Cfg.NF() {
 		return
 	}
-	cd := commitDigest(s.digest)
-	shares := crypto.FilterValidShares(r.rt.TS, cd[:], s.commits)
-	if len(shares) < r.rt.Cfg.NF() {
-		return
-	}
-	cert, err := r.rt.TS.Combine(cd[:], shares)
+	cert, err := s.commits.Combine()
 	if err != nil {
 		return
 	}

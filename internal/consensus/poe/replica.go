@@ -40,7 +40,7 @@ type slot struct {
 	batch       types.Batch
 	digest      types.Digest // h = D(k||v||D(batch))
 	supported   bool
-	shares      map[types.ReplicaID]crypto.Share
+	shares      crypto.Quorum // SUPPORT shares toward the certificate
 	committed   bool
 	pendingCert *Certify // certify that arrived before the proposal
 }
@@ -173,14 +173,9 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 		s.pendingCert = nil
 		r.handleCertify(cert, s)
 	}
-	// Validate shares stashed by onSupport before this proposal fixed the
-	// digest, dropping mismatches; the survivors may already reach the
-	// threshold on their own.
-	for id, sh := range s.shares {
-		if id != cfg.ID && !r.rt.TS.VerifyShare(s.digest[:], sh) {
-			delete(s.shares, id)
-		}
-	}
+	// Shares stashed by onSupport before this proposal fixed the digest are
+	// validated now; the survivors may already reach the threshold.
+	s.shares.Fix(s.digest[:])
 	r.trySupported(m.Seq, s)
 }
 
@@ -188,7 +183,7 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 func (r *Replica) slot(seq types.SeqNum) *slot {
 	s, ok := r.slots[seq]
 	if !ok && r.InWindow(seq) {
-		s = &slot{shares: make(map[types.ReplicaID]crypto.Share)}
+		s = &slot{shares: crypto.NewQuorum(r.rt.TS, r.rt.Cfg.ID)}
 		r.slots[seq] = s
 		r.NoteSlot(seq)
 	}
@@ -197,9 +192,6 @@ func (r *Replica) slot(seq types.SeqNum) *slot {
 
 func (r *Replica) onSupport(from types.NodeID, m *Support) {
 	if !from.IsReplica() || !r.Active(m.View) {
-		return
-	}
-	if m.Share.Signer != from.Replica() {
 		return
 	}
 	cfg := r.rt.Cfg
@@ -218,43 +210,24 @@ func (r *Replica) onSupport(from types.NodeID, m *Support) {
 	}
 }
 
+// addSupport counts a share toward the slot's certificate. The quorum
+// validates each share once (the pipeline usually proved it already, making
+// the check a memo hit), so a Byzantine share never occupies the slot and
+// never makes the honest shares pay for another verification.
 func (r *Replica) addSupport(from types.ReplicaID, m *Support, s *slot) {
-	if s.committed {
-		return
+	if !s.committed && s.shares.Add(from, m.Share) {
+		r.trySupported(m.Seq, s)
 	}
-	if _, dup := s.shares[from]; dup {
-		return
-	}
-	// Each share is validated at most once per slot. With the digest fixed,
-	// validation happens here, at insertion (the pipeline usually proved it
-	// already, making the check a memo hit): an invalid share is rejected
-	// before it can occupy the slot, and a Byzantine retry can never force
-	// the honest shares through another round of verification — the failure
-	// mode that used to make a bad combine O(n²) in signature checks. Before
-	// the proposal arrives there is no digest to check against; the share is
-	// stashed and handlePropose validates the stash once the digest is
-	// fixed. Our own share needs no check.
-	if s.haveBatch && from != r.rt.Cfg.ID && !r.rt.TS.VerifyShare(s.digest[:], m.Share) {
-		return
-	}
-	s.shares[from] = m.Share
-	r.trySupported(m.Seq, s)
 }
 
 // trySupported fires once the slot has the batch, this replica has
 // transmitted its own SUPPORT (Fig 3 requires it before view-committing),
 // and nf validated shares are collected.
 func (r *Replica) trySupported(seq types.SeqNum, s *slot) {
-	if s.committed || !s.haveBatch || !s.supported || len(s.shares) < r.rt.Cfg.NF() {
+	if s.committed || !s.haveBatch || !s.supported || s.shares.Len() < r.rt.Cfg.NF() {
 		return
 	}
-	shares := make([]crypto.Share, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	// Every collected share is pre-validated, so Combine (re-checking via
-	// the share memo) succeeds whenever the threshold count is met.
-	cert, err := r.rt.TS.Combine(s.digest[:], shares)
+	cert, err := s.shares.Combine()
 	if err != nil {
 		return
 	}

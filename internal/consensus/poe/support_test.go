@@ -44,7 +44,7 @@ func TestByzantineSupportShareVerifiedOncePerSlot(t *testing.T) {
 	base := crypto.EdVerifyCount()
 	// Byzantine replica 1: a well-formed share over the wrong digest.
 	r.onSupport(types.ReplicaNode(1), &Support{View: 0, Seq: 1, Share: shareFrom(1, []byte("wrong"))})
-	if _, held := r.slot(1).shares[1]; held {
+	if r.slot(1).shares.Has(1) {
 		t.Fatal("byzantine share occupied the slot")
 	}
 	// Honest replicas 2 and 3 push the slot over the nf = 3 threshold.

@@ -175,15 +175,15 @@ type slot struct {
 	view       types.View
 	haveBatch  bool
 	batch      types.Batch
-	digest     types.Digest // h
-	shares     map[types.ReplicaID]crypto.Share
+	digest     types.Digest  // h
+	shares     crypto.Quorum // SIGN-SHARE, over h
 	firstShare time.Time
 	slowPath   bool
-	shares2    map[types.ReplicaID]crypto.Share
+	shares2    crypto.Quorum // SHARE2, over share2Digest(h)
 	proofSent  bool
 	committed  bool
 	// executor-side, kept by the executor only
-	stateShares map[types.ReplicaID]crypto.Share
+	stateShares crypto.Quorum // SIGN-STATE, over ExecPayload
 	ackSent     bool
 	execHead    types.Digest
 	results     []types.Result
@@ -285,10 +285,11 @@ func (r *Replica) slot(seq types.SeqNum) *slot {
 }
 
 func (r *Replica) newSlot(seq types.SeqNum) *slot {
+	ts, self := r.rt.TS, r.rt.Cfg.ID
 	s := &slot{
-		shares:      make(map[types.ReplicaID]crypto.Share),
-		shares2:     make(map[types.ReplicaID]crypto.Share),
-		stateShares: make(map[types.ReplicaID]crypto.Share),
+		shares:      crypto.NewQuorum(ts, self),
+		shares2:     crypto.NewQuorum(ts, self),
+		stateShares: crypto.NewQuorum(ts, self),
 	}
 	r.slots[seq] = s
 	r.NoteSlot(seq)
@@ -312,9 +313,14 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	s.digest = types.ProposalDigest(m.Seq, m.View, m.Batch.Digest())
 	// Register the share payloads (first round and the slow path's second
 	// round) so the pipeline verifies arriving shares off the event loop.
+	// Shares stashed by onSignShare before this pre-prepare fixed the digest
+	// are validated now; the collector's own share still has to loop back
+	// before the fast path can complete, so no threshold re-check is needed.
 	d2 := share2Digest(s.digest)
 	r.rt.Pipeline.NoteDigest(kindSign, m.View, m.Seq, s.digest[:])
 	r.rt.Pipeline.NoteDigest(kindShare2, m.View, m.Seq, d2[:])
+	s.shares.Fix(s.digest[:])
+	s.shares2.Fix(d2[:])
 	// The SIGN-SHARE is signed on the egress pool; the collector's own share
 	// loops back onto the event loop, re-checking view/status.
 	ss := &SignShare{View: m.View, Seq: m.Seq}
@@ -338,19 +344,10 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 			}
 		},
 		local)
-	// Validate shares stashed by onSignShare before this proposal fixed the
-	// digest, dropping mismatches; the collector's own share still has to
-	// loop back before the fast path can complete, so no threshold re-check
-	// is needed here.
-	for id, sh := range s.shares {
-		if id != cfg.ID && !r.rt.TS.VerifyShare(s.digest[:], sh) {
-			delete(s.shares, id)
-		}
-	}
 }
 
 func (r *Replica) onSignShare(from types.ReplicaID, m *SignShare) {
-	if !r.Active(m.View) || !r.isCollector() || m.Share.Signer != from || !r.InWindow(m.Seq) {
+	if !r.Active(m.View) || !r.isCollector() || !r.InWindow(m.Seq) {
 		return
 	}
 	// The slot is created even when the pre-prepare has not arrived yet: the
@@ -369,35 +366,26 @@ func (r *Replica) addSignShare(from types.ReplicaID, m *SignShare, s *slot) {
 	if s.proofSent || s.slowPath {
 		return
 	}
-	if _, dup := s.shares[from]; dup {
+	first := s.shares.Len() == 0
+	if !s.shares.Add(from, m.Share) {
 		return
 	}
-	// Before the pre-prepare fixes the digest there is nothing to verify
-	// against: the share is stashed and handlePrePrepare validates the stash
-	// once the digest is known. Our own share (looped back after the
-	// pre-prepare) needs no check.
-	if s.haveBatch && from != r.rt.Cfg.ID && !r.rt.TS.VerifyShare(s.digest[:], m.Share) {
-		return
-	}
-	if len(s.shares) == 0 {
+	if first {
 		s.firstShare = time.Now()
 	}
-	s.shares[from] = m.Share
 	// Fast path: all n replicas answered (only decidable once the digest is
 	// fixed — stashed shares cannot combine against a zero digest).
-	if s.haveBatch && len(s.shares) == r.rt.Cfg.N {
+	if s.haveBatch && s.shares.Len() == r.rt.Cfg.N {
 		r.sendProof(m.Seq, s)
 	}
 }
 
-// sendProof combines the collected shares and distributes the full commit
-// proof.
+// sendProof combines the first-round shares and distributes the full commit
+// proof. The slow path's proof carries the first-round certificate too (the
+// second round's proves liveness of the fallback quorum, and both commit
+// the same digest).
 func (r *Replica) sendProof(seq types.SeqNum, s *slot) {
-	shares := make([]crypto.Share, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	cert, err := r.rt.TS.Combine(s.digest[:], shares)
+	cert, err := s.shares.Combine()
 	if err != nil {
 		return
 	}
@@ -412,11 +400,7 @@ func (r *Replica) sendProof(seq types.SeqNum, s *slot) {
 // startSlowPath runs the two extra linear phases after the collector's
 // timer fires with at least nf (but not all n) shares.
 func (r *Replica) startSlowPath(seq types.SeqNum, s *slot) {
-	shares := make([]crypto.Share, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	cert, err := r.rt.TS.Combine(s.digest[:], shares)
+	cert, err := s.shares.Combine()
 	if err != nil {
 		return
 	}
@@ -462,7 +446,7 @@ func (r *Replica) onPrepare2(from types.ReplicaID, m *Prepare2) {
 }
 
 func (r *Replica) onShare2(from types.ReplicaID, m *Share2) {
-	if !r.Active(m.View) || !r.isCollector() || m.Share.Signer != from {
+	if !r.Active(m.View) || !r.isCollector() {
 		return
 	}
 	// No pre-proposal stash needed here, unlike onSignShare: second-round
@@ -476,37 +460,10 @@ func (r *Replica) onShare2(from types.ReplicaID, m *Share2) {
 }
 
 func (r *Replica) addShare2(from types.ReplicaID, m *Share2, s *slot) {
-	if s.proofSent {
-		return
+	if !s.proofSent && s.shares2.Add(from, m.Share) && s.shares2.Len() >= r.rt.Cfg.NF() {
+		// The slow path completed.
+		r.sendProof(m.Seq, s)
 	}
-	if _, dup := s.shares2[from]; dup {
-		return
-	}
-	d2 := share2Digest(s.digest)
-	if !r.rt.TS.VerifyShare(d2[:], m.Share) {
-		return
-	}
-	s.shares2[from] = m.Share
-	if len(s.shares2) < r.rt.Cfg.NF() {
-		return
-	}
-	// The slow path completed; the proof carries the first-round cert (the
-	// second round's cert proves liveness of the fallback quorum, and both
-	// commit the same digest).
-	shares := make([]crypto.Share, 0, len(s.shares))
-	for _, sh := range s.shares {
-		shares = append(shares, sh)
-	}
-	cert, err := r.rt.TS.Combine(s.digest[:], shares)
-	if err != nil {
-		return
-	}
-	s.proofSent = true
-	if !r.adv.SilenceCert(m.Seq) {
-		proof := &FullCommitProof{View: s.view, Seq: m.Seq, Digest: s.digest, Cert: cert}
-		r.rt.Broadcast(proof)
-	}
-	r.commit(m.Seq, s, cert)
 }
 
 func (r *Replica) onFullCommitProof(m *FullCommitProof) {
@@ -590,41 +547,34 @@ func (r *Replica) noteExecution(ev protocol.Executed, headHash types.Digest) {
 	s.execHead = headHash
 	s.results = ev.Results
 	s.rec = ev.Rec
-	r.rt.Pipeline.NoteDigest(kindState, r.View(), ev.Rec.Seq, ExecPayload(ev.Rec.Seq, headHash))
+	payload := ExecPayload(ev.Rec.Seq, headHash)
+	r.rt.Pipeline.NoteDigest(kindState, r.View(), ev.Rec.Seq, payload)
+	// State shares that arrived before this replica executed are validated
+	// now.
+	s.stateShares.Fix(payload)
 }
 
 func (r *Replica) onSignState(from types.ReplicaID, m *SignState) {
-	if !r.Active(m.View) || !r.isExecutor() || m.Share.Signer != from {
+	if !r.Active(m.View) || !r.isExecutor() {
 		return
 	}
 	r.addSignState(from, m)
 }
 
 func (r *Replica) addSignState(from types.ReplicaID, m *SignState) {
-	s := r.slot(m.Seq)
-	if s == nil || s.ackSent {
-		return
+	if s := r.slot(m.Seq); s != nil && !s.ackSent && s.stateShares.Add(from, m.Share) {
+		r.tryAck(m.Seq, s)
 	}
-	if _, dup := s.stateShares[from]; dup {
-		return
-	}
-	s.stateShares[from] = m.Share
-	r.tryAck(m.Seq, s)
 }
 
 // tryAck fires once the executor has executed seq itself and holds nf state
 // shares: phase 5, EXECUTE-ACK to replicas and the aggregated reply to
 // clients.
 func (r *Replica) tryAck(seq types.SeqNum, s *slot) {
-	if s.ackSent || s.rec == nil || len(s.stateShares) < r.rt.Cfg.NF() {
+	if s.ackSent || s.rec == nil || s.stateShares.Len() < r.rt.Cfg.NF() {
 		return
 	}
-	payload := ExecPayload(seq, s.execHead)
-	shares := crypto.FilterValidShares(r.rt.TS, payload, s.stateShares)
-	if len(shares) < r.rt.Cfg.NF() {
-		return
-	}
-	cert, err := r.rt.TS.Combine(payload, shares)
+	cert, err := s.stateShares.Combine()
 	if err != nil {
 		return
 	}
@@ -667,10 +617,10 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 // start the slow path: there is no digest to combine against.
 func (r *Replica) checkCollectorTimeouts(now time.Time) {
 	for seq, s := range r.slots {
-		if !s.haveBatch || s.proofSent || s.slowPath || len(s.shares) == 0 {
+		if !s.haveBatch || s.proofSent || s.slowPath || s.shares.Len() == 0 {
 			continue
 		}
-		if len(s.shares) >= r.rt.Cfg.NF() && now.Sub(s.firstShare) > r.collTimeout {
+		if s.shares.Len() >= r.rt.Cfg.NF() && now.Sub(s.firstShare) > r.collTimeout {
 			r.startSlowPath(seq, s)
 		}
 	}

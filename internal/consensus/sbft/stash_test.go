@@ -45,9 +45,9 @@ func TestEarlySignShareStashedBeforePrePrepare(t *testing.T) {
 		r.onSignShare(id, &SignShare{View: 0, Seq: 1, Share: shareFrom(id, digest[:])})
 	}
 	s := r.slot(1)
-	if s.haveBatch || len(s.shares) != 3 {
+	if s.haveBatch || s.shares.Len() != 3 {
 		t.Fatalf("stash state: haveBatch=%v shares=%d, want 3 stashed pre-proposal shares",
-			s.haveBatch, len(s.shares))
+			s.haveBatch, s.shares.Len())
 	}
 	if r.rt.Exec.LastExecuted() != 0 {
 		t.Fatal("slot executed before the pre-prepare arrived")
@@ -75,7 +75,7 @@ func TestEarlySignShareStashedBeforePrePrepare(t *testing.T) {
 	r.onSignShare(1, &SignShare{View: 0, Seq: 2, Share: shareFrom(1, []byte("wrong"))})
 	r.handlePrePrepare(0, m2)
 	s2 := r.slot(2)
-	if _, held := s2.shares[1]; held {
+	if s2.shares.Has(1) {
 		t.Fatal("mismatched stashed share survived digest validation")
 	}
 	// The honest shares arrive after the pre-prepare; replica 1 resends a

@@ -1,9 +1,6 @@
 package zyzzyva
 
-import (
-	"github.com/poexec/poe/internal/network"
-	"github.com/poexec/poe/internal/types"
-)
+import "github.com/poexec/poe/internal/network"
 
 // Zyzzyva's hook into the parallel authentication pipeline: order-request
 // authenticators, per-request client signatures, and the share bundles of
@@ -41,19 +38,8 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		}
 		// The commit certificate's shares sign specPayload(seq, history) —
 		// both taken from the message itself — so the whole certificate is
-		// verifiable here. Drop requests that cannot reach the nf quorum;
-		// the handler re-counts through the share memo.
-		payload := specPayload(m.Seq, m.History)
-		seen := make(map[types.ReplicaID]bool, len(m.Shares))
-		valid := 0
-		for _, sh := range m.Shares {
-			if seen[sh.Signer] || !rt.TS.VerifyShare(payload, sh) {
-				continue
-			}
-			seen[sh.Signer] = true
-			valid++
-		}
-		return valid >= rt.Cfg.NF()
+		// verifiable here, and the handler trusts delivery.
+		return certified(rt, m)
 	}
 	return true
 }

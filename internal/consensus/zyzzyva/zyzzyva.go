@@ -303,21 +303,21 @@ func (r *Replica) informSpeculative(ev protocol.Executed) {
 
 // --- slow path ---
 
-func (r *Replica) onCommitReq(m *CommitReq) {
-	// Verify nf distinct valid shares over the claimed ordering.
-	payload := specPayload(m.Seq, m.History)
-	seen := make(map[types.ReplicaID]bool, len(m.Shares))
-	valid := 0
+// certified reports whether a commit request carries nf distinct valid
+// shares over the ordering it claims. The shares are relayed by the client,
+// so none of them is taken unchecked, this replica's own included.
+func certified(rt *protocol.Runtime, m *CommitReq) bool {
+	q := crypto.NewQuorum(rt.TS, -1)
+	q.Fix(specPayload(m.Seq, m.History))
 	for _, sh := range m.Shares {
-		if seen[sh.Signer] || !r.rt.TS.VerifyShare(payload, sh) {
-			continue
-		}
-		seen[sh.Signer] = true
-		valid++
+		q.Add(sh.Signer, sh)
 	}
-	if valid < r.rt.Cfg.NF() {
-		return
-	}
+	return q.Len() >= rt.Cfg.NF()
+}
+
+// onCommitReq acknowledges a commit certificate; the authentication
+// pipeline has proved it (certified).
+func (r *Replica) onCommitReq(m *CommitReq) {
 	if m.Seq > r.committedStable {
 		r.committedStable = m.Seq
 	}

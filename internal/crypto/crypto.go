@@ -447,7 +447,8 @@ func (e *EdThreshold) Combine(msg []byte, shares []Share) ([]byte, error) {
 		seen[s.Signer] = true
 		uniq = append(uniq, s)
 	}
-	ok := VerifySharesParallel(e, msg, uniq)
+	ok := make([]bool, len(uniq))
+	ParallelEach(len(uniq), func(i int) { ok[i] = e.VerifyShare(msg, uniq[i]) })
 	var valid []Share
 	for i, s := range uniq {
 		if !ok[i] {

@@ -4,8 +4,6 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-
-	"github.com/poexec/poe/internal/types"
 )
 
 // This file implements the shared verification pool: asymmetric-crypto
@@ -104,37 +102,4 @@ func ParallelEach(n int, f func(int)) {
 		}()
 	}
 	wg.Wait()
-}
-
-// VerifySharesParallel verifies every share against msg under the scheme and
-// returns a per-share validity mask. Shares are independent, so the checks
-// run concurrently on the pool.
-func VerifySharesParallel(s ThresholdScheme, msg []byte, shares []Share) []bool {
-	ok := make([]bool, len(shares))
-	ParallelEach(len(shares), func(i int) { ok[i] = s.VerifyShare(msg, shares[i]) })
-	return ok
-}
-
-// FilterValidShares verifies a collection of shares against payload on the
-// pool, deletes the invalid ones from the collection, and returns the valid
-// shares. Shares the authentication pipeline already proved cost a memo
-// lookup. Protocol replicas use this to validate a quorum's worth of shares
-// in one pass before combining.
-func FilterValidShares(s ThresholdScheme, payload []byte, coll map[types.ReplicaID]Share) []Share {
-	ids := make([]types.ReplicaID, 0, len(coll))
-	shares := make([]Share, 0, len(coll))
-	for id, sh := range coll {
-		ids = append(ids, id)
-		shares = append(shares, sh)
-	}
-	ok := VerifySharesParallel(s, payload, shares)
-	valid := shares[:0]
-	for i, good := range ok {
-		if good {
-			valid = append(valid, shares[i])
-		} else {
-			delete(coll, ids[i])
-		}
-	}
-	return valid
 }

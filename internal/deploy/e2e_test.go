@@ -539,6 +539,50 @@ func TestE2ELoadSweep(t *testing.T) {
 	}
 }
 
+// TestE2EStopDuringStartupIsGraceful: a runner may SIGTERM a replica as
+// soon as its port accepts — WaitHealthy's own signal of readiness — while
+// the process is still opening its data directory. The signal must take the
+// graceful path and exit 0 every time, not the default action that kills
+// the process (the source of TestE2EWipeRejoin's occasional "signal:
+// terminated" under load).
+func TestE2EStopDuringStartupIsGraceful(t *testing.T) {
+	requireE2E(t)
+	r, err := Start(e2eConfig(t, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(r.killAll)
+	if err := r.WaitHealthy(20 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	const id = 3
+	if err := r.Stop(id, 15*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 5; i++ {
+		if err := r.Restart(id); err != nil {
+			t.Fatal(err)
+		}
+		deadline := time.Now().Add(20 * time.Second)
+		for {
+			conn, err := net.DialTimeout("tcp", r.Addrs()[id], 50*time.Millisecond)
+			if err == nil {
+				conn.Close()
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatalf("restart %d: replica %d never accepted: %v", i, id, err)
+			}
+		}
+		if err := r.Stop(id, 15*time.Second); err != nil {
+			t.Fatalf("restart %d: stop at first accept: %v\n%s", i, err, r.TailLog(id, 5))
+		}
+	}
+	if err := r.Shutdown(15 * time.Second); err != nil {
+		t.Fatalf("graceful shutdown: %v", err)
+	}
+}
+
 func readLog(t *testing.T, r *Runner, id int) string {
 	t.Helper()
 	data, err := os.ReadFile(r.LogPath(id))

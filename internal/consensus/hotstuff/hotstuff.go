@@ -230,7 +230,7 @@ func (r *Replica) dispatch(env network.Envelope) {
 	case *protocol.ClientRequest:
 		r.onClientRequest(env.From, &m.Req)
 	case *protocol.ForwardRequest:
-		// The request signature was checked by the authentication pipeline.
+		// The request signature was verified by the inbound check.
 		if !r.rt.ReplayReply(&m.Req) {
 			r.enqueue(m.Req)
 		}
@@ -279,7 +279,7 @@ func (r *Replica) onClientRequest(from types.NodeID, req *types.Request) {
 	if !from.IsClient() || req.Txn.Client != from.Client() {
 		return
 	}
-	// The request signature was checked by the authentication pipeline.
+	// The request signature was verified by the inbound check.
 	if r.rt.ReplayReply(req) {
 		return
 	}
@@ -395,7 +395,7 @@ func (r *Replica) onProposal(from types.ReplicaID, m *Proposal) {
 		return
 	}
 	// Authenticator and client signatures were verified by the
-	// authentication pipeline before dispatch; the QC re-check below is a
+	// inbound check before dispatch; the QC re-check below is a
 	// certificate-memo hit.
 	if !r.verifyQC(node.Justify) || node.Justify.Node != node.ParentHash {
 		return
@@ -426,7 +426,7 @@ func (r *Replica) onProposal(from types.ReplicaID, m *Proposal) {
 		return
 	}
 	r.lastVoted = node.Round
-	// The vote share is signed on the egress pool. When this replica leads
+	// The vote share is signed on the egress loop. When this replica leads
 	// the next round, its own vote loops back onto the event loop; onVote's
 	// own guards (round, leader) handle any staleness.
 	vote := &Vote{Round: node.Round, Node: h}

@@ -5,11 +5,11 @@ import (
 	"github.com/poexec/poe/internal/network"
 )
 
-// HotStuff's hook into the parallel authentication pipeline: proposal
+// HotStuff's hook into the inbound authentication check: proposal
 // authenticators, per-request client signatures, vote shares (which sign the
 // node hash carried in the vote itself), and quorum certificates are
-// verified on worker goroutines before dispatch. See the poe package's
-// verify.go for the pipeline's ownership and concurrency rules.
+// verified on transport goroutines before dispatch. See the poe package's
+// verify.go for the check's ownership and concurrency rules.
 
 func (r *Replica) verifyInbound(env *network.Envelope) bool {
 	rt := r.rt

@@ -209,12 +209,12 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 		return
 	}
 	// Broadcast authenticator and client signatures were verified by the
-	// authentication pipeline before dispatch.
+	// inbound check before dispatch.
 	s.view = m.View
 	s.haveBatch = true
 	s.batch = m.Batch
 	s.digest = types.ProposalDigest(m.Seq, m.View, m.Batch.Digest())
-	// Register both phase payloads so the pipeline verifies prepare and
+	// Register both phase payloads so the inbound check verifies prepare and
 	// commit shares for this slot off the event loop, and validate the
 	// shares that arrived before this pre-prepare fixed them.
 	cd := commitDigest(s.digest)
@@ -223,7 +223,7 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	s.prepares.Fix(s.digest[:])
 	s.commits.Fix(cd[:])
 	// Broadcast PREPARE and count our own: the share is signed on the
-	// egress pool; the self-vote loops back onto the event loop afterwards,
+	// egress loop; the self-vote loops back onto the event loop afterwards,
 	// re-checking view/status since the slot may have been abandoned.
 	p := &Prepare{View: m.View, Seq: m.Seq}
 	digest := s.digest

@@ -4,13 +4,13 @@ import (
 	"github.com/poexec/poe/internal/network"
 )
 
-// PBFT's hook into the parallel authentication pipeline: broadcast
+// PBFT's hook into the inbound authentication check: broadcast
 // authenticators, per-request client signatures, and (once the pre-prepare
 // has registered the slot digest) prepare/commit shares are verified on
-// worker goroutines before dispatch. See the poe package's verify.go for the
-// pipeline's ownership and concurrency rules.
+// transport goroutines before dispatch. See the poe package's verify.go for
+// the check's ownership and concurrency rules.
 
-// Share-payload kinds in the pipeline's digest table.
+// Share-payload kinds in the Verifier's digest table.
 const (
 	kindPrepare uint8 = 0 // h = D(k||v||D(batch))
 	kindCommit  uint8 = 1 // D("pbft-commit" || h)

@@ -124,18 +124,18 @@ func (r *Replica) handlePropose(from types.ReplicaID, m *Propose) {
 		return // only the first k-th proposal in a view is supported (Fig 3, Line 12)
 	}
 	// Broadcast authenticator and per-request client signatures were already
-	// verified by the authentication pipeline (verify.go); an invalid
+	// verified by the inbound check (verify.go); an invalid
 	// proposal never reaches this point.
 	s.view = m.View
 	s.haveBatch = true
 	s.batch = m.Batch
 	s.digest = types.ProposalDigest(m.Seq, m.View, m.Batch.Digest())
-	// Register the SUPPORT payload so the pipeline verifies incoming shares
+	// Register the SUPPORT payload so the inbound check verifies incoming shares
 	// for this slot off the event loop.
 	r.rt.Pipeline.NoteDigest(kindSupport, m.View, m.Seq, s.digest[:])
 	s.supported = true
 	// The SUPPORT share is this replica's signature over the slot digest:
-	// computed on the egress pool, released to the wire in order, and —
+	// computed on the egress loop, released to the wire in order, and —
 	// when this replica collects certificates itself — looped back onto the
 	// event loop to count toward the slot's quorum. The loop-back re-checks
 	// view and status: it runs later than this handler, and the slot may
@@ -199,10 +199,10 @@ func (r *Replica) onSupport(from types.NodeID, m *Support) {
 	if !collector {
 		return
 	}
-	// The slot is created even when the proposal has not arrived yet: the
-	// verify pipeline dispatches small SUPPORT messages ahead of large
-	// proposals, and supports are sent exactly once — dropping an early one
-	// permanently costs a share. With a replica down the collector holds
+	// The slot is created even when the proposal has not arrived yet:
+	// SUPPORTs arrive on the other backups' connections and can overtake a
+	// large proposal, and supports are sent exactly once — dropping an early
+	// one permanently costs a share. With a replica down the collector holds
 	// exactly nf live shares, so one dropped share wedges the slot forever
 	// (the stall the process-level kill/restart battery exposed).
 	if s := r.slot(m.Seq); s != nil {
@@ -211,7 +211,7 @@ func (r *Replica) onSupport(from types.NodeID, m *Support) {
 }
 
 // addSupport counts a share toward the slot's certificate. The quorum
-// validates each share once (the pipeline usually proved it already, making
+// validates each share once (the inbound check usually proved it already, making
 // the check a memo hit), so a Byzantine share never occupies the slot and
 // never makes the honest shares pay for another verification.
 func (r *Replica) addSupport(from types.ReplicaID, m *Support, s *slot) {

@@ -2,20 +2,20 @@ package poe
 
 import "github.com/poexec/poe/internal/network"
 
-// This file is PoE's hook into the parallel authentication pipeline
+// This file is PoE's hook into the inbound authentication check
 // (protocol.Verifier): every inbound message's asymmetric crypto is checked
-// here, on pipeline worker goroutines, before dispatch reaches the replica's
-// event loop. Handlers in replica.go therefore never verify broadcast
+// here, on the transport goroutine that reads it, before it reaches the
+// replica's inbox and event loop. Handlers in replica.go therefore never verify broadcast
 // authenticators or client signatures themselves — delivery implies they
 // were valid — and share/certificate checks they do issue resolve through
 // the crypto layer's memo, warmed here.
 //
 // verifyInbound must not touch replica state (it runs concurrently with the
-// event loop); it reads only the immutable runtime pieces and the pipeline's
+// event loop); it reads only the immutable runtime pieces and the Verifier's
 // digest table.
 
 // kindSupport keys the SUPPORT-phase share payload h = D(k||v||D(batch)) in
-// the pipeline's digest table.
+// the Verifier's digest table.
 const kindSupport uint8 = 0
 
 func (r *Replica) verifyInbound(env *network.Envelope) bool {

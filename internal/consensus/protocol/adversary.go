@@ -66,7 +66,7 @@ type SignedProposal interface {
 
 // FanOut sends a leader's proposal m to every other replica. An honest
 // leader (adv nil) takes the payload on the event loop — memoizing the batch
-// digest before the message is shared — signs on the egress pool and
+// digest before the message is shared — signs on the egress loop and
 // broadcasts in order. A Byzantine leader signs inline (the attack path is
 // not the hot path) and applies adv per destination: the equivocation
 // targets all receive one variant, built by variant and signed once, the

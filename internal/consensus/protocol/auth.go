@@ -53,14 +53,18 @@ func SignRequest(keys *crypto.NodeKeys, scheme crypto.Scheme, n int, txn types.T
 // replica propose the request once it leads; anything entering the batcher
 // still goes through VerifyClientRequest. The caller must own the request.
 func (rt *Runtime) VerifyRequestForSelf(req *types.Request) bool {
+	return rt.checkRequestTag(req) || rt.VerifyClientRequest(req)
+}
+
+// checkRequestTag reports whether req carries this replica's valid MAC tag
+// from its client; only the MAC-authenticated schemes fill one.
+func (rt *Runtime) checkRequestTag(req *types.Request) bool {
 	switch rt.Cfg.Scheme {
 	case crypto.SchemeMAC, crypto.SchemeTS:
 		d := req.Digest()
-		if rt.Keys.CheckRequestAuth(types.ClientNode(req.Txn.Client), d[:], req.Auth) {
-			return true
-		}
+		return rt.Keys.CheckRequestAuth(types.ClientNode(req.Txn.Client), d[:], req.Auth)
 	}
-	return rt.VerifyClientRequest(req)
+	return false
 }
 
 // AuthBroadcast produces the authenticator vector for a broadcast of payload

@@ -240,3 +240,30 @@ func TestClientAuthForwardOnlyFromReplicas(t *testing.T) {
 		t.Fatal("ForwardRequest from a replica dropped")
 	}
 }
+
+// TestClientAuthBatchSignatureOnlyWithoutTag: a proposal's requests are
+// accepted on their tags, and only those without a valid tag pay for their
+// signature — which must then hold for the batch to pass.
+func TestClientAuthBatchSignatureOnlyWithoutTag(t *testing.T) {
+	rt := authRuntime(2, crypto.SchemeMAC)
+	var batch types.Batch
+	for seq := uint64(1); seq <= 4; seq++ {
+		req := authRequest(rt, seq)
+		if seq%2 == 0 {
+			req.Auth = nil
+		}
+		batch.Requests = append(batch.Requests, req)
+	}
+	if !rt.VerifyBatch(&batch) {
+		t.Fatal("batch of tagged and signed requests rejected")
+	}
+	if n := rt.Metrics.ClientSigVerifies.Load(); n != 2 {
+		t.Fatalf("%d signature checks, want 2 (one per untagged request)", n)
+	}
+	bad := authRequest(rt, 5)
+	bad.Auth, bad.Sig = nil, badSig()
+	batch = types.Batch{Requests: []types.Request{authRequest(rt, 6), bad}}
+	if rt.VerifyBatch(&batch) {
+		t.Fatal("batch holding a request with neither a valid tag nor a valid signature accepted")
+	}
+}

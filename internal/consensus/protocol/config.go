@@ -1,7 +1,7 @@
 // Package protocol contains the replica framework shared by every consensus
 // protocol in this repository: configuration and quorum arithmetic, the
 // client-facing message types, the ordered executor that drives the store
-// and ledger, the parallel authentication pipeline, the primary-side
+// and ledger, the inbound authentication check, the primary-side
 // request batcher, the proposal fan-out, the checkpoint sub-protocol, the
 // event loop, the normal case and view change the primary-backup protocols
 // share (Skeleton), and the analytic cost model behind the paper's Fig 1.

@@ -2,34 +2,32 @@ package protocol
 
 import (
 	"context"
-	"runtime"
 	"sync"
 )
 
-// This file implements the egress pipeline: the outbound twin of the
-// parallel authentication pipeline in verifier.go. The replica event loop
-// hands outbound messages over *unsigned*; their authenticators — Ed25519
+// This file implements the egress loop: the outbound twin of the inbound
+// check in verifier.go. The replica event loop hands outbound messages over
+// *unsigned*; one egress goroutine computes their authenticators — Ed25519
 // broadcast signatures, per-replica MAC vectors, threshold shares, reply
-// MACs — are computed on a pool of worker goroutines, and the messages are
-// released to the transport strictly in submission order. Together with the
-// inbound Verifier this removes the last asymmetric crypto from the replica
-// state machine: signatures are verified before dispatch and produced after
-// it, and the single-goroutine event loop only moves protocol state.
+// MACs — and sends them, one job after the other, in submission order.
+// Together with the inbound check this removes the last asymmetric crypto
+// from the replica state machine: signatures are verified before dispatch
+// and produced after it, and the single-goroutine event loop only moves
+// protocol state.
 //
-// Ordering contract: jobs are released one at a time, in the order they were
-// enqueued, on a single releaser goroutine. Because every send the replica
-// issues through the pipeline funnels through that goroutine, global
-// submission order — and therefore per-destination FIFO order — is
-// preserved, exactly as if the event loop had sent the messages itself. The
-// signing stages of different jobs still run concurrently; only the release
-// is serialized (sequence-stamped, arrival-order release — the same design
-// the Verifier uses for delivery).
+// Ordering contract: every send the replica issues through the egress runs
+// on that one goroutine, in the order the jobs were enqueued, each after its
+// own sign stage — so global submission order, and therefore
+// per-destination FIFO order, is preserved exactly as if the event loop had
+// sent the messages itself. A job crosses one goroutine hand-off; signing
+// overlaps the event loop and the transports' read goroutines rather than
+// other signing.
 //
 // Self-delivery: a replica counts its own share/vote toward its quorums. The
 // event loop cannot do that before the share exists, so a job may carry a
-// `local` continuation: after the job's send is released, the continuation
-// is delivered on the Local channel, which the replica's Run loop drains on
-// its own goroutine. Local continuations therefore run on the event loop, in
+// `local` continuation: after the job's send, the continuation is delivered
+// on the Local channel, which the replica's Run loop drains on its own
+// goroutine. Local continuations therefore run on the event loop, in
 // submission order relative to the job's send, and may touch replica state —
 // but they run *later* than the enqueue, so they must re-check any state
 // (view, status) they assumed.
@@ -37,38 +35,33 @@ import (
 // Lifecycle: an Egress starts in inline mode — Enqueue runs the three stages
 // synchronously on the caller's goroutine, which keeps direct handler-driving
 // tests (and benchmarks that never start a Run loop) behaving exactly like
-// the pre-pipeline code. Start arms the asynchronous pipeline; the Run loops
-// call it through Runtime.StartPipeline.
+// the pre-pipeline code. Start arms the egress goroutine; the Run loops call
+// it through Runtime.Run.
 
-// Egress is the outbound signing pipeline for one replica.
+// Egress is the outbound signing loop for one replica.
 type Egress struct {
-	workers int
 	metrics *Metrics
 
 	mu      sync.Mutex
-	queue   []*egressJob
+	queue   []egressJob
 	started bool
 
 	wake  chan struct{}
 	local chan func()
 }
 
-// egressJob is one outbound unit moving through the pipeline.
+// egressJob is one outbound unit.
 type egressJob struct {
-	sign  func() // worker pool: compute authenticators, fill the message
-	send  func() // releaser goroutine, submission order: transport writes
+	sign  func() // egress goroutine: compute authenticators, fill the message
+	send  func() // egress goroutine, after sign: transport writes
 	local func() // event loop, after send: count own share/vote
-	done  chan struct{}
 }
 
-// NewEgress creates an egress pipeline with the given worker-pool size
-// (<= 0 means GOMAXPROCS). It runs inline until Start is called.
+// NewEgress creates an egress loop. It runs inline until Start is called.
+// workers is ignored — one goroutine signs and sends — and is kept only
+// because the benchmark's layer probes (bench/layers.go) still pass it.
 func NewEgress(workers int, m *Metrics) *Egress {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &Egress{
-		workers: workers,
 		metrics: m,
 		wake:    make(chan struct{}, 1),
 		local:   make(chan func(), 1024),
@@ -80,13 +73,12 @@ func NewEgress(workers int, m *Metrics) *Egress {
 // the loop goroutine.
 func (e *Egress) Local() <-chan func() { return e.local }
 
-// Enqueue submits one outbound unit. sign runs on a pipeline worker; send
-// runs on the releaser goroutine in submission order after sign completes;
-// local (optional) is then delivered to the Local channel for the event
-// loop. Any stage may be nil. Enqueue never blocks (the input queue is
-// unbounded, so the event loop can never deadlock against its own egress),
-// and it is safe to call from any goroutine — the event loop, the storage
-// group-commit callback, or a test.
+// Enqueue submits one outbound unit. sign and then send run on the egress
+// goroutine, in submission order; local (optional) is then delivered to the
+// Local channel for the event loop. Any stage may be nil. Enqueue never
+// blocks (the input queue is unbounded, so the event loop can never
+// deadlock against its own egress), and it is safe to call from any
+// goroutine — the event loop, the storage group-commit callback, or a test.
 //
 // Before Start, the three stages run synchronously on the caller.
 func (e *Egress) Enqueue(sign, send, local func()) {
@@ -104,8 +96,8 @@ func (e *Egress) Enqueue(sign, send, local func()) {
 		}
 		return
 	}
-	e.queue = append(e.queue, &egressJob{sign: sign, send: send, local: local, done: make(chan struct{})})
-	// Count while still holding mu — after unlock the pipeline may already
+	e.queue = append(e.queue, egressJob{sign: sign, send: send, local: local})
+	// Count while still holding mu — after unlock the loop may already
 	// have released the job and decremented the depth gauge.
 	if m := e.metrics; m != nil {
 		m.EgressQueued.Add(1)
@@ -124,11 +116,10 @@ func (e *Egress) Enqueue(sign, send, local func()) {
 	}
 }
 
-// Start arms the asynchronous pipeline: a feeder draining the unbounded
-// input queue, `workers` signing goroutines, and one releaser that issues
-// sends (and local continuations) in submission order. All goroutines exit
-// when ctx is done; jobs still queued at that point are dropped, like
-// messages on a closing transport.
+// Start arms the egress goroutine: it drains the unbounded input queue and
+// runs each job's sign and send back to back, then hands its local
+// continuation to the event loop. It exits when ctx is done; jobs still
+// queued at that point are dropped, like messages on a closing transport.
 func (e *Egress) Start(ctx context.Context) {
 	e.mu.Lock()
 	if e.started {
@@ -138,61 +129,8 @@ func (e *Egress) Start(ctx context.Context) {
 	e.started = true
 	e.mu.Unlock()
 
-	if e.workers == 1 {
-		// Single-worker degenerate case (GOMAXPROCS=1): signing cannot
-		// overlap with itself, so the fan-out/fan-in plumbing only adds
-		// channel handoffs. One goroutine drains the queue and runs
-		// sign+send back to back — submission order, and therefore
-		// per-destination FIFO order, is trivially preserved.
-		go func() {
-			for {
-				e.mu.Lock()
-				batch := e.queue
-				e.queue = nil
-				e.mu.Unlock()
-				if len(batch) == 0 {
-					select {
-					case <-ctx.Done():
-						return
-					case <-e.wake:
-						continue
-					}
-				}
-				for _, j := range batch {
-					if j.sign != nil {
-						j.sign()
-						if e.metrics != nil {
-							e.metrics.EgressSignedOffLoop.Add(1)
-						}
-					}
-					if j.send != nil {
-						j.send()
-					}
-					if e.metrics != nil {
-						e.metrics.EgressDepth.Add(-1)
-					}
-					if j.local != nil {
-						select {
-						case e.local <- j.local:
-						case <-ctx.Done():
-							return
-						}
-					}
-				}
-			}
-		}()
-		return
-	}
-
-	work := make(chan *egressJob, 4*e.workers)
-	order := make(chan *egressJob, 4*e.workers)
-
-	// Feeder: move queued jobs into the worker pool, stamping arrival order
-	// via the order channel.
 	go func() {
-		defer close(work)
-		defer close(order)
-		for {
+		for ctx.Err() == nil {
 			e.mu.Lock()
 			batch := e.queue
 			e.queue = nil
@@ -206,55 +144,24 @@ func (e *Egress) Start(ctx context.Context) {
 				}
 			}
 			for _, j := range batch {
-				select {
-				case order <- j:
-				case <-ctx.Done():
-					return
-				}
-				select {
-				case work <- j:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// Workers: compute authenticators in parallel.
-	for i := 0; i < e.workers; i++ {
-		go func() {
-			for j := range work {
 				if j.sign != nil {
 					j.sign()
 					if e.metrics != nil {
 						e.metrics.EgressSignedOffLoop.Add(1)
 					}
 				}
-				close(j.done)
-			}
-		}()
-	}
-
-	// Releaser: issue sends in submission order, then hand local
-	// continuations to the event loop.
-	go func() {
-		for j := range order {
-			select {
-			case <-j.done:
-			case <-ctx.Done():
-				return
-			}
-			if j.send != nil {
-				j.send()
-			}
-			if e.metrics != nil {
-				e.metrics.EgressDepth.Add(-1)
-			}
-			if j.local != nil {
-				select {
-				case e.local <- j.local:
-				case <-ctx.Done():
-					return
+				if j.send != nil {
+					j.send()
+				}
+				if e.metrics != nil {
+					e.metrics.EgressDepth.Add(-1)
+				}
+				if j.local != nil {
+					select {
+					case e.local <- j.local:
+					case <-ctx.Done():
+						return
+					}
 				}
 			}
 		}

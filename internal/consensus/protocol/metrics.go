@@ -22,7 +22,7 @@ type Metrics struct {
 	// accept proposals on the client's MAC tags, n when they cannot.
 	ClientSigVerifies atomic.Int64
 
-	// Egress pipeline: jobs submitted, authenticators computed off the event
+	// Egress loop: jobs submitted, authenticators computed off the event
 	// loop, the current queue depth, and the deepest backlog observed —
 	// sustained depth near EgressQueued/runtime means the signing pool, not
 	// the state machine, is the bottleneck.

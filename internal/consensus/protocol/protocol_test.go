@@ -290,4 +290,5 @@ func (fakeNet) Node() types.NodeID                    { return types.ReplicaNode
 func (fakeNet) Send(to types.NodeID, msg any)         {}
 func (fakeNet) Broadcast(tos []types.NodeID, msg any) {}
 func (fakeNet) Inbox() <-chan network.Envelope        { return nil }
+func (fakeNet) SetCheck(func(*network.Envelope) bool) {}
 func (fakeNet) Close() error                          { return nil }

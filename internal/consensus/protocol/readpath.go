@@ -38,7 +38,7 @@ type specRead struct {
 // precondition (any replica for SPECULATIVE; primary with a valid lease and
 // a caught-up committed prefix for STRONG). Must run on the event loop: the
 // executed prefix only changes there, so seq, digest, and values are a
-// consistent cut. The MAC is computed on the egress pool.
+// consistent cut. The MAC is computed on the egress loop.
 func (rt *Runtime) ServeLocalRead(req *types.Request, tier types.Consistency, view types.View) {
 	kv := rt.Exec.Store()
 	values := make([][]byte, len(req.Txn.Ops))
@@ -66,7 +66,7 @@ func (rt *Runtime) ServeLocalRead(req *types.Request, tier types.Consistency, vi
 	rt.sendReadReply(req.Txn.Client, reply)
 }
 
-// sendReadReply MACs and sends one read reply through the egress pipeline.
+// sendReadReply MACs and sends one read reply through the egress loop.
 // Read replies never wait on the durability gate: they assert nothing about
 // durable history beyond the (seq, digest) prefix tag they carry.
 func (rt *Runtime) sendReadReply(client types.ClientID, m *ReadReply) {

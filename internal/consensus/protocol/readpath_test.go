@@ -33,8 +33,9 @@ func (c *captureNet) Broadcast(tos []types.NodeID, msg any) {
 		c.Send(to, msg)
 	}
 }
-func (c *captureNet) Inbox() <-chan network.Envelope { return nil }
-func (c *captureNet) Close() error                   { return nil }
+func (c *captureNet) Inbox() <-chan network.Envelope        { return nil }
+func (c *captureNet) SetCheck(func(*network.Envelope) bool) {}
+func (c *captureNet) Close() error                          { return nil }
 
 // readReplies returns the ReadReply messages captured so far.
 func (c *captureNet) readReplies() []*ReadReply {

@@ -16,7 +16,7 @@ import (
 )
 
 // Runtime bundles the pieces every protocol replica needs: configuration,
-// keys, transport, the parallel authentication pipeline, the ordered
+// keys, transport, the inbound authentication check, the ordered
 // executor, the primary-side batcher, metrics, the reply cache, and the
 // shared checkpoint sub-protocol. It corresponds to the per-replica fabric
 // of §III that all five protocols are implemented on.
@@ -30,10 +30,10 @@ type Runtime struct {
 	Batcher *Batcher
 	Metrics *Metrics
 
-	// Pipeline is the replica's inbound authentication pipeline, armed by
-	// StartPipeline when the replica's Run loop starts. Egress is its
-	// outbound twin: the signing pipeline every normal-case send goes
-	// through (inline until StartPipeline starts it).
+	// Pipeline is the replica's inbound authentication check, installed on
+	// the transport when the replica's Run loop starts. Egress is its
+	// outbound twin: the signing loop every normal-case send goes through
+	// (inline until Run starts it).
 	Pipeline *Verifier
 	Egress   *Egress
 
@@ -48,20 +48,20 @@ type Runtime struct {
 	// (view changes, rotating leaders) don't pay Ed25519 twice. The value is
 	// the stable-checkpoint sequence number at verification time, which is
 	// what lets PruneAtStable age entries out instead of leaking one per
-	// request forever. Guarded by reqMu: the pipeline verifies from worker
+	// request forever. Guarded by reqMu: the check runs on transport
 	// goroutines.
 	reqMu   sync.Mutex
 	reqSeen map[types.Digest]types.SeqNum
 
 	// stableSeq mirrors the executor's stable checkpoint for lock-free reads
-	// from pipeline workers (reqSeen stamping).
+	// from the inbound check (reqSeen stamping).
 	stableSeq atomic.Int64
 
 	// lastReply caches a small ring of recent Informs per client so
 	// duplicates can be answered without re-execution — a ring rather than
 	// depth-1, so a pipelined client's retry of an *older* in-flight
 	// sequence is still answered from cache exactly. Guarded by replyMu:
-	// replies are cached by egress workers and read by the event loop.
+	// replies are cached by the egress loop and read by the event loop.
 	replyMu   sync.Mutex
 	lastReply map[types.ClientID]*replyRing
 
@@ -120,8 +120,6 @@ type Runtime struct {
 	// one), built once so the hot path hands the transport a ready-made
 	// fan-out for its marshal-once Broadcast.
 	peers []types.NodeID
-
-	verifyWorkers int
 }
 
 // RuntimeOptions tune runtime construction.
@@ -133,9 +131,6 @@ type RuntimeOptions struct {
 	// was loaded before the first executed batch and is part of the
 	// snapshotted state.
 	InitialTable map[string][]byte
-	// VerifyWorkers overrides the authentication pipeline's pool size
-	// (default GOMAXPROCS).
-	VerifyWorkers int
 	// Storage, when set, makes the replica durable: the state recovered
 	// from its data directory (checkpoint snapshot + WAL replay) is
 	// rebuilt into the executor at construction, every subsequent
@@ -193,15 +188,14 @@ func NewRuntime(cfg Config, ring *crypto.KeyRing, net network.Transport, opts Ru
 			rt.peers = append(rt.peers, types.ReplicaNode(types.ReplicaID(i)))
 		}
 	}
-	rt.verifyWorkers = opts.VerifyWorkers
-	// The pipeline objects exist from construction so handlers may register
-	// share payloads (NoteDigest) and enqueue sends unconditionally;
-	// StartPipeline arms the verifier with the protocol's verify function
-	// and starts the egress workers when the Run loop starts. Until then the
-	// egress runs inline, preserving synchronous semantics for direct
-	// handler-driving tests.
-	rt.Pipeline = NewVerifier(nil, rt.verifyWorkers)
-	rt.Egress = NewEgress(rt.verifyWorkers, rt.Metrics)
+	// The check and the egress exist from construction so handlers may
+	// register share payloads (NoteDigest) and enqueue sends
+	// unconditionally; Run arms the check with the protocol's verify
+	// function and starts the egress loop. Until then the egress runs
+	// inline, preserving synchronous semantics for direct handler-driving
+	// tests.
+	rt.Pipeline = NewVerifier(nil, 0)
+	rt.Egress = NewEgress(0, rt.Metrics)
 	// Keep enough history beyond the stable checkpoint to serve state
 	// transfer to replicas a malicious primary kept in the dark.
 	rt.Exec.RetainSlack = 2 * cfg.CheckpointInterval
@@ -324,7 +318,7 @@ func (rt *Runtime) SendReplica(to types.ReplicaID, msg any) {
 // share — then fill on every reply, for the protocol's Cert/Share/OrderProof
 // material, computes the MACs off the event loop, caches the replies for
 // duplicate suppression when cache is set, and releases the sends in
-// submission order. prep and fill may be nil. Both run on the egress pool,
+// submission order. prep and fill may be nil. Both run on the egress loop,
 // so they may touch only the reply they are given and captured values that
 // nothing mutates after this call.
 func (rt *Runtime) InformBatch(rec *types.ExecRecord, results []types.Result, cache bool, prep func(), fill func(*Inform)) {
@@ -459,32 +453,26 @@ func (rt *Runtime) ReplayReply(req *types.Request) bool {
 	return true
 }
 
-// StartPipeline starts the replica's authentication pipelines — the inbound
-// verifier over the transport inbox and the outbound egress signer — and
-// returns the channel of pre-verified envelopes the Run loop consumes. The
-// protocol-specific verify function runs on worker goroutines; see
-// VerifyFunc for its constraints. The Run loop must also drain
-// rt.Egress.Local().
-func (rt *Runtime) StartPipeline(ctx context.Context, verify VerifyFunc) <-chan network.Envelope {
-	rt.Egress.Start(ctx)
-	rt.Pipeline.verify = verify
-	return rt.Pipeline.Pipe(ctx, rt.Net.Inbox())
-}
-
-// Run is the event loop every replica runs until ctx is cancelled. Inbound
-// messages pass through the parallel authentication pipeline: verify checks
-// their authenticators on worker goroutines and invalid messages are
-// dropped before dispatch sees them. Outbound messages leave unsigned
-// through the egress pipeline, which computes authenticators off-loop and
-// releases sends in submission order; its Local channel carries the
-// deferred self-votes (own shares, own checkpoint vote) back onto the loop.
-// The replica state machine behind dispatch and onTick therefore performs
-// no asymmetric crypto in either direction on the normal-case path, and is
-// confined to this goroutine.
+// Run is the event loop every replica runs until ctx is cancelled. It
+// installs verify as the transport's inbound check, so messages are
+// authenticated on the goroutine that reads or delivers them and invalid
+// ones are dropped before they reach the inbox; the few envelopes that
+// arrive unchecked — queued before Run, or looped back from this replica to
+// itself — are checked here. Outbound messages leave unsigned through the
+// egress loop, which computes authenticators off the event loop and sends
+// in submission order; its Local channel carries the deferred self-votes
+// (own shares, own checkpoint vote) back onto the loop. The replica state
+// machine behind dispatch and onTick therefore performs no asymmetric
+// crypto in either direction on the normal-case path, and is confined to
+// this goroutine. verify runs concurrently on transport goroutines; see
+// VerifyFunc for its constraints.
 func (rt *Runtime) Run(ctx context.Context, verify VerifyFunc, dispatch func(network.Envelope), onTick func(now time.Time)) {
 	ticker := time.NewTicker(rt.Cfg.Tick())
 	defer ticker.Stop()
-	inbox := rt.StartPipeline(ctx, verify)
+	rt.Egress.Start(ctx)
+	rt.Pipeline.verify = verify
+	rt.Net.SetCheck(rt.Pipeline.Check)
+	inbox := rt.Net.Inbox()
 	for {
 		select {
 		case <-ctx.Done():
@@ -492,6 +480,9 @@ func (rt *Runtime) Run(ctx context.Context, verify VerifyFunc, dispatch func(net
 		case env, ok := <-inbox:
 			if !ok {
 				return
+			}
+			if !env.Checked && !rt.Pipeline.Check(&env) {
+				continue
 			}
 			rt.Metrics.MessagesIn.Add(1)
 			dispatch(env)
@@ -537,18 +528,24 @@ func (rt *Runtime) VerifyClientRequest(req *types.Request) bool {
 }
 
 // VerifyBatch checks every client request in an owned batch another replica
-// proposed — by MAC tag where the client supplied a valid one, by signature
-// otherwise (VerifyRequestForSelf) — fanning the work out across the
-// verification pool, and memoizes all digests. It is the pipeline-side
-// replacement for the per-request loop replicas used to run on their event
-// loop when handling a proposal.
+// proposed, as VerifyRequestForSelf does, and memoizes all digests. The MAC
+// tags are checked in one serial pass — each costs under a microsecond —
+// and only the requests whose tag is missing or invalid fan out across the
+// verification pool for their signatures. It runs in the inbound check, so
+// the replica's event loop never verifies a proposal's requests.
 func (rt *Runtime) VerifyBatch(b *types.Batch) bool {
 	b.MemoizeDigests()
 	if rt.Cfg.Scheme == crypto.SchemeNone {
 		return true
 	}
-	return crypto.ParallelAll(len(b.Requests), func(i int) bool {
-		return rt.VerifyRequestForSelf(&b.Requests[i])
+	var bySig []*types.Request
+	for i := range b.Requests {
+		if req := &b.Requests[i]; !rt.checkRequestTag(req) {
+			bySig = append(bySig, req)
+		}
+	}
+	return crypto.ParallelAll(len(bySig), func(i int) bool {
+		return rt.VerifyClientRequest(bySig[i])
 	})
 }
 
@@ -762,8 +759,8 @@ func (rt *Runtime) NextPeer() (types.ReplicaID, bool) {
 
 // MaybeCheckpoint is called after executing seq; when seq crosses a
 // checkpoint boundary the replica broadcasts a signed Checkpoint message.
-// The Ed25519 signature is produced on the egress pool; the replica's own
-// vote is counted through the pipeline's local continuation, back on the
+// The Ed25519 signature is produced on the egress loop; the replica's own
+// vote is counted through the egress's local continuation, back on the
 // event loop (OnCheckpoint skips signature verification for own votes).
 func (rt *Runtime) MaybeCheckpoint(seq types.SeqNum) {
 	if seq == 0 || seq%rt.Cfg.CheckpointInterval != 0 {

@@ -277,7 +277,7 @@ func (s *Skeleton) Dispatch(env network.Envelope) {
 // --- request intake ---
 
 // OnClientRequest handles a client request whose origin and signature the
-// authentication pipeline has checked.
+// inbound check has checked.
 func (s *Skeleton) OnClientRequest(from types.NodeID, req *types.Request) {
 	if !from.IsClient() || req.Txn.Client != from.Client() {
 		return
@@ -341,7 +341,7 @@ func (s *Skeleton) FallbackRead(req *types.Request) {
 
 // OnReadRequest serves a tiered read-only request without ordering when the
 // tier's precondition holds, and falls back to the ordering pipeline
-// otherwise. The verify pipeline already checked the client's authenticator
+// otherwise. The inbound check already checked the client's authenticator
 // and that the transaction is read-only with a non-ordered tier.
 func (s *Skeleton) OnReadRequest(req *types.Request) {
 	switch req.Txn.Consistency {

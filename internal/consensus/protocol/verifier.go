@@ -2,7 +2,6 @@ package protocol
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -11,21 +10,23 @@ import (
 	"github.com/poexec/poe/internal/types"
 )
 
-// This file implements the parallel authentication pipeline: a pool of
-// worker goroutines that verifies the authenticators on inbound messages —
+// This file implements the authentication check on inbound messages:
 // broadcast signatures/MAC vectors, per-request client signatures, threshold
-// shares — *before* dispatch, delivering pre-verified envelopes to the
-// replica event loop in arrival order. The single-threaded state machine
-// therefore never executes an Ed25519 verification on its own goroutine in
-// the normal case; it either trusts that delivery implies validity (messages
-// failing verification are dropped in the pipeline) or re-checks through the
-// crypto layer's verified-share/certificate memo, which the pipeline has
-// already warmed.
+// shares are verified *before* dispatch. The replica installs the check on
+// its transport (Runtime.Run), which runs it on the goroutine that reads or
+// delivers each message — a TCP connection's read goroutine, or the
+// in-process sender — so a message crosses one goroutine hand-off, into the
+// replica's inbox, and the single-threaded state machine never executes an
+// Ed25519 verification in the normal case. Handlers either trust that
+// delivery implies validity (messages failing the check are dropped before
+// the inbox) or re-check through the crypto layer's verified-share and
+// certificate memo, which the check has already warmed.
 //
-// This mirrors the substrate PoE's evaluation ran on: ResilientDB pipelines
-// signature verification and ordering across threads (§III of the paper),
-// so the scheme sweeps of Fig 8/Fig 9 measure the protocols rather than one
-// core of serial crypto.
+// PoE's evaluation ran on ResilientDB, which pipelines signature
+// verification and ordering across threads (§III of the paper). Here the
+// parallelism comes from the connections: each TCP connection checks its
+// own frames, in the order it read them, concurrently with the others and
+// with the event loop.
 //
 // Ownership rule: the in-process transport delivers the *same* message
 // pointer to every addressee, so a VerifyFunc must never mutate the inbound
@@ -35,20 +36,20 @@ import (
 // memo travels with the value into slots, the executor, and replies.
 
 // VerifyFunc checks one inbound envelope. Returning false drops the message
-// before dispatch. The function runs on pipeline worker goroutines: it must
-// only touch immutable or internally synchronized state (Config, NodeKeys,
-// KeyRing, ThresholdScheme, the Verifier's digest table), never replica
-// state. It may rewrite env.Msg with an owned clone.
+// before dispatch. The function runs on transport goroutines, several at
+// once: it must only touch immutable or internally synchronized state
+// (Config, NodeKeys, KeyRing, ThresholdScheme, the Verifier's digest table),
+// never replica state. It may rewrite env.Msg with an owned clone.
 type VerifyFunc func(env *network.Envelope) bool
 
-// Verifier is the parallel authentication pipeline for one replica.
+// Verifier is the inbound authentication check of one replica, with the
+// digest table its share checks read.
 type Verifier struct {
-	verify  VerifyFunc
-	workers int
+	verify VerifyFunc
 
 	// digests maps (kind, view, seq) to the payload that threshold shares of
 	// that phase sign. The event loop registers payloads as soon as it knows
-	// them (NoteDigest); workers then verify arriving shares off-loop,
+	// them (NoteDigest); the check then verifies arriving shares off-loop,
 	// warming the crypto layer's share memo and dropping invalid shares
 	// early. The table is purely an optimization: a miss passes the message
 	// through, and the event loop's own (memoized) checks remain the
@@ -56,8 +57,7 @@ type Verifier struct {
 	mu      sync.RWMutex
 	digests map[digestKey][]byte
 
-	// Verified and Dropped count messages that passed and failed pipeline
-	// verification.
+	// Verified and Dropped count messages that passed and failed the check.
 	Verified atomic.Int64
 	Dropped  atomic.Int64
 }
@@ -75,17 +75,27 @@ const maxDigestKinds = 4
 // optimization is lost).
 const digestTableCap = 8192
 
-// NewVerifier creates a pipeline running verify on workers goroutines;
-// workers <= 0 sizes the pool to GOMAXPROCS.
+// NewVerifier creates the check running verify. workers is ignored — the
+// check runs on the goroutines that call Check, or on Pipe's one goroutine —
+// and is kept only because the benchmark's layer probes (bench/layers.go)
+// still pass it.
 func NewVerifier(verify VerifyFunc, workers int) *Verifier {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	return &Verifier{
 		verify:  verify,
-		workers: workers,
 		digests: make(map[digestKey][]byte),
 	}
+}
+
+// Check runs the verify function on one envelope and counts the outcome.
+// It is the check a replica installs on its transport, so it runs on
+// whichever goroutine reads or delivers the envelope.
+func (v *Verifier) Check(env *network.Envelope) bool {
+	if !v.verify(env) {
+		v.Dropped.Add(1)
+		return false
+	}
+	v.Verified.Add(1)
+	return true
 }
 
 // NoteDigest registers the payload that shares of phase kind at (view, seq)
@@ -140,27 +150,14 @@ func (v *Verifier) VerifyShareFor(ts crypto.ThresholdScheme, kind uint8, view ty
 	return ts.VerifyShare(payload, share)
 }
 
-// job tracks one envelope through the pipeline.
-type job struct {
-	env  network.Envelope
-	keep bool
-	done chan struct{}
-}
-
-// Pipe starts the pipeline over an inbox and returns the channel of
-// pre-verified envelopes, closed when the inbox closes or ctx is done.
-// Envelopes are verified concurrently but delivered strictly in arrival
-// order, so the pipeline is transparent to the protocol's ordering
-// assumptions.
+// Pipe checks the envelopes of an inbox on one goroutine, in arrival order,
+// and returns the channel of those that pass, closed when the inbox closes
+// or ctx is done. No replica uses it — replicas install Check on their
+// transport — but it runs the same check over a plain channel.
 func (v *Verifier) Pipe(ctx context.Context, in <-chan network.Envelope) <-chan network.Envelope {
 	out := make(chan network.Envelope, 256)
-	work := make(chan *job, 4*v.workers)
-	order := make(chan *job, 4*v.workers)
-
-	// Feeder: tag every envelope with its arrival position.
 	go func() {
-		defer close(work)
-		defer close(order)
+		defer close(out)
 		for {
 			select {
 			case <-ctx.Done():
@@ -169,49 +166,14 @@ func (v *Verifier) Pipe(ctx context.Context, in <-chan network.Envelope) <-chan 
 				if !ok {
 					return
 				}
-				j := &job{env: env, done: make(chan struct{})}
+				if !v.Check(&env) {
+					continue
+				}
 				select {
-				case order <- j:
+				case out <- env:
 				case <-ctx.Done():
 					return
 				}
-				select {
-				case work <- j:
-				case <-ctx.Done():
-					return
-				}
-			}
-		}
-	}()
-
-	// Workers: verify in parallel.
-	for i := 0; i < v.workers; i++ {
-		go func() {
-			for j := range work {
-				j.keep = v.verify(&j.env)
-				close(j.done)
-			}
-		}()
-	}
-
-	// Deliverer: release results in arrival order.
-	go func() {
-		defer close(out)
-		for j := range order {
-			select {
-			case <-j.done:
-			case <-ctx.Done():
-				return
-			}
-			if !j.keep {
-				v.Dropped.Add(1)
-				continue
-			}
-			v.Verified.Add(1)
-			select {
-			case out <- j.env:
-			case <-ctx.Done():
-				return
 			}
 		}
 	}()

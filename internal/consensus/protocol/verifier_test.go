@@ -5,9 +5,11 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/types"
 )
@@ -140,5 +142,70 @@ func TestReplicaLoopsDoNotVerifyInline(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestIngressQueuedBeforeRun: envelopes that reached the inbox before Run
+// installed the check are checked by the Run loop, so an invalid one is
+// never dispatched; envelopes arriving afterwards are checked by the
+// transport. Either way every message is checked exactly once.
+func TestIngressQueuedBeforeRun(t *testing.T) {
+	cn := network.NewChanNet()
+	defer cn.Close()
+	ring := crypto.NewKeyRing(4, []byte("ingress"))
+	rt := NewRuntime(Config{ID: 0, N: 4, F: 1, Scheme: crypto.SchemeMAC}, ring, cn.Join(types.ReplicaNode(0)), RuntimeOptions{})
+	peer := cn.Join(types.ReplicaNode(1))
+
+	var mu sync.Mutex
+	checks := make(map[int]int)
+	verify := func(env *network.Envelope) bool {
+		mu.Lock()
+		checks[env.Msg.(int)]++
+		mu.Unlock()
+		return env.Msg.(int) > 0
+	}
+	dispatched := make(chan int, 8)
+	dispatch := func(env network.Envelope) { dispatched <- env.Msg.(int) }
+	next := func(want int) {
+		t.Helper()
+		select {
+		case got := <-dispatched:
+			if got != want {
+				t.Fatalf("dispatched %d, want %d", got, want)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("message %d not dispatched", want)
+		}
+	}
+
+	peer.Send(types.ReplicaNode(0), -1)
+	peer.Send(types.ReplicaNode(0), 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		rt.Run(ctx, verify, dispatch, func(time.Time) {})
+		close(done)
+	}()
+	next(1)
+	peer.Send(types.ReplicaNode(0), -2)
+	peer.Send(types.ReplicaNode(0), 2)
+	next(2)
+	cancel()
+	<-done
+
+	select {
+	case got := <-dispatched:
+		t.Fatalf("dispatched %d after the valid messages", got)
+	default:
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, m := range []int{-1, 1, -2, 2} {
+		if checks[m] != 1 {
+			t.Errorf("message %d checked %d times, want once", m, checks[m])
+		}
+	}
+	if v, d := rt.Pipeline.Verified.Load(), rt.Pipeline.Dropped.Load(); v != 2 || d != 2 {
+		t.Errorf("counters: verified=%d dropped=%d, want 2 and 2", v, d)
 	}
 }

@@ -306,13 +306,13 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 		return
 	}
 	// Broadcast authenticator and client signatures were verified by the
-	// authentication pipeline before dispatch.
+	// inbound check before dispatch.
 	s.view = m.View
 	s.haveBatch = true
 	s.batch = m.Batch
 	s.digest = types.ProposalDigest(m.Seq, m.View, m.Batch.Digest())
 	// Register the share payloads (first round and the slow path's second
-	// round) so the pipeline verifies arriving shares off the event loop.
+	// round) so the inbound check verifies arriving shares off the event loop.
 	// Shares stashed by onSignShare before this pre-prepare fixed the digest
 	// are validated now; the collector's own share still has to loop back
 	// before the fast path can complete, so no threshold re-check is needed.
@@ -321,7 +321,7 @@ func (r *Replica) handlePrePrepare(from types.ReplicaID, m *PrePrepare) {
 	r.rt.Pipeline.NoteDigest(kindShare2, m.View, m.Seq, d2[:])
 	s.shares.Fix(s.digest[:])
 	s.shares2.Fix(d2[:])
-	// The SIGN-SHARE is signed on the egress pool; the collector's own share
+	// The SIGN-SHARE is signed on the egress loop; the collector's own share
 	// loops back onto the event loop, re-checking view/status.
 	ss := &SignShare{View: m.View, Seq: m.Seq}
 	digest := s.digest
@@ -350,10 +350,10 @@ func (r *Replica) onSignShare(from types.ReplicaID, m *SignShare) {
 	if !r.Active(m.View) || !r.isCollector() || !r.InWindow(m.Seq) {
 		return
 	}
-	// The slot is created even when the pre-prepare has not arrived yet: the
-	// verify pipeline dispatches small SIGN-SHAREs ahead of large proposals,
-	// and shares are sent exactly once — dropping an early one permanently
-	// costs a share, which here means the fast path (all n shares) can never
+	// The slot is created even when the pre-prepare has not arrived yet:
+	// SIGN-SHAREs arrive on the other replicas' connections and can overtake
+	// a large proposal, and shares are sent exactly once — dropping an early
+	// one permanently costs a share, which here means the fast path (all n shares) can never
 	// complete and every such slot pays the collector-timeout slow path.
 	s := r.slot(m.Seq)
 	if s.proofSent {
@@ -509,7 +509,7 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 			delete(r.slots, ev.Rec.Seq)
 			r.rt.Pipeline.ForgetDigests(ev.Rec.View, ev.Rec.Seq)
 		}
-		// The SIGN-STATE share is signed on the egress pool; the executor
+		// The SIGN-STATE share is signed on the egress loop; the executor
 		// replica's own share loops back onto the event loop.
 		payload := ExecPayload(ev.Rec.Seq, headHash)
 		ss := &SignState{View: view, Seq: ev.Rec.Seq}
@@ -536,7 +536,7 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 
 // noteExecution retains the executor-side context needed to answer clients
 // once the state certificate forms, and registers the state-share payload so
-// the pipeline verifies arriving SIGN-STATE shares off the event loop. The
+// the inbound check verifies arriving SIGN-STATE shares off the event loop. The
 // slot is created even though its batch has just executed: the executor
 // holds it until EXECUTE-ACK.
 func (r *Replica) noteExecution(ev protocol.Executed, headHash types.Digest) {

@@ -2,14 +2,14 @@ package sbft
 
 import "github.com/poexec/poe/internal/network"
 
-// SBFT's hook into the parallel authentication pipeline: broadcast
+// SBFT's hook into the inbound authentication check: broadcast
 // authenticators, client signatures, self-certifying certificates, and —
 // once the pre-prepare (or execution) has registered the phase payload —
-// sign-shares, second-round shares, and state shares are verified on worker
-// goroutines before dispatch. See the poe package's verify.go for the
-// pipeline's ownership and concurrency rules.
+// sign-shares, second-round shares, and state shares are verified on
+// transport goroutines before dispatch. See the poe package's verify.go for the
+// check's ownership and concurrency rules.
 
-// Share-payload kinds in the pipeline's digest table.
+// Share-payload kinds in the Verifier's digest table.
 const (
 	kindSign   uint8 = 0 // h = D(k||v||D(batch))
 	kindShare2 uint8 = 1 // D("sbft-share2" || h)

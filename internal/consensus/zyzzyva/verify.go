@@ -2,10 +2,10 @@ package zyzzyva
 
 import "github.com/poexec/poe/internal/network"
 
-// Zyzzyva's hook into the parallel authentication pipeline: order-request
+// Zyzzyva's hook into the inbound authentication check: order-request
 // authenticators, per-request client signatures, and the share bundles of
-// client commit certificates are verified on worker goroutines before
-// dispatch. See the poe package's verify.go for the pipeline's ownership and
+// client commit certificates are verified on transport goroutines before
+// dispatch. See the poe package's verify.go for the check's ownership and
 // concurrency rules.
 
 func (r *Replica) verifyInbound(env *network.Envelope) bool {

@@ -221,7 +221,7 @@ func (r *Replica) handleOrderReq(from types.ReplicaID, m *OrderReq) {
 		return
 	}
 	// Authenticator and client signatures were verified by the
-	// authentication pipeline before dispatch.
+	// inbound check before dispatch.
 	r.orders[m.Seq] = m
 	r.NoteSlot(m.Seq)
 	r.drainOrders()
@@ -290,7 +290,7 @@ func (r *Replica) afterInstall(snap *storage.Snapshot, events []protocol.Execute
 // and this replica's share over the ordering (the client's commit
 // certificate material). The history digest is fixed on the event loop; the
 // threshold share — one Ed25519 sign per batch — and the per-reply MACs are
-// computed on the egress pool, and on a durable replica the sends wait for
+// computed on the egress loop, and on a durable replica the sends wait for
 // the batch's WAL group.
 func (r *Replica) informSpeculative(ev protocol.Executed) {
 	hist := r.headHistory()

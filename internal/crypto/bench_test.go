@@ -167,3 +167,54 @@ func BenchmarkClientAuth(b *testing.B) {
 		})
 	}
 }
+
+// tagSink keeps the benchmarked tags live so the calls are not optimized away.
+var tagSink []byte
+
+// BenchmarkMAC measures one pairwise tag: made (an INFORM's or a broadcast's
+// authenticator) and checked (every inbound replica message in MAC mode).
+func BenchmarkMAC(b *testing.B) {
+	ring := NewKeyRing(4, []byte("bench"))
+	k0 := ring.NodeKeys(types.ReplicaNode(0))
+	k1 := ring.NodeKeys(types.ReplicaNode(1))
+	msg := benchMsg(1)
+	tag := k0.MAC(types.ReplicaNode(1), msg)
+	b.Run("make", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tagSink = k0.MAC(types.ReplicaNode(1), msg)
+		}
+	})
+	b.Run("check", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !k1.CheckMAC(types.ReplicaNode(0), msg, tag) {
+				b.Fatal("tag rejected")
+			}
+		}
+	})
+}
+
+// BenchmarkHMACShare measures the HMAC threshold scheme's share: made, and
+// verified by another replica.
+func BenchmarkHMACShare(b *testing.B) {
+	ring := NewKeyRing(4, []byte("bench"))
+	signer := NewThresholdScheme(ring, 1, 3, false)
+	checker := NewThresholdScheme(ring, 0, 3, false)
+	msg := benchMsg(1)
+	share := signer.Share(msg)
+	b.Run("share", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			tagSink = signer.Share(msg).Data
+		}
+	})
+	b.Run("verify", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if !checker.VerifyShare(msg, share) {
+				b.Fatal("share rejected")
+			}
+		}
+	})
+}

@@ -25,6 +25,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"sync"
 	"sync/atomic"
 
@@ -168,44 +169,80 @@ func (r *KeyRing) thresholdKey(i types.ReplicaID) []byte {
 // NodeKeys returns the key material visible to one node.
 func (r *KeyRing) NodeKeys(node types.NodeID) *NodeKeys {
 	return &NodeKeys{
-		ring:     r,
-		self:     node,
-		priv:     r.privKey(node),
-		pairKeys: make(map[types.NodeID][]byte),
+		ring: r,
+		self: node,
+		priv: r.privKey(node),
+		macs: make(map[types.NodeID]*keyedMAC),
 	}
 }
 
+// keyedMAC is one HMAC-SHA256 key's keyed hash states. hmac.New runs the
+// key schedule once per state; after that, Reset returns a used state to
+// the keyed start from saved copies of its pad states, so a tag costs the
+// two SHA-256 passes over the message and nothing else. The pool lets
+// concurrent callers — transport read goroutines, the egress loop — tag
+// under one key without sharing a state.
+type keyedMAC struct{ pool sync.Pool }
+
+func newKeyedMAC(key []byte) *keyedMAC {
+	k := &keyedMAC{}
+	k.pool.New = func() any { return hmac.New(sha256.New, key) }
+	return k
+}
+
+// sum appends the HMAC of label followed by msg to dst.
+func (k *keyedMAC) sum(dst, label, msg []byte) []byte {
+	h := k.pool.Get().(hash.Hash)
+	h.Write(label)
+	h.Write(msg)
+	dst = h.Sum(dst)
+	h.Reset()
+	k.pool.Put(h)
+	return dst
+}
+
+// check reports whether tag is the HMAC of label followed by msg,
+// truncated to size bytes (at most sha256.Size).
+func (k *keyedMAC) check(label, msg, tag []byte, size int) bool {
+	if len(tag) != size {
+		return false
+	}
+	var sum [sha256.Size]byte
+	return hmac.Equal(k.sum(sum[:0], label, msg)[:size], tag)
+}
+
 // NodeKeys is one node's view of the key ring: its own private keys plus
-// everyone's public keys. NodeKeys is safe for concurrent use (the parallel
-// authentication pipeline verifies with it from worker goroutines).
+// everyone's public keys. NodeKeys is safe for concurrent use (transport
+// read goroutines verify with it while the egress loop signs).
 type NodeKeys struct {
 	ring *KeyRing
 	self types.NodeID
 	priv ed25519.PrivateKey
 
-	// pairKeys caches the derived pairwise MAC keys: deriving one costs a
-	// full HMAC pass, which would otherwise be paid twice per MAC operation.
-	pairMu   sync.RWMutex
-	pairKeys map[types.NodeID][]byte
+	// macs holds the keyed MAC state shared with each peer, built on first
+	// use: deriving the pairwise key and keying an HMAC each cost a full
+	// HMAC pass, which would otherwise be paid on every tag.
+	macMu sync.RWMutex
+	macs  map[types.NodeID]*keyedMAC
 }
 
-// pairKeyCached returns the symmetric key shared with peer, deriving and
-// caching it on first use.
-func (k *NodeKeys) pairKeyCached(peer types.NodeID) []byte {
-	k.pairMu.RLock()
-	key, ok := k.pairKeys[peer]
-	k.pairMu.RUnlock()
+// pairMAC returns the keyed MAC state shared with peer, building it on
+// first use.
+func (k *NodeKeys) pairMAC(peer types.NodeID) *keyedMAC {
+	k.macMu.RLock()
+	m, ok := k.macs[peer]
+	k.macMu.RUnlock()
 	if ok {
-		return key
+		return m
 	}
-	key = k.ring.pairKey(k.self, peer)
-	k.pairMu.Lock()
-	if k.pairKeys == nil || len(k.pairKeys) >= 1<<17 {
-		k.pairKeys = make(map[types.NodeID][]byte)
+	m = newKeyedMAC(k.ring.pairKey(k.self, peer))
+	k.macMu.Lock()
+	if k.macs == nil || len(k.macs) >= 1<<17 {
+		k.macs = make(map[types.NodeID]*keyedMAC)
 	}
-	k.pairKeys[peer] = key
-	k.pairMu.Unlock()
-	return key
+	k.macs[peer] = m
+	k.macMu.Unlock()
+	return m
 }
 
 // Self returns the owning node.
@@ -227,16 +264,12 @@ func (k *NodeKeys) VerifyFrom(from types.NodeID, msg, sig []byte) bool {
 
 // MAC computes the HMAC tag for a message destined to peer.
 func (k *NodeKeys) MAC(peer types.NodeID, msg []byte) []byte {
-	mac := hmac.New(sha256.New, k.pairKeyCached(peer))
-	mac.Write(msg)
-	return mac.Sum(nil)
+	return k.pairMAC(peer).sum(nil, nil, msg)
 }
 
 // CheckMAC verifies the HMAC tag on a message received from peer.
 func (k *NodeKeys) CheckMAC(peer types.NodeID, msg, tag []byte) bool {
-	mac := hmac.New(sha256.New, k.pairKeyCached(peer))
-	mac.Write(msg)
-	return hmac.Equal(mac.Sum(nil), tag)
+	return k.pairMAC(peer).check(nil, msg, tag, sha256.Size)
 }
 
 // RequestTagSize is the length of one client→replica request tag: an
@@ -252,11 +285,8 @@ const RequestTagSize = 16
 var requestTagLabel = []byte("poe/request-auth")
 
 func (k *NodeKeys) requestTag(dst []byte, peer types.NodeID, digest []byte) []byte {
-	mac := hmac.New(sha256.New, k.pairKeyCached(peer))
-	mac.Write(requestTagLabel)
-	mac.Write(digest)
 	var sum [sha256.Size]byte
-	return append(dst, mac.Sum(sum[:0])[:RequestTagSize]...)
+	return append(dst, k.pairMAC(peer).sum(sum[:0], requestTagLabel, digest)[:RequestTagSize]...)
 }
 
 // RequestAuth is the client side of the client→replica authenticator: one
@@ -279,8 +309,7 @@ func (k *NodeKeys) CheckRequestAuth(client types.NodeID, digest, auth []byte) bo
 	if !k.self.IsReplica() || off < 0 || len(auth) < off+RequestTagSize {
 		return false
 	}
-	var tag [RequestTagSize]byte
-	return hmac.Equal(k.requestTag(tag[:0], client, digest), auth[off:off+RequestTagSize])
+	return k.pairMAC(client).check(requestTagLabel, digest, auth[off:off+RequestTagSize], RequestTagSize)
 }
 
 // Share is a threshold-signature share s〈v〉i produced by one replica.
@@ -317,7 +346,7 @@ func NewThresholdScheme(ring *KeyRing, self types.ReplicaID, threshold int, unfo
 	if unforgeable {
 		return &EdThreshold{ring: ring, self: self, keys: ring.NodeKeys(types.ReplicaNode(self)), t: threshold}
 	}
-	return &HMACThreshold{ring: ring, self: self, t: threshold}
+	return newHMACThreshold(ring, self, threshold)
 }
 
 // NewVerifier builds a verify-only threshold scheme for non-replica parties
@@ -326,7 +355,7 @@ func NewVerifier(ring *KeyRing, threshold int, unforgeable bool) ThresholdScheme
 	if unforgeable {
 		return &EdThreshold{ring: ring, self: -1, t: threshold}
 	}
-	return &HMACThreshold{ring: ring, self: -1, t: threshold}
+	return newHMACThreshold(ring, -1, threshold)
 }
 
 // EdThreshold implements ThresholdScheme as an Ed25519 multi-signature: the
@@ -334,10 +363,10 @@ func NewVerifier(ring *KeyRing, threshold int, unforgeable bool) ThresholdScheme
 // Stand-in for the paper's BLS signatures (DESIGN.md §3).
 //
 // EdThreshold is safe for concurrent use and remembers which shares and
-// certificates it has already verified: the authentication pipeline verifies
-// shares on worker goroutines as they arrive, and the replica event loop's
-// later VerifyShare/Combine/Verify calls become cache hits instead of
-// repeated Ed25519 operations. A Byzantine replica that forces a retry can
+// certificates it has already verified: the inbound check verifies shares
+// on the transports' read goroutines as they arrive, and the replica event
+// loop's later VerifyShare/Combine/Verify calls become cache hits instead
+// of repeated Ed25519 operations. A Byzantine replica that forces a retry can
 // therefore never make honest shares pay the verification cost twice.
 type EdThreshold struct {
 	ring *KeyRing
@@ -526,20 +555,25 @@ type HMACThreshold struct {
 	ring *KeyRing
 	self types.ReplicaID
 	t    int
+	// keys holds each replica's keyed share MAC, built once here rather
+	// than re-deriving the threshold key (itself a full HMAC) per share.
+	keys []*keyedMAC
+}
+
+func newHMACThreshold(ring *KeyRing, self types.ReplicaID, threshold int) *HMACThreshold {
+	h := &HMACThreshold{ring: ring, self: self, t: threshold, keys: make([]*keyedMAC, ring.n)}
+	for i := range h.keys {
+		h.keys[i] = newKeyedMAC(ring.thresholdKey(types.ReplicaID(i)))
+	}
+	return h
 }
 
 // Threshold implements ThresholdScheme.
 func (h *HMACThreshold) Threshold() int { return h.t }
 
-func (h *HMACThreshold) shareFor(id types.ReplicaID, msg []byte) []byte {
-	mac := hmac.New(sha256.New, h.ring.thresholdKey(id))
-	mac.Write(msg)
-	return mac.Sum(nil)
-}
-
 // Share implements ThresholdScheme.
 func (h *HMACThreshold) Share(msg []byte) Share {
-	return Share{Signer: h.self, Data: h.shareFor(h.self, msg)}
+	return Share{Signer: h.self, Data: h.keys[h.self].sum(nil, nil, msg)}
 }
 
 // VerifyShare implements ThresholdScheme.
@@ -547,7 +581,7 @@ func (h *HMACThreshold) VerifyShare(msg []byte, s Share) bool {
 	if s.Signer < 0 || int(s.Signer) >= h.ring.n {
 		return false
 	}
-	return hmac.Equal(s.Data, h.shareFor(s.Signer, msg))
+	return h.keys[s.Signer].check(nil, msg, s.Data, sha256.Size)
 }
 
 // Combine implements ThresholdScheme. The certificate layout matches
@@ -598,7 +632,7 @@ func (h *HMACThreshold) Verify(msg []byte, cert []byte) bool {
 			return false
 		}
 		seen[signer] = true
-		if !hmac.Equal(tag, h.shareFor(signer, msg)) {
+		if !h.keys[signer].check(nil, msg, tag, sha256.Size) {
 			return false
 		}
 	}

@@ -241,7 +241,7 @@ type Result struct {
 	FetchPages         int64
 	StateSyncRetries   int64
 
-	// Egress pipeline saturation, summed (EgressSigned) and maxed
+	// Egress loop saturation, summed (EgressSigned) and maxed
 	// (EgressMaxDepth) across replicas: authenticators computed off the
 	// event loops, and the deepest signing backlog any replica accumulated.
 	EgressSigned   int64

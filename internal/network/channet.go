@@ -21,7 +21,7 @@ import (
 // ChanNet is safe for concurrent use.
 type ChanNet struct {
 	mu        sync.RWMutex
-	inboxes   map[types.NodeID]chan Envelope
+	inboxes   map[types.NodeID]*chanTransport
 	crashed   map[types.NodeID]bool
 	cut       map[linkKey]bool
 	delay     time.Duration
@@ -72,7 +72,7 @@ func WithSendCost(d time.Duration) ChanNetOption {
 // NewChanNet creates an empty in-process network.
 func NewChanNet(opts ...ChanNetOption) *ChanNet {
 	c := &ChanNet{
-		inboxes: make(map[types.NodeID]chan Envelope),
+		inboxes: make(map[types.NodeID]*chanTransport),
 		crashed: make(map[types.NodeID]bool),
 		cut:     make(map[linkKey]bool),
 		buf:     65536,
@@ -90,9 +90,9 @@ func NewChanNet(opts ...ChanNetOption) *ChanNet {
 func (c *ChanNet) Join(node types.NodeID) Transport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	ch := make(chan Envelope, c.buf)
-	c.inboxes[node] = ch
-	return &chanTransport{net: c, node: node, inbox: ch}
+	t := &chanTransport{net: c, node: node, inbox: make(chan Envelope, c.buf)}
+	c.inboxes[node] = t
+	return t
 }
 
 // Crash marks a node as crashed: all traffic to and from it is dropped. This
@@ -156,10 +156,10 @@ func (c *ChanNet) Close() {
 		return
 	}
 	c.closed = true
-	for _, ch := range c.inboxes {
-		close(ch)
+	for _, t := range c.inboxes {
+		close(t.inbox)
 	}
-	c.inboxes = make(map[types.NodeID]chan Envelope)
+	c.inboxes = make(map[types.NodeID]*chanTransport)
 }
 
 func (c *ChanNet) randFloat() float64 {
@@ -203,7 +203,7 @@ func (c *ChanNet) dispatch(from, to types.NodeID, msg any) {
 		c.dropped.Add(1)
 		return
 	}
-	ch, ok := c.inboxes[to]
+	dst, ok := c.inboxes[to]
 	delay, jitter, dropProb := c.delay, c.jitter, c.dropProb
 	c.mu.RUnlock()
 	if !ok {
@@ -216,7 +216,7 @@ func (c *ChanNet) dispatch(from, to types.NodeID, msg any) {
 	}
 	env := Envelope{From: from, To: to, Msg: msg}
 	if delay == 0 && jitter == 0 {
-		c.deliver(to, ch, env)
+		c.deliver(to, dst, env)
 		return
 	}
 	d := delay
@@ -236,11 +236,23 @@ func (c *ChanNet) dispatch(from, to types.NodeID, msg any) {
 			c.dropped.Add(1)
 			return
 		}
-		c.deliver(to, ch, env)
+		c.deliver(to, dst, env)
 	})
 }
 
-func (c *ChanNet) deliver(to types.NodeID, ch chan Envelope, env Envelope) {
+func (c *ChanNet) deliver(to types.NodeID, dst *chanTransport, env Envelope) {
+	// The receiver's check runs here, on the delivering goroutine and
+	// before the lock: a rejected message never reaches the inbox. One
+	// delivery per sender at a time, as on a TCP connection: a sender's
+	// messages enter the inbox in the order they reached deliver, however
+	// long each one's check takes.
+	link := dst.link(env.From)
+	link.Lock()
+	defer link.Unlock()
+	if !dst.pass(&env) {
+		c.dropped.Add(1)
+		return
+	}
 	// Hold the read lock across the send: Close and transport Close take the
 	// write lock before closing an inbox, so a send can never race a close —
 	// the re-checks below see any close that happened since the caller
@@ -248,12 +260,12 @@ func (c *ChanNet) deliver(to types.NodeID, ch chan Envelope, env Envelope) {
 	// only momentarily.
 	c.mu.RLock()
 	defer c.mu.RUnlock()
-	if c.closed || c.inboxes[to] != ch {
+	if c.closed || c.inboxes[to] != dst {
 		c.dropped.Add(1)
 		return
 	}
 	select {
-	case ch <- env:
+	case dst.inbox <- env:
 		c.delivered.Add(1)
 	default:
 		// Inbox full: shed load like a congested switch. Protocols already
@@ -263,9 +275,29 @@ func (c *ChanNet) deliver(to types.NodeID, ch chan Envelope, env Envelope) {
 }
 
 type chanTransport struct {
+	ingress
 	net   *ChanNet
 	node  types.NodeID
 	inbox chan Envelope
+
+	// links serializes the deliveries of each sender to this node.
+	linksMu sync.Mutex
+	links   map[types.NodeID]*sync.Mutex
+}
+
+// link returns the lock that orders from's deliveries to this node.
+func (t *chanTransport) link(from types.NodeID) *sync.Mutex {
+	t.linksMu.Lock()
+	defer t.linksMu.Unlock()
+	m, ok := t.links[from]
+	if !ok {
+		if t.links == nil {
+			t.links = make(map[types.NodeID]*sync.Mutex)
+		}
+		m = &sync.Mutex{}
+		t.links[from] = m
+	}
+	return m
 }
 
 func (t *chanTransport) Node() types.NodeID { return t.node }
@@ -279,9 +311,9 @@ func (t *chanTransport) Inbox() <-chan Envelope { return t.inbox }
 func (t *chanTransport) Close() error {
 	t.net.mu.Lock()
 	defer t.net.mu.Unlock()
-	if ch, ok := t.net.inboxes[t.node]; ok && ch == t.inbox {
+	if t.net.inboxes[t.node] == t {
 		delete(t.net.inboxes, t.node)
-		close(ch)
+		close(t.inbox)
 	}
 	return nil
 }

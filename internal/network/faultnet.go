@@ -79,7 +79,7 @@ type TraceEvent struct {
 // protocol messages are authenticated above the transport, a mutator cannot
 // forge meaningful protocol state — honest verifiers drop what it corrupts —
 // so its chief uses are selective silence (keeping a quorum subset dark) and
-// robustness tests that tampered bytes die in the authentication pipeline.
+// robustness tests that tampered bytes die in the inbound check.
 // Effective equivocation, which requires re-signing, lives in
 // protocol.AdversarySpec instead (DESIGN.md §6).
 type Mutator func(to types.NodeID, msg any) (any, bool)
@@ -634,6 +634,10 @@ func (t *faultTransport) Broadcast(tos []types.NodeID, msg any) {
 }
 
 func (t *faultTransport) Inbox() <-chan Envelope { return t.inner.Inbox() }
+
+// SetCheck forwards the check to the wrapped transport: the fabric acts on
+// the sender's side, and the inbox is the inner transport's.
+func (t *faultTransport) SetCheck(check func(env *Envelope) bool) { t.inner.SetCheck(check) }
 
 func (t *faultTransport) Close() error { return t.inner.Close() }
 

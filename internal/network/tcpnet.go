@@ -7,6 +7,7 @@ import (
 	"io"
 	"log"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,7 +31,14 @@ import (
 // (Broadcast below; Encodes counts the marshals so tests can assert the
 // fan-out really is marshal-once). The destination is not in the frame: TCP
 // links are point-to-point, the receiver is the destination.
+//
+// Each connection's read goroutine decodes its frames and runs the
+// receiver's installed check (SetCheck) on them before they enter the
+// inbox: frames from one connection are checked and delivered in the order
+// they were read, and distinct connections are checked in parallel.
 type TCPNet struct {
+	ingress
+
 	node     types.NodeID
 	peers    map[types.NodeID]string
 	listener net.Listener
@@ -73,6 +81,12 @@ type tcpPeer struct {
 // maxFrameSize bounds one decoded frame; a declared length beyond it is
 // treated as a corrupt or hostile stream and the connection is dropped.
 const maxFrameSize = 64 << 20
+
+// frameStep is the first buffer a frame body is read into. The buffer at
+// most doubles per refill, so it never runs more than twice ahead of the
+// bytes that have arrived: a peer that declares a large frame and stalls
+// costs the receiver its bytes, not its declared length.
+const frameStep = 64 << 10
 
 // NewTCPNet starts a TCP transport for node, listening on peers[node] and
 // dialing the other entries on demand.
@@ -173,7 +187,8 @@ func (t *TCPNet) trackConn(conn net.Conn) bool {
 
 // readFrame reads one length-delimited frame body from br. The returned
 // buffer is freshly allocated per frame: the decoded message aliases it and
-// owns it (Envelope.Owned).
+// owns it (Envelope.Owned). The buffer grows with the bytes that arrive
+// (frameStep), not with the length the header declares.
 func readFrame(br *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(br, hdr[:]); err != nil {
@@ -183,9 +198,17 @@ func readFrame(br *bufio.Reader) ([]byte, error) {
 	if length > maxFrameSize {
 		return nil, fmt.Errorf("network: frame declares %d bytes", length)
 	}
-	body := make([]byte, length)
-	if _, err := io.ReadFull(br, body); err != nil {
-		return nil, err
+	n := int(length)
+	body := make([]byte, 0, min(n, frameStep))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		got, err := io.ReadFull(br, body[len(body):min(n, cap(body))])
+		if err != nil {
+			return nil, err
+		}
+		body = body[:len(body)+got]
 	}
 	return body, nil
 }
@@ -248,8 +271,12 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 		if msg == nil {
 			continue // a hello frame: the route above is all it carried
 		}
+		env := Envelope{From: from, To: t.node, Msg: msg, Owned: true}
+		if !t.pass(&env) {
+			continue
+		}
 		select {
-		case t.inbox <- Envelope{From: from, To: t.node, Msg: msg, Owned: true}:
+		case t.inbox <- env:
 		default:
 			// Shed load rather than stall the connection; protocols
 			// retransmit.

@@ -21,16 +21,18 @@
 // through Net. Authenticated communication is layered above the transport
 // by the protocols themselves (crypto package), matching the paper's model
 // where the network is unreliable and unauthenticated. Two consequences
-// shape the fault fabric: a receiving replica hands every inbound envelope
-// to its parallel authentication pipeline (protocol.Verifier), so whatever
-// the fabric corrupts is verified — and dropped — off the replica's event
-// loop at full pipeline parallelism; and network-level tampering can never
-// forge protocol state, which is why effective equivocation is injected
-// above the transport via protocol.AdversarySpec rather than by a FaultNet
-// mutator.
+// shape the fault fabric: a receiving replica installs its authentication
+// check on its transport (SetCheck), which runs it where the message is
+// read or delivered — so whatever the fabric corrupts is verified, and
+// dropped, before it reaches the replica's inbox or event loop; and
+// network-level tampering can never forge protocol state, which is why
+// effective equivocation is injected above the transport via
+// protocol.AdversarySpec rather than by a FaultNet mutator.
 package network
 
 import (
+	"sync/atomic"
+
 	"github.com/poexec/poe/internal/types"
 )
 
@@ -41,10 +43,15 @@ type Envelope struct {
 	Msg  any
 	// Owned marks a message the receiver owns exclusively — one freshly
 	// decoded from wire bytes (TCPNet), never a pointer shared with the
-	// sender or other replicas. The authentication pipeline skips its
+	// sender or other replicas. The inbound check skips its
 	// defensive ingress clone for owned envelopes: digest memoization on
 	// them can race nobody.
 	Owned bool
+	// Checked marks an envelope that passed the check the receiver
+	// installed with SetCheck. The receiver dispatches it without checking
+	// it again; an unmarked envelope — queued before the check was
+	// installed, or looped back by the sender to itself — it checks itself.
+	Checked bool
 }
 
 // Transport is one node's connection to the network.
@@ -63,8 +70,43 @@ type Transport interface {
 	// Inbox is the stream of messages addressed to this node. It is closed
 	// when the transport is closed.
 	Inbox() <-chan Envelope
+	// SetCheck installs the receiver's check on inbound envelopes. From
+	// then on the transport runs it on the goroutine that reads or delivers
+	// each envelope, before the envelope enters the inbox: one that fails
+	// is dropped, one that passes arrives marked Checked. The check may
+	// rewrite env.Msg, and must be safe for concurrent use. Nil removes it.
+	SetCheck(check func(env *Envelope) bool)
 	// Close detaches the node from the network.
 	Close() error
+}
+
+// ingress holds a transport's installed check. Transports embed it for
+// their SetCheck.
+type ingress struct {
+	check atomic.Pointer[func(*Envelope) bool]
+}
+
+// SetCheck implements Transport.
+func (in *ingress) SetCheck(check func(env *Envelope) bool) {
+	if check == nil {
+		in.check.Store(nil)
+		return
+	}
+	in.check.Store(&check)
+}
+
+// pass runs the installed check on env and marks it Checked if it passes.
+// It reports false only for an envelope the check rejected.
+func (in *ingress) pass(env *Envelope) bool {
+	check := in.check.Load()
+	if check == nil {
+		return true
+	}
+	if !(*check)(env) {
+		return false
+	}
+	env.Checked = true
+	return true
 }
 
 // Announce makes this node reachable from the replicas [0, n) before it has

@@ -203,7 +203,7 @@ func (t *Transaction) Digest() Digest {
 // (never serialized; carried by value copies). Memoization mutates the
 // struct, so a Request received from an in-process transport — whose pointer
 // may be shared with the sender and with other replicas — must be cloned
-// (Batch.Clone, CloneRequest) before its digest is first taken. The authentication pipeline does this at
+// (Batch.Clone, CloneRequest) before its digest is first taken. The inbound check does this at
 // ingress; after that, a replica's event loop owns its copies exclusively.
 type Request struct {
 	Txn Transaction

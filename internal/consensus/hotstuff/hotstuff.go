@@ -132,8 +132,7 @@ type Replica struct {
 	execSeq   types.SeqNum // decision counter driving the executor
 
 	votes    map[types.View][]*nodeVotes // see onVote
-	newViews map[types.View]map[types.ReplicaID]QC
-	sentNV   map[types.View]bool
+	newViews *protocol.Claims[types.View, struct{}]
 
 	// anchorRound is the round of the newest block executed outside the
 	// live node chain — durable recovery or an installed snapshot. The
@@ -185,8 +184,7 @@ func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts 
 		nodes:      make(map[types.Digest]*Node),
 		committed:  make(map[types.Digest]bool),
 		votes:      make(map[types.View][]*nodeVotes),
-		newViews:   make(map[types.View]map[types.ReplicaID]QC),
-		sentNV:     make(map[types.View]bool),
+		newViews:   protocol.NewViewClaims[struct{}](cfg),
 		roundStart: time.Now(),
 		curTimeout: cfg.ViewTimeout,
 	}
@@ -522,19 +520,9 @@ func (r *Replica) advanceRound(round types.View) {
 	r.curRound = round
 	r.roundStart = time.Now()
 	r.curTimeout = r.rt.Cfg.ViewTimeout
-	for rd := range r.newViews {
-		if rd < round {
-			delete(r.newViews, rd)
-		}
-	}
 	for rd := range r.votes {
 		if rd+1 < round || rd <= r.highQC.Round {
 			delete(r.votes, rd)
-		}
-	}
-	for rd := range r.sentNV {
-		if rd < round {
-			delete(r.sentNV, rd)
 		}
 	}
 }
@@ -700,10 +688,9 @@ func (r *Replica) onTick(now time.Time) {
 
 // broadcastNewView announces this replica's move to the given round.
 func (r *Replica) broadcastNewView(round types.View) {
-	if r.sentNV[round] {
+	if r.newViews.Has(r.rt.Cfg.ID, round) {
 		return
 	}
-	r.sentNV[round] = true
 	if round > r.curRound {
 		r.curRound = round
 	}
@@ -721,18 +708,13 @@ func (r *Replica) onNewView(m *NewView) {
 		return
 	}
 	r.updateHighQC(m.High)
-	nvs, ok := r.newViews[m.Round]
-	if !ok {
-		nvs = make(map[types.ReplicaID]QC)
-		r.newViews[m.Round] = nvs
-	}
-	nvs[m.From] = m.High
+	r.newViews.Put(m.From, m.Round, types.Digest{}, struct{}{})
 	// f+1 replicas entered the round: at least one is honest, so join it
 	// (keeps the pacemaker synchronized across skewed timeouts).
-	if len(nvs) >= cfg.FPlus1() {
+	if r.newViews.Count(m.Round, types.Digest{}) >= cfg.FPlus1() {
 		r.broadcastNewView(m.Round)
 	}
-	if len(nvs) < cfg.NF() || Leader(cfg.N, m.Round) != cfg.ID {
+	if r.newViews.Count(m.Round, types.Digest{}) < cfg.NF() || Leader(cfg.N, m.Round) != cfg.ID {
 		return
 	}
 	if m.Round > r.curRound {

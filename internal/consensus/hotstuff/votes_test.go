@@ -3,6 +3,7 @@ package hotstuff
 import (
 	"context"
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -122,5 +123,51 @@ func TestForgedNewViewsDoNotMoveRound(t *testing.T) {
 	}
 	if r.Round() != 5 {
 		t.Fatalf("f+1 genuine NEW-VIEWs left the replica in round %d, want 5", r.Round())
+	}
+}
+
+// TestFarFutureNewViewsBounded: one replica sends NEW-VIEWs for ever later
+// rounds. The NEW-VIEW table keeps at most n+1 of them, the cost
+// per message does not grow with the count, and the honest replicas still
+// move the pacemaker on.
+func TestFarFutureNewViewsBounded(t *testing.T) {
+	r, _ := handDriven(t, 2)
+	const msgs = 10_000
+	took := make([]time.Duration, msgs)
+	for i := range took {
+		m := &NewView{From: 1, Round: types.View(1000 + i), High: r.highQC}
+		start := time.Now()
+		r.onNewView(m)
+		took[i] = time.Since(start)
+	}
+	median := func(ds []time.Duration) time.Duration {
+		ds = slices.Clone(ds)
+		slices.Sort(ds)
+		return ds[len(ds)/2]
+	}
+	// Each thousand is priced at a thousand times its median message, so a
+	// GC pause does not decide the comparison.
+	if first, last := 1000*median(took[:1000]), 1000*median(took[msgs-1000:]); last > 2*first {
+		t.Fatalf("the last 1000 NEW-VIEWs took %v, the first 1000 %v", last, first)
+	}
+	held := 0
+	for i := 0; i < msgs; i++ {
+		if r.newViews.Has(1, types.View(1000+i)) {
+			held++
+		}
+	}
+	if n := r.rt.Cfg.N; held > n+1 {
+		t.Fatalf("NEW-VIEW table holds %d of replica 1's %d far-future rounds, want ≤ n+1 = %d", held, msgs, n+1)
+	}
+	if r.curRound != 1 {
+		t.Fatalf("one replica's NEW-VIEWs moved the round to %d", r.curRound)
+	}
+	// Replica 2 leads round 2: two more NEW-VIEWs make f+1, it joins, and
+	// with its own that is nf: it proposes.
+	for _, from := range []types.ReplicaID{0, 3} {
+		r.onNewView(&NewView{From: from, Round: 2, High: r.highQC})
+	}
+	if r.curRound != 2 || !r.newViews.Has(2, 2) {
+		t.Fatalf("round %d after f+1 NEW-VIEWs for round 2, want 2 with its own NEW-VIEW sent", r.curRound)
 	}
 }

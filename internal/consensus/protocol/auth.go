@@ -103,31 +103,3 @@ func (rt *Runtime) VerifyBroadcast(from types.ReplicaID, payload []byte, vec [][
 		return i < len(vec) && rt.Keys.CheckMAC(types.ReplicaNode(from), payload, vec[i])
 	}
 }
-
-// AuthP2P produces the authenticator for a point-to-point message to a
-// replica.
-func (rt *Runtime) AuthP2P(to types.ReplicaID, payload []byte) []byte {
-	switch rt.Cfg.Scheme {
-	case crypto.SchemeNone:
-		return nil
-	case crypto.SchemeED:
-		return rt.Keys.Sign(payload)
-	default:
-		return rt.Keys.MAC(types.ReplicaNode(to), payload)
-	}
-}
-
-// VerifyP2P checks a point-to-point authenticator from replica from.
-func (rt *Runtime) VerifyP2P(from types.ReplicaID, payload, tag []byte) bool {
-	if from == rt.Cfg.ID {
-		return true
-	}
-	switch rt.Cfg.Scheme {
-	case crypto.SchemeNone:
-		return true
-	case crypto.SchemeED:
-		return rt.Keys.VerifyFrom(types.ReplicaNode(from), payload, tag)
-	default:
-		return rt.Keys.CheckMAC(types.ReplicaNode(from), payload, tag)
-	}
-}

@@ -152,10 +152,3 @@ func (l *Lease) ResetHolder(view types.View) {
 		delete(l.grants, k)
 	}
 }
-
-// HolderView returns the view the holder side is collecting grants for.
-func (l *Lease) HolderView() types.View {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.holderView
-}

@@ -83,12 +83,13 @@ type Runtime struct {
 	durWater   types.SeqNum
 	durPending map[types.SeqNum][]func()
 
-	// checkpoint vote bookkeeping. The full signed votes are retained (not
-	// just their digests): when a checkpoint stabilizes, the matching-digest
-	// subset becomes stableCert — the self-contained proof a snapshot server
-	// attaches to offers so a fetcher that never saw the votes can still
-	// verify the state it installs.
-	cpVotes       map[types.SeqNum]map[types.ReplicaID]*Checkpoint
+	// cpVotes holds the verified checkpoint votes, read at nf by
+	// OnCheckpoint and at f+1 by state sync. The full signed votes are kept
+	// (not just their digests): when a checkpoint stabilizes, the
+	// matching-digest subset becomes stableCert — the self-contained proof a
+	// snapshot server attaches to offers so a fetcher that never saw the
+	// votes can still verify the state it installs.
+	cpVotes       *Claims[types.SeqNum, Checkpoint]
 	stableCert    []Checkpoint
 	stableCertSeq types.SeqNum
 
@@ -179,7 +180,7 @@ func NewRuntime(cfg Config, ring *crypto.KeyRing, net network.Transport, opts Ru
 		reqSeen:    make(map[types.Digest]types.SeqNum),
 		lastReply:  make(map[types.ClientID]*replyRing),
 		durPending: make(map[types.SeqNum][]func()),
-		cpVotes:    make(map[types.SeqNum]map[types.ReplicaID]*Checkpoint),
+		cpVotes:    newCheckpointClaims(cfg),
 	}
 	rt.Sync = newStateSync(rt)
 	rt.Lease = NewLease(cfg)
@@ -796,48 +797,26 @@ func (rt *Runtime) OnCheckpoint(cp *Checkpoint) (types.SeqNum, bool) {
 	if cp.From != rt.Cfg.ID && !rt.Keys.VerifyFrom(types.ReplicaNode(cp.From), cp.SignedPayload(), cp.Sig) {
 		return 0, false
 	}
+	d := types.DigestConcat(cp.State[:], cp.Ledger[:])
+	rt.cpVotes.Put(cp.From, cp.Seq, d, *cp)
 	// Feed the state-sync detector before any short-circuit: a replica that
 	// is far behind needs the evidence precisely when it cannot participate
 	// in the vote itself.
-	rt.Sync.OnVote(cp)
+	rt.Sync.OnVote(cp.Seq, d)
 	if cp.Seq <= rt.Exec.StableCheckpointSeq() {
 		return 0, false
 	}
-	votes, ok := rt.cpVotes[cp.Seq]
-	if !ok {
-		votes = make(map[types.ReplicaID]*Checkpoint)
-		rt.cpVotes[cp.Seq] = votes
+	// Non-faulty replicas agree, so nf matching votes tolerate f liars; they
+	// are the certificate snapshot offers carry (nf ≥ f+1 signed votes).
+	cert := rt.cpVotes.Matching(cp.Seq, d)
+	if len(cert) < rt.Cfg.NF() {
+		return 0, false
 	}
-	votes[cp.From] = cp
-	// Count the plurality digest; non-faulty replicas agree, so requiring
-	// nf matching votes tolerates f liars.
-	counts := make(map[types.Digest]int, len(votes))
-	for _, v := range votes {
-		counts[types.DigestConcat(v.State[:], v.Ledger[:])]++
-	}
-	for d, c := range counts {
-		if c >= rt.Cfg.NF() {
-			// Stash the matching votes as the certificate snapshot offers
-			// will carry: ≥ nf ≥ f+1 signed votes for one digest pair.
-			cert := make([]Checkpoint, 0, c)
-			for _, v := range votes {
-				if types.DigestConcat(v.State[:], v.Ledger[:]) == d {
-					cert = append(cert, *v)
-				}
-			}
-			rt.stableCert, rt.stableCertSeq = cert, cp.Seq
-			rt.Exec.MarkStable(cp.Seq)
-			rt.Metrics.Checkpoints.Add(1)
-			for s := range rt.cpVotes {
-				if s <= cp.Seq {
-					delete(rt.cpVotes, s)
-				}
-			}
-			rt.PruneAtStable(cp.Seq)
-			return cp.Seq, true
-		}
-	}
-	return 0, false
+	rt.stableCert, rt.stableCertSeq = cert, cp.Seq
+	rt.Exec.MarkStable(cp.Seq)
+	rt.Metrics.Checkpoints.Add(1)
+	rt.PruneAtStable(cp.Seq)
+	return cp.Seq, true
 }
 
 // replyCacheCap is the lastReply size above which stable-checkpoint pruning

@@ -1,7 +1,6 @@
 package protocol
 
 import (
-	"sort"
 	"sync/atomic"
 	"time"
 
@@ -110,10 +109,9 @@ type Skeleton struct {
 	vcTarget   types.View // view we are trying to move to while view-changing
 	vcStarted  time.Time
 	vcResent   time.Time
-	vcExecMark types.SeqNum // last executed seq when the view change started
-	vcVotes    map[types.View]map[types.ReplicaID]*VCRequest
-	sentVC     map[types.View]bool
-	lastNV     *NVPropose // cached by the new primary for late joiners
+	vcExecMark types.SeqNum                    // last executed seq when the view change started
+	vcVotes    *Claims[types.View, *VCRequest] // by target view
+	lastNV     *NVPropose                      // cached by the new primary for late joiners
 
 	// parked holds normal-case messages of the next view that arrived before
 	// this replica entered it; they are replayed once it has.
@@ -142,8 +140,7 @@ func NewSkeleton(rt *Runtime, rules Rules) *Skeleton {
 		execHigh:     make(map[types.ClientID]uint64),
 		lastProgress: time.Now(),
 		curTimeout:   rt.Cfg.ViewTimeout,
-		vcVotes:      make(map[types.View]map[types.ReplicaID]*VCRequest),
-		sentVC:       make(map[types.View]bool),
+		vcVotes:      NewViewClaims[*VCRequest](rt.Cfg),
 	}
 	if rt.RecoveredSeq > 0 {
 		s.view.Store(uint64(rt.Exec.Chain().Head().View))
@@ -500,7 +497,7 @@ func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 		s.startViewChange(s.View() + 1)
 		return true
 	}
-	lonely := len(s.vcVotes[s.vcTarget]) < s.rt.Cfg.FPlus1()
+	lonely := s.vcVotes.Count(s.vcTarget, types.Digest{}) < s.rt.Cfg.FPlus1()
 	switch {
 	case lonely && s.rt.Exec.LastExecuted() > s.vcExecMark:
 		// Un-suspect: execution progressed past where it was when we
@@ -617,10 +614,9 @@ func (s *Skeleton) startViewChange(target types.View) {
 	s.vcExecMark = s.rt.Exec.LastExecuted()
 	s.curTimeout *= 2 // exponential backoff (Theorem 7)
 	s.rt.Metrics.ViewChanges.Add(1)
-	if s.sentVC[target] {
-		return
+	if s.vcVotes.Has(s.rt.Cfg.ID, target) {
+		return // already asked; the tick retransmits
 	}
-	s.sentVC[target] = true
 	s.broadcastVC(target)
 	s.maybeProposeNewView(target)
 }
@@ -643,15 +639,10 @@ func (s *Skeleton) broadcastVC(target types.View) {
 	s.rt.Broadcast(req)
 }
 
+// recordVCVote keeps a sender's first request for each target.
 func (s *Skeleton) recordVCVote(m *VCRequest) {
-	target := m.View + 1
-	votes, ok := s.vcVotes[target]
-	if !ok {
-		votes = make(map[types.ReplicaID]*VCRequest)
-		s.vcVotes[target] = votes
-	}
-	if _, dup := votes[m.From]; !dup {
-		votes[m.From] = m
+	if !s.vcVotes.Has(m.From, m.View+1) {
+		s.vcVotes.Put(m.From, m.View+1, types.Digest{}, m)
 	}
 }
 
@@ -685,7 +676,7 @@ func (s *Skeleton) OnVCRequest(m *VCRequest) {
 	s.recordVCVote(m)
 	// Join rule: f+1 distinct requests mean at least one non-faulty replica
 	// detected a failure (Fig 5, Line 8).
-	if len(s.vcVotes[target]) >= s.rt.Cfg.FPlus1() {
+	if s.vcVotes.Count(target, types.Digest{}) >= s.rt.Cfg.FPlus1() {
 		if s.status == statusNormal || s.vcTarget < target {
 			s.startViewChange(target)
 		}
@@ -706,25 +697,9 @@ func (s *Skeleton) joinDivergedViewChange() {
 	if s.status == statusViewChange && s.vcTarget > cur {
 		cur = s.vcTarget
 	}
-	voters := make(map[types.ReplicaID]types.View)
-	for target, votes := range s.vcVotes {
-		if target <= cur {
-			continue
-		}
-		for id := range votes {
-			if t, ok := voters[id]; !ok || target < t {
-				voters[id] = target
-			}
-		}
-	}
-	if len(voters) < s.rt.Cfg.FPlus1() {
+	voters, join := s.vcVotes.AtOrAbove(cur + 1)
+	if voters < s.rt.Cfg.FPlus1() {
 		return
-	}
-	join := types.View(0)
-	for _, target := range voters {
-		if join == 0 || target < join {
-			join = target
-		}
 	}
 	s.startViewChange(join)
 	s.maybeProposeNewView(join)
@@ -742,18 +717,13 @@ func (s *Skeleton) maybeProposeNewView(target types.View) {
 	if s.lastNV != nil && s.lastNV.NewView >= target {
 		return
 	}
-	votes := s.vcVotes[target]
-	if len(votes) < cfg.NF() {
+	reqs := s.vcVotes.Matching(target, types.Digest{}) // in sender order
+	if len(reqs) < cfg.NF() {
 		return
 	}
-	ids := make([]types.ReplicaID, 0, len(votes))
-	for id := range votes {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	nv := &NVPropose{NewView: target}
-	for _, id := range ids[:cfg.NF()] {
-		nv.Requests = append(nv.Requests, *votes[id])
+	for _, req := range reqs[:cfg.NF()] {
+		nv.Requests = append(nv.Requests, *req)
 	}
 	s.lastNV = nv
 	s.rt.Broadcast(nv)
@@ -770,8 +740,12 @@ func (s *Skeleton) OnNVPropose(from types.NodeID, m *NVPropose) {
 	}
 	if !s.validateNVPropose(m) {
 		// An invalid proposal exposes the new primary as faulty: move on
-		// (Fig 5's "otherwise, replicas detect failure of P′").
-		s.startViewChange(m.NewView + 1)
+		// (Fig 5's "otherwise, replicas detect failure of P′"), but only from
+		// the view this replica is changing to or would change to next, never
+		// one its sender picked. If f+1 replicas moved on, the join rules follow.
+		if m.NewView == s.View()+1 || (s.status == statusViewChange && m.NewView == s.vcTarget) {
+			s.startViewChange(m.NewView + 1)
+		}
 		return
 	}
 	s.newViewState(m)
@@ -812,16 +786,6 @@ func (s *Skeleton) EnterView(v types.View, kmax types.SeqNum) {
 	// table, belongs to the old view.
 	s.slotSince = make(map[types.SeqNum]time.Time)
 	s.rt.Pipeline.Reset()
-	for target := range s.vcVotes {
-		if target <= v {
-			delete(s.vcVotes, target)
-		}
-	}
-	for target := range s.sentVC {
-		if target <= v {
-			delete(s.sentVC, target)
-		}
-	}
 	s.rules.ResetSlots()
 	// The new view proposes from kmax+1 (Fig 5, §II-C3), or past whatever
 	// this replica already executed beyond it.

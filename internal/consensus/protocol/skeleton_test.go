@@ -299,6 +299,23 @@ func TestViewChangeInvalidNewViewMovesOn(t *testing.T) {
 	})
 }
 
+// TestViewChangeFarFutureNVProposeDropped: an invalid NV-PROPOSE exposes its
+// sender, but only a proposal for the view change this replica is in (or
+// would start next) moves it on. One for a view the sender picked is dropped.
+func TestViewChangeFarFutureNVProposeDropped(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	f.sk.OnNVPropose(types.ReplicaNode(1), &NVPropose{NewView: 4001}) // 1 leads view 4001
+	f.wantNormal(0)
+	if n := f.rt.Metrics.ViewChanges.Load(); n != 0 || len(sentTo[*VCRequest](f, 1)) != 0 {
+		t.Fatalf("a far-future NV-PROPOSE started %d view changes", n)
+	}
+	f.sk.startViewChange(3)
+	f.sk.OnNVPropose(types.ReplicaNode(3), &NVPropose{NewView: 7})
+	f.wantViewChange(3)
+	f.sk.OnNVPropose(types.ReplicaNode(3), &NVPropose{NewView: 3})
+	f.wantViewChange(4)
+}
+
 func TestViewChangeLonelyResumes(t *testing.T) {
 	f := newSkelFixture(t, 2)
 	f.stuckRequest()

@@ -62,10 +62,8 @@ const (
 type StateSync struct {
 	rt *Runtime
 
-	// votes is the detection evidence: digest votes per checkpoint sequence
-	// number above the local executed head. target is the highest sequence
-	// number with f+1 matching votes.
-	votes  map[types.SeqNum]map[types.ReplicaID]types.Digest
+	// target is the highest checkpoint above the local executed head with
+	// f+1 matching votes in Runtime.cpVotes, the detection evidence.
 	target types.SeqNum
 
 	// One in-flight attempt.
@@ -113,38 +111,17 @@ type StateSync struct {
 func newStateSync(rt *Runtime) *StateSync {
 	return &StateSync{
 		rt:      rt,
-		votes:   make(map[types.SeqNum]map[types.ReplicaID]types.Digest),
 		backoff: stateSyncBackoff,
 	}
 }
 
-// OnVote records one verified checkpoint vote as detection evidence.
-// Runtime.OnCheckpoint calls it for every signature-valid vote, including
-// ones below the voter's own stable checkpoint short-circuit.
-func (s *StateSync) OnVote(cp *Checkpoint) {
-	if cp.Seq <= s.rt.Exec.LastExecuted() || cp.Seq <= s.target {
-		return
-	}
-	votes, ok := s.votes[cp.Seq]
-	if !ok {
-		votes = make(map[types.ReplicaID]types.Digest)
-		s.votes[cp.Seq] = votes
-	}
-	votes[cp.From] = types.DigestConcat(cp.State[:], cp.Ledger[:])
-	counts := make(map[types.Digest]int, len(votes))
-	for _, d := range votes {
-		counts[d]++
-	}
-	for _, c := range counts {
-		if c >= s.rt.Cfg.F+1 {
-			s.target = cp.Seq
-			for seq := range s.votes {
-				if seq <= s.target {
-					delete(s.votes, seq)
-				}
-			}
-			return
-		}
+// OnVote takes one verified checkpoint vote for seq with digest d, already
+// recorded in Runtime.cpVotes, as detection evidence. Runtime.OnCheckpoint
+// calls it for every signature-valid vote, including ones below the voter's
+// own stable checkpoint short-circuit.
+func (s *StateSync) OnVote(seq types.SeqNum, d types.Digest) {
+	if seq > s.rt.Exec.LastExecuted() && seq > s.target && s.rt.cpVotes.Count(seq, d) >= s.rt.Cfg.FPlus1() {
+		s.target = seq
 	}
 }
 
@@ -373,11 +350,6 @@ func (s *StateSync) finish(now time.Time) {
 	s.offer = nil
 	s.chunks = nil
 	s.backoff = stateSyncBackoff
-	for seq := range s.votes {
-		if seq <= snap.Seq {
-			delete(s.votes, seq)
-		}
-	}
 	if s.AfterInstall != nil {
 		s.AfterInstall(&snap, events)
 	}
@@ -468,11 +440,6 @@ func (rt *Runtime) InstallSnapshot(snap *storage.Snapshot) ([]Executed, error) {
 		rt.durWater = snap.Seq
 	}
 	rt.durMu.Unlock()
-	for s := range rt.cpVotes {
-		if s <= snap.Seq {
-			delete(rt.cpVotes, s)
-		}
-	}
 	rt.PruneAtStable(snap.Seq)
 	rt.Metrics.SnapshotsInstalled.Add(1)
 	return events, nil

@@ -14,10 +14,7 @@ import (
 	"strings"
 	"time"
 
-	"github.com/poexec/poe/internal/client"
-	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/deploy"
-	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/types"
 	"github.com/poexec/poe/internal/workload"
 )
@@ -32,36 +29,20 @@ func main() {
 	cid := flag.Int("client", 0, "client index")
 	flag.Parse()
 
-	addrs := strings.Split(*peerList, ",")
-	n := len(addrs)
-	if n < 4 {
-		log.Fatalf("need at least 4 replicas, got %d", n)
-	}
-	f := (n - 1) / 3
-	id := types.ClientID(types.ClientIDBase) + types.ClientID(*cid)
-	peers := make(map[types.NodeID]string, n+1)
-	for i, a := range addrs {
-		peers[types.ReplicaNode(types.ReplicaID(i))] = a
-	}
-	peers[types.ClientNode(id)] = *listen
-
-	tr, err := network.NewTCPNet(types.ClientNode(id), peers)
-	if err != nil {
-		log.Fatal(err)
-	}
-	defer tr.Close()
-
-	ring := crypto.NewKeyRing(n, []byte(*seed))
-	cl, err := client.New(client.Config{
-		ID: id, N: n, F: f, Scheme: crypto.SchemeMAC,
-		Timeout: time.Second,
-	}, ring, tr)
-	if err != nil {
-		log.Fatal(err)
-	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
-	cl.Start(ctx)
+	pool, closePool, err := deploy.NewTCPClients(ctx, deploy.ClientPoolOptions{
+		Addrs: strings.Split(*peerList, ","), Scheme: "mac", Seed: *seed,
+		BaseIndex: *cid, Timeout: time.Second, Listen: *listen,
+	})
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer closePool()
+	cl := pool[0]
+	submit := func(ops []types.Op) (types.Result, error) {
+		return cl.Sub.SubmitTxn(ctx, types.Transaction{Client: cl.ID, Seq: cl.Sub.NextSeq(), Ops: ops, TimeNanos: time.Now().UnixNano()})
+	}
 
 	switch {
 	case *set != "":
@@ -69,25 +50,25 @@ func main() {
 		if len(kv) != 2 {
 			log.Fatal("-set wants key=value")
 		}
-		if _, err := cl.Submit(ctx, []types.Op{{Kind: types.OpWrite, Key: kv[0], Value: []byte(kv[1])}}); err != nil {
+		if _, err := submit([]types.Op{{Kind: types.OpWrite, Key: kv[0], Value: []byte(kv[1])}}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Println("ok")
 	case *get != "":
-		res, err := cl.Submit(ctx, []types.Op{{Kind: types.OpRead, Key: *get}})
+		res, err := submit([]types.Op{{Kind: types.OpRead, Key: *get}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%q\n", res.Values[0])
 	case *load > 0:
-		gen := workload.NewGenerator(workload.DefaultConfig(1000), id)
+		gen := workload.NewGenerator(workload.DefaultConfig(1000), cl.ID)
 		var hist deploy.Hist
 		deadline := time.Now().Add(*load)
 		for time.Now().Before(deadline) {
 			txn := gen.Next()
-			txn.Seq = cl.NextSeq()
+			txn.Seq = cl.Sub.NextSeq()
 			begin := time.Now()
-			if _, err := cl.SubmitTxn(ctx, txn); err != nil {
+			if _, err := cl.Sub.SubmitTxn(ctx, txn); err != nil {
 				log.Fatal(err)
 			}
 			hist.Record(time.Since(begin))

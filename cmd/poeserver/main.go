@@ -27,7 +27,7 @@ import (
 	"syscall"
 	"time"
 
-	"github.com/poexec/poe/internal/consensus/poe"
+	"github.com/poexec/poe/internal/consensus"
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
@@ -91,18 +91,9 @@ func main() {
 		peers[types.ReplicaNode(types.ReplicaID(i))] = a
 	}
 
-	var sch crypto.Scheme
-	switch *scheme {
-	case "mac":
-		sch = crypto.SchemeMAC
-	case "ts":
-		sch = crypto.SchemeTS
-	case "ed":
-		sch = crypto.SchemeED
-	case "none":
-		sch = crypto.SchemeNone
-	default:
-		log.Fatalf("unknown scheme %q", *scheme)
+	sch, err := crypto.ParseScheme(*scheme)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	tr, err := network.NewTCPNet(types.ReplicaNode(types.ReplicaID(*id)), peers)
@@ -149,7 +140,7 @@ func main() {
 		}
 		ropts.Storage = st
 	}
-	replica, err := poe.New(cfg, ring, replicaNet, poe.Options{RuntimeOptions: ropts})
+	replica, err := consensus.NewReplica(consensus.PoE, cfg, ring, replicaNet, protocol.Options{RuntimeOptions: ropts})
 	if err != nil {
 		log.Fatal(err)
 	}

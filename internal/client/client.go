@@ -5,12 +5,13 @@
 // all replicas so they can forward it to the primary and start their
 // failure-detection timers (§II-B).
 //
-// The quorum rule differs per protocol: PoE clients need nf identical
-// replies (the proof-of-execution), PBFT clients need f+1, Zyzzyva clients
-// need all n (its fast path), and SBFT clients accept a single reply
-// carrying a valid threshold certificate. The rule is configured per client;
-// the Zyzzyva-specific commit-certificate fallback lives in the zyzzyva
-// package.
+// One core serves every protocol: transport, read loop, waiters, view hint,
+// announcement and retransmission schedule. A protocol states only its reply
+// rule (Rule): PoE clients need nf identical replies (the proof of
+// execution), PBFT clients f+1, HotStuff clients f+1 with requests sent to
+// every replica, SBFT clients one reply carrying a valid threshold
+// certificate, and Zyzzyva's speculative rule is a Custom tally in the
+// zyzzyva package.
 package client
 
 import (
@@ -34,35 +35,71 @@ type Config struct {
 	// N and F describe the replica system.
 	N, F int
 	// Scheme is the cluster's authentication scheme; clients sign requests
-	// with Ed25519 except under SchemeNone (§IV-C), and add per-replica MAC
-	// tags when replicas authenticate by MAC (protocol.SignRequest).
+	// with Ed25519 except under SchemeNone (§IV-C), add per-replica MAC tags
+	// when replicas authenticate by MAC (protocol.SignRequest), and check
+	// the MAC on every reply unless the scheme is SchemeNone.
 	Scheme crypto.Scheme
-	// Quorum is the number of identical replies from distinct replicas
-	// required to accept a result. Zero defaults to nf = n − f (PoE's
-	// proof-of-execution rule).
-	Quorum int
-	// CertAccept, if non-nil, completes a request immediately when a single
-	// reply satisfies it (SBFT's aggregated execute-ack).
-	CertAccept func(m *protocol.Inform) bool
-	// Timeout bounds how long a write waits for a quorum before the client
-	// broadcasts it to all replicas (paper: clients use coarse timeouts; §IV-D
-	// discusses the consequences). Once the client has measured its own
-	// reply latency it broadcasts sooner (rto.go); tiered reads always wait
-	// Timeout.
+	// Rule is the protocol's reply rule; the zero Rule is PoE's.
+	Rule Rule
+	// Timeout bounds how long a write waits for its reply rule before the
+	// client broadcasts it to all replicas (paper: clients use coarse
+	// timeouts; §IV-D discusses the consequences). Once the client has
+	// measured its own reply latency it broadcasts sooner (rto.go); tiered
+	// reads and Custom rules always wait Timeout.
 	Timeout time.Duration
-	// VerifyReplyMAC enables checking the MAC tag on replies. Defaults on
-	// for all schemes but SchemeNone.
-	VerifyReplyMAC bool
-	// BroadcastRequests sends every request to all replicas immediately
-	// instead of to the presumed primary. Rotating-leader protocols
-	// (HotStuff) need this: any replica may become the proposer.
-	BroadcastRequests bool
-	// MaxRetryInterval caps the retransmission backoff. Retries double the
-	// first wait — with ±25% jitter so a fleet of clients that timed out
-	// together does not re-broadcast in lockstep — up to this cap. Zero
-	// defaults to 8×Timeout.
-	MaxRetryInterval time.Duration
 }
+
+// maxBackoff caps the retransmission backoff at maxBackoff×Timeout. Retries
+// double the first wait — with ±25% jitter so a fleet of clients that timed
+// out together does not re-broadcast in lockstep — up to this cap.
+const maxBackoff = 8
+
+// Rule is a protocol's client reply rule: when the replies to a request
+// complete it, and where its first attempt goes. The zero Rule is PoE's: nf
+// identical replies, the first attempt to the presumed primary.
+type Rule struct {
+	quorum    int                           // identical replies from distinct replicas; 0 means nf
+	certified func(m *protocol.Inform) bool // accepts one reply on its own
+	broadcast bool                          // first attempts go to every replica
+	open      func(req types.Request) Tally // a protocol's own tally of each write
+}
+
+// Quorum completes a request on q identical replies from distinct replicas:
+// nf for PoE's proof of execution, f+1 for PBFT.
+func Quorum(q int) Rule { return Rule{quorum: q} }
+
+// Broadcast is Quorum(q) with every first attempt sent to all replicas:
+// under a rotating leader (HotStuff) any of them may propose it.
+func Broadcast(q int) Rule { return Rule{quorum: q, broadcast: true} }
+
+// Certified completes a request on one reply that accept passes (SBFT's
+// threshold-certified execute-ack).
+func Certified(accept func(m *protocol.Inform) bool) Rule { return Rule{certified: accept} }
+
+// Custom hands every reply to a write, and every timed-out attempt, to the
+// Tally open returns (Zyzzyva's speculative rule). Its writes wait the full
+// Timeout before the first retransmission, and between later ones too,
+// without backing off: each expiry is a step of the protocol (the slow path
+// sends its commit certificate on one), not a suspicion of the primary that
+// reply latencies could teach. Reads keep the nf rule.
+func Custom(open func(req types.Request) Tally) Rule { return Rule{open: open} }
+
+// Tally is one write's reply state under a Custom rule. The client calls it
+// under its lock, so it must not block.
+type Tally interface {
+	// Add folds in a reply from replica from — an Inform whose MAC checked,
+	// or a Reply, which the tally authenticates itself — and returns the
+	// write's result once the rule is met.
+	Add(from types.ReplicaID, m any) (types.Result, bool)
+	// Expired returns what a timed-out attempt broadcasts; nil means the
+	// request again.
+	Expired() any
+}
+
+// Reply is a protocol message other than an Inform that answers one write
+// (Zyzzyva's LOCAL-COMMIT). The client hands it to the Tally of the write
+// with that client-local sequence number.
+type Reply interface{ ForWrite() uint64 }
 
 // Client is a protocol client. One Client may have many Submit calls in
 // flight concurrently (the paper's out-of-order experiments depend on deep
@@ -94,11 +131,6 @@ type Client struct {
 	readMu      sync.Mutex
 	readWaiters map[types.Digest]*readWaiter
 
-	// OnSpeculative, if set, receives speculative replies (Zyzzyva fast
-	// path) instead of the normal tally; used by the zyzzyva client
-	// wrapper.
-	OnSpeculative func(m *protocol.Inform)
-
 	// OnRepair, if set, receives the re-answer of a speculative read whose
 	// serving prefix was rolled back after the original answer was already
 	// delivered (the replica-side repair path). Called from the read loop;
@@ -112,9 +144,12 @@ type Client struct {
 type waiter struct {
 	digest types.Digest // request digest; informs must match it exactly
 	ch     chan types.Result
-	tally  map[protocol.ReplyKey]map[types.ReplicaID]bool
-	res    map[protocol.ReplyKey]types.Result
+	votes  votes
+	custom Tally // the Custom rule's tally; nil under the built-in rules
 }
+
+// votes counts identical replies by the distinct replicas that sent them.
+type votes map[protocol.ReplyKey]map[types.ReplicaID]bool
 
 // ReadAnswer is the outcome of a tiered read: the values plus the provenance
 // tag — which replica answered, from which executed prefix — that the harness
@@ -133,7 +168,7 @@ type ReadAnswer struct {
 
 type readWaiter struct {
 	ch    chan ReadAnswer
-	tally map[protocol.ReplyKey]map[types.ReplicaID]bool
+	votes votes
 }
 
 // New creates a client over the given transport. The transport's node must
@@ -145,17 +180,11 @@ func New(cfg Config, ring *crypto.KeyRing, net network.Transport) (*Client, erro
 	if net.Node() != types.ClientNode(cfg.ID) {
 		return nil, fmt.Errorf("client: transport joined as %v, want %v", net.Node(), types.ClientNode(cfg.ID))
 	}
-	if cfg.Quorum == 0 {
-		cfg.Quorum = cfg.N - cfg.F
+	if cfg.Rule.quorum == 0 {
+		cfg.Rule.quorum = cfg.N - cfg.F
 	}
 	if cfg.Timeout == 0 {
 		cfg.Timeout = 500 * time.Millisecond
-	}
-	if cfg.MaxRetryInterval == 0 {
-		cfg.MaxRetryInterval = 8 * cfg.Timeout
-	}
-	if cfg.Scheme != crypto.SchemeNone {
-		cfg.VerifyReplyMAC = true
 	}
 	return &Client{
 		cfg:         cfg,
@@ -179,11 +208,6 @@ func (c *Client) Start(ctx context.Context) {
 	})
 }
 
-// Sign produces the signed request 〈T〉c for a transaction.
-func (c *Client) Sign(txn types.Transaction) types.Request {
-	return protocol.SignRequest(c.keys, c.cfg.Scheme, c.cfg.N, txn)
-}
-
 // NextSeq allocates the next client-local sequence number.
 func (c *Client) NextSeq() uint64 { return c.nextSeq.Add(1) }
 
@@ -194,8 +218,7 @@ func (c *Client) NextReadSeq() uint64 { return c.nextReadSeq.Add(1) }
 var ErrClosed = errors.New("client: transport closed")
 
 // Submit signs ops as a transaction and drives it to completion: it returns
-// once Quorum identical replies (or a certificate-bearing reply) arrived.
-// Submit retransmits on timeout — first to the presumed primary, then by
+// once the replies meet the client's Rule. Submit retransmits on timeout — first to the presumed primary, then by
 // broadcasting to all replicas — and only fails when ctx is done.
 func (c *Client) Submit(ctx context.Context, ops []types.Op) (types.Result, error) {
 	txn := types.Transaction{
@@ -214,12 +237,16 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 	if txn.Client != c.cfg.ID {
 		return types.Result{}, fmt.Errorf("client: transaction for %d submitted via client %d", txn.Client, c.cfg.ID)
 	}
-	req := c.Sign(txn)
+	req := protocol.SignRequest(c.keys, c.cfg.Scheme, c.cfg.N, txn)
 	w := &waiter{
 		digest: req.Digest(),
 		ch:     make(chan types.Result, 1),
-		tally:  make(map[protocol.ReplyKey]map[types.ReplicaID]bool),
-		res:    make(map[protocol.ReplyKey]types.Result),
+		votes:  make(votes),
+	}
+	backoff := c.rto.wait()
+	if c.cfg.Rule.open != nil {
+		w.custom = c.cfg.Rule.open(req)
+		backoff = c.cfg.Timeout
 	}
 	c.mu.Lock()
 	c.waiters[txn.Seq] = w
@@ -233,12 +260,11 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 	// First attempt goes to the presumed primary (or everywhere, for
 	// rotating-leader protocols); retries broadcast.
 	sent := time.Now()
-	if c.cfg.BroadcastRequests {
+	if c.cfg.Rule.broadcast {
 		network.Broadcast(c.net, c.cfg.N, &protocol.ClientRequest{Req: req}, false)
 	} else {
 		c.net.Send(c.primaryNode(), &protocol.ClientRequest{Req: req})
 	}
-	backoff := c.rto.wait()
 	timer := time.NewTimer(backoff)
 	defer timer.Stop()
 	for attempt := 1; ; attempt++ {
@@ -254,20 +280,36 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 			return res, nil
 		case <-timer.C:
 			// §II-B: on timeout, broadcast so replicas forward to the
-			// primary and arm their failure detectors. Backoff doubles up
-			// to MaxRetryInterval: during a view change (or while this
-			// client is partitioned) constant-rate re-broadcasts from the
-			// whole closed-loop fleet only add load to the recovery.
-			network.Broadcast(c.net, c.cfg.N, &protocol.ClientRequest{Req: req}, false)
-			if backoff < c.cfg.MaxRetryInterval {
-				backoff *= 2
-				if backoff > c.cfg.MaxRetryInterval {
-					backoff = c.cfg.MaxRetryInterval
-				}
+			// primary and arm their failure detectors.
+			network.Broadcast(c.net, c.cfg.N, c.expired(w, req), false)
+			if w.custom == nil {
+				backoff = c.backoff(backoff)
 			}
 			timer.Reset(c.retryWait(backoff, txn.Seq, attempt))
 		}
 	}
+}
+
+// expired returns what a timed-out attempt of write w broadcasts: the
+// request, unless a Custom rule's tally has something else to send.
+func (c *Client) expired(w *waiter, req types.Request) any {
+	if w.custom != nil {
+		c.mu.Lock()
+		m := w.custom.Expired()
+		c.mu.Unlock()
+		if m != nil {
+			return m
+		}
+	}
+	return &protocol.ClientRequest{Req: req}
+}
+
+// backoff doubles a retransmission interval up to maxBackoff×Timeout: during
+// a view change (or while this client is partitioned) constant-rate
+// re-broadcasts from the whole closed-loop fleet only add load to the
+// recovery.
+func (c *Client) backoff(d time.Duration) time.Duration {
+	return min(2*d, maxBackoff*c.cfg.Timeout)
 }
 
 // retryWait jitters a backoff interval by ±25%. The jitter is derived from
@@ -308,6 +350,8 @@ func (c *Client) readLoop(ctx context.Context) {
 				c.onInform(env.From.Replica(), m)
 			case *protocol.ReadReply:
 				c.onReadReply(env.From.Replica(), m)
+			case Reply:
+				c.onReply(env.From.Replica(), m)
 			}
 		}
 	}
@@ -318,20 +362,10 @@ func (c *Client) onInform(from types.ReplicaID, m *protocol.Inform) {
 		return
 	}
 	key := m.Key()
-	if c.cfg.VerifyReplyMAC && !c.keys.CheckMAC(types.ReplicaNode(from), key.Digest[:], m.Tag) {
+	if c.cfg.Scheme != crypto.SchemeNone && !c.keys.CheckMAC(types.ReplicaNode(from), key.Digest[:], m.Tag) {
 		return
 	}
-	// Track the view so retransmissions reach the current primary.
-	for {
-		cur := c.viewHint.Load()
-		if uint64(m.View) <= cur || c.viewHint.CompareAndSwap(cur, uint64(m.View)) {
-			break
-		}
-	}
-	if m.Speculative && c.OnSpeculative != nil {
-		c.OnSpeculative(m)
-		return
-	}
+	c.noteView(m.View)
 	c.mu.Lock()
 	w, ok := c.waiters[m.ClientSeq]
 	// The digest must match: tiered reads run in their own sequence space,
@@ -340,19 +374,12 @@ func (c *Client) onInform(from types.ReplicaID, m *protocol.Inform) {
 	// waiter that happens to share its number.
 	if ok && w.digest == m.Digest {
 		defer c.mu.Unlock()
-		if c.cfg.CertAccept != nil && c.cfg.CertAccept(m) {
+		if w.custom != nil {
+			if res, done := w.custom.Add(from, m); done {
+				c.finish(w, res)
+			}
+		} else if c.accept(w.votes, from, m, key) {
 			c.finish(w, types.Result{Client: c.cfg.ID, Seq: m.ClientSeq, Values: m.Values})
-			return
-		}
-		votes, ok := w.tally[key]
-		if !ok {
-			votes = make(map[types.ReplicaID]bool)
-			w.tally[key] = votes
-			w.res[key] = types.Result{Client: c.cfg.ID, Seq: m.ClientSeq, Values: m.Values}
-		}
-		votes[from] = true
-		if len(votes) >= c.cfg.Quorum {
-			c.finish(w, w.res[key])
 		}
 		return
 	}
@@ -361,6 +388,45 @@ func (c *Client) onInform(from types.ReplicaID, m *protocol.Inform) {
 	// back to ordering comes home as ordinary Informs carrying the read
 	// request's digest. Tally those against the digest-keyed read waiters.
 	c.tallyReadInform(from, m, key)
+}
+
+// accept folds a MAC-checked Inform into a request's votes under the
+// built-in rule and reports whether the rule is met. Matching replies carry
+// equal values (key binds their hash), so the completing reply's result is
+// the request's.
+func (c *Client) accept(v votes, from types.ReplicaID, m *protocol.Inform, key protocol.ReplyKey) bool {
+	if c.cfg.Rule.certified != nil {
+		return c.cfg.Rule.certified(m)
+	}
+	senders, ok := v[key]
+	if !ok {
+		senders = make(map[types.ReplicaID]bool)
+		v[key] = senders
+	}
+	senders[from] = true
+	return len(senders) >= c.cfg.Rule.quorum
+}
+
+// onReply hands a protocol's own reply to the Custom tally of its write.
+func (c *Client) onReply(from types.ReplicaID, m Reply) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if w, ok := c.waiters[m.ForWrite()]; ok && w.custom != nil {
+		if res, done := w.custom.Add(from, m); done {
+			c.finish(w, res)
+		}
+	}
+}
+
+// noteView tracks the latest view seen in a reply, so retransmissions reach
+// the current primary.
+func (c *Client) noteView(v types.View) {
+	for {
+		cur := c.viewHint.Load()
+		if uint64(v) <= cur || c.viewHint.CompareAndSwap(cur, uint64(v)) {
+			return
+		}
+	}
 }
 
 func (c *Client) finish(w *waiter, res types.Result) {
@@ -412,11 +478,11 @@ func (c *Client) ReadTxn(ctx context.Context, txn types.Transaction) (ReadAnswer
 	if !txn.ReadOnly() || txn.Consistency == types.ConsistencyOrdered {
 		return ReadAnswer{}, ErrNotReadOnly
 	}
-	req := c.Sign(txn)
+	req := protocol.SignRequest(c.keys, c.cfg.Scheme, c.cfg.N, txn)
 	d := req.Digest()
 	w := &readWaiter{
 		ch:    make(chan ReadAnswer, 1),
-		tally: make(map[protocol.ReplyKey]map[types.ReplicaID]bool),
+		votes: make(votes),
 	}
 	c.readMu.Lock()
 	c.readWaiters[d] = w
@@ -445,12 +511,7 @@ func (c *Client) ReadTxn(ctx context.Context, txn types.Transaction) (ReadAnswer
 			// the primary (or falls back into ordering), so flooding is
 			// the fastest way out of a stale view hint.
 			network.Broadcast(c.net, c.cfg.N, &protocol.ReadRequest{Req: req}, false)
-			if backoff < c.cfg.MaxRetryInterval {
-				backoff *= 2
-				if backoff > c.cfg.MaxRetryInterval {
-					backoff = c.cfg.MaxRetryInterval
-				}
-			}
+			backoff = c.backoff(backoff)
 			timer.Reset(c.retryWait(backoff, txn.Seq, attempt))
 		}
 	}
@@ -481,18 +542,13 @@ func (c *Client) onReadReply(from types.ReplicaID, m *protocol.ReadReply) {
 	if m.From != from {
 		return
 	}
-	if c.cfg.VerifyReplyMAC {
+	if c.cfg.Scheme != crypto.SchemeNone {
 		p := m.Payload()
 		if !c.keys.CheckMAC(types.ReplicaNode(from), p[:], m.Tag) {
 			return
 		}
 	}
-	for {
-		cur := c.viewHint.Load()
-		if uint64(m.View) <= cur || c.viewHint.CompareAndSwap(cur, uint64(m.View)) {
-			break
-		}
-	}
+	c.noteView(m.View)
 	ans := ReadAnswer{
 		Result:      types.Result{Client: c.cfg.ID, Seq: m.ClientSeq, Values: m.Values},
 		Tier:        m.Tier,
@@ -521,39 +577,23 @@ func (c *Client) onReadReply(from types.ReplicaID, m *protocol.ReadReply) {
 // tallyReadInform completes a tiered read that a replica pushed through the
 // ordering pipeline instead of serving locally (a strong read without a
 // lease, or any read reaching a protocol without local-serve support). The
-// answer arrives as ordinary Informs matched by request digest; the usual
-// quorum / certificate acceptance rules apply.
+// answer arrives as ordinary Informs matched by request digest; the
+// built-in reply rule applies.
 func (c *Client) tallyReadInform(from types.ReplicaID, m *protocol.Inform, key protocol.ReplyKey) {
 	c.readMu.Lock()
 	defer c.readMu.Unlock()
 	w, ok := c.readWaiters[m.Digest]
-	if !ok {
+	if !ok || !c.accept(w.votes, from, m, key) {
 		return
 	}
-	ans := ReadAnswer{
+	select {
+	case w.ch <- ReadAnswer{
 		Result:   types.Result{Client: c.cfg.ID, Seq: m.ClientSeq, Values: m.Values},
 		Tier:     types.ConsistencyOrdered,
 		From:     from,
 		ExecSeq:  m.Seq,
 		Fallback: true,
-	}
-	if c.cfg.CertAccept != nil && c.cfg.CertAccept(m) {
-		select {
-		case w.ch <- ans:
-		default:
-		}
-		return
-	}
-	votes, ok := w.tally[key]
-	if !ok {
-		votes = make(map[types.ReplicaID]bool)
-		w.tally[key] = votes
-	}
-	votes[from] = true
-	if len(votes) >= c.cfg.Quorum {
-		select {
-		case w.ch <- ans:
-		default:
-		}
+	}:
+	default:
 	}
 }

@@ -66,7 +66,7 @@ func setupAnswering(t *testing.T, answers func(types.ReplicaID) bool) (*Client, 
 	id := types.ClientID(types.ClientIDBase)
 	cl, err := New(Config{
 		ID: id, N: n, F: f, Scheme: crypto.SchemeMAC,
-		Quorum: 3, Timeout: 100 * time.Millisecond,
+		Rule: Quorum(3), Timeout: 100 * time.Millisecond,
 	}, ring, net.Join(types.ClientNode(id)))
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +147,7 @@ func TestBadMACIgnored(t *testing.T) {
 	id := types.ClientID(types.ClientIDBase)
 	cl, err := New(Config{
 		ID: id, N: n, F: 1, Scheme: crypto.SchemeMAC,
-		Quorum: 1, Timeout: 100 * time.Millisecond,
+		Rule: Quorum(1), Timeout: 100 * time.Millisecond,
 	}, ring, net.Join(types.ClientNode(id)))
 	if err != nil {
 		t.Fatal(err)

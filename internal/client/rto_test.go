@@ -61,7 +61,7 @@ func TestRetransmitFirstAttemptSampledRetriesNot(t *testing.T) {
 	// The fakes answer only requests that reach them, so the first attempt
 	// goes to all four.
 	cl, _, _ = setup(t, 4)
-	cl.cfg.BroadcastRequests = true
+	cl.cfg.Rule.broadcast = true
 	if _, err := cl.Submit(ctx, ops); err != nil {
 		t.Fatal(err)
 	}

@@ -47,7 +47,7 @@ func tcpCluster(t *testing.T, n, responders, quorum int) *Client {
 	t.Cleanup(func() { ctr.Close() })
 	cl, err := New(Config{
 		ID: id, N: n, F: (n - 1) / 3, Scheme: crypto.SchemeMAC,
-		Quorum: quorum, Timeout: 100 * time.Millisecond,
+		Rule: Quorum(quorum), Timeout: 100 * time.Millisecond,
 	}, ring, ctr)
 	if err != nil {
 		t.Fatal(err)

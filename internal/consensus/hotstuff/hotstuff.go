@@ -101,23 +101,6 @@ func Leader(n int, round types.View) types.ReplicaID {
 	return types.ReplicaID(uint64(round) % uint64(n))
 }
 
-// Options configure a HotStuff replica.
-type Options struct {
-	protocol.RuntimeOptions
-	// Adversary makes this replica a Byzantine leader per the shared
-	// cross-protocol spec: in rounds it leads, targeted replicas receive a
-	// conflicting (re-signed) proposal variant or no proposal at all. The
-	// vote split keeps either variant from forming a QC, so the round times
-	// out and the rotating pacemaker recovers on the next honest leader.
-	// Nil means honest.
-	Adversary *protocol.AdversarySpec
-	// Pipeline is the number of client requests the paper grants HotStuff
-	// in the no-out-of-order experiment (Fig 9k allows 4, one per phase of
-	// the chained pipeline). It only affects the harness; the replica
-	// itself always chains.
-	Pipeline int
-}
-
 // Replica is one chained-HotStuff replica.
 type Replica struct {
 	rt  *protocol.Runtime
@@ -171,7 +154,12 @@ type nodeVotes struct {
 const voteHorizon = 4
 
 // New creates a HotStuff replica.
-func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
+// opts.Adversary makes the replica a Byzantine leader per the shared
+// cross-protocol spec: in rounds it leads, targeted replicas receive a
+// conflicting (re-signed) proposal variant or no proposal at all. The vote
+// split keeps either variant from forming a QC, so the round times out and
+// the rotating pacemaker recovers on the next honest leader.
+func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts protocol.Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err

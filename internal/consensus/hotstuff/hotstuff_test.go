@@ -38,7 +38,7 @@ func startCluster(t *testing.T, n, f int) *cluster {
 			ViewTimeout: 300 * time.Millisecond,
 		}
 		tr := net.Join(types.ReplicaNode(cfg.ID))
-		r, err := New(cfg, ring, tr, Options{})
+		r, err := New(cfg, ring, tr, protocol.Options{})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
@@ -67,9 +67,8 @@ func (c *cluster) newClient(i int) *client.Client {
 	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 	cl, err := client.New(client.Config{
 		ID: id, N: cfg.N, F: cfg.F, Scheme: cfg.Scheme,
-		Quorum:            cfg.F + 1,
-		Timeout:           400 * time.Millisecond,
-		BroadcastRequests: true,
+		Rule:    client.Broadcast(cfg.F + 1),
+		Timeout: 400 * time.Millisecond,
 	}, c.ring, c.net.Join(types.ClientNode(id)))
 	if err != nil {
 		c.t.Fatalf("client: %v", err)

@@ -34,7 +34,7 @@ func handDriven(t *testing.T, id types.ReplicaID) (*Replica, *crypto.KeyRing) {
 		BatchSize: 1, BatchLinger: time.Millisecond,
 		Window: 32, CheckpointInterval: 8, ViewTimeout: time.Second,
 	}
-	r, err := New(cfg, ring, net.Join(types.ReplicaNode(id)), Options{})
+	r, err := New(cfg, ring, net.Join(types.ReplicaNode(id)), protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -82,16 +82,6 @@ func init() {
 	wire.Register(func() wire.Message { return &Commit{} })
 }
 
-// Options configure a PBFT replica.
-type Options struct {
-	protocol.RuntimeOptions
-	// Adversary makes this replica a Byzantine primary per the shared
-	// cross-protocol spec: equivocating or suppressed PRE-PREPAREs toward
-	// the listed backups, re-signed with this replica's real keys so honest
-	// verifiers accept them. Nil means honest.
-	Adversary *protocol.AdversarySpec
-}
-
 // Replica is one PBFT replica. Sequencing, request intake, the read gate,
 // the view-change skeleton and the failure detector are the embedded
 // protocol.Skeleton's; the rules PBFT gives it are at the end of this file.
@@ -116,7 +106,11 @@ type slot struct {
 }
 
 // New creates a PBFT replica.
-func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
+// opts.Adversary makes the replica a Byzantine primary per the shared
+// cross-protocol spec: equivocating or suppressed PRE-PREPAREs toward the
+// listed backups, re-signed with this replica's real keys so honest
+// verifiers accept them.
+func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts protocol.Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err

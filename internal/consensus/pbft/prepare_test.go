@@ -24,7 +24,7 @@ func TestByzantinePrepareNeverOccupiesSlot(t *testing.T) {
 		BatchSize: 1, BatchLinger: time.Millisecond,
 		Window: 8, CheckpointInterval: 8, ViewTimeout: time.Second,
 	}
-	r, err := New(cfg, ring, net.Join(types.ReplicaNode(0)), Options{})
+	r, err := New(cfg, ring, net.Join(types.ReplicaNode(0)), protocol.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

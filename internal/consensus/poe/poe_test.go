@@ -62,7 +62,7 @@ func (c *cluster) newClient(i int, quorum int) *client.Client {
 	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 	cl, err := client.New(client.Config{
 		ID: id, N: cfg.N, F: cfg.F, Scheme: cfg.Scheme,
-		Quorum:  quorum,
+		Rule:    client.Quorum(quorum),
 		Timeout: 250 * time.Millisecond,
 	}, c.ring, c.net.Join(types.ClientNode(id)))
 	if err != nil {

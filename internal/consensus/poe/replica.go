@@ -12,14 +12,8 @@ import (
 	"github.com/poexec/poe/internal/types"
 )
 
-// Options configure a PoE replica.
-type Options struct {
-	protocol.RuntimeOptions
-	// Adversary makes this replica a Byzantine primary per the shared
-	// cross-protocol spec (equivocating PROPOSE variants, selective
-	// silence, withheld CERTIFY broadcasts). Nil means honest.
-	Adversary *protocol.AdversarySpec
-}
+// Options is protocol.Options under the name the bench command uses.
+type Options = protocol.Options
 
 // Replica is one PoE replica: the backup role of Fig 3 plus, when
 // id = v mod n, the primary role. Sequencing, request intake, the read gate,
@@ -46,6 +40,9 @@ type slot struct {
 }
 
 // New creates a PoE replica bound to a transport. Call Run to start it.
+// opts.Adversary makes the replica a Byzantine primary per the shared
+// cross-protocol spec (equivocating PROPOSE variants, selective silence,
+// withheld CERTIFY broadcasts).
 func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {

@@ -141,6 +141,15 @@ type RuntimeOptions struct {
 	Storage *storage.Store
 }
 
+// Options configure one replica of any protocol.
+type Options struct {
+	RuntimeOptions
+	// Adversary makes the replica a Byzantine primary per the shared
+	// cross-protocol spec; each protocol's New says how it plays it. Nil
+	// means honest.
+	Adversary *AdversarySpec
+}
+
 // NewRuntime builds a runtime for one replica. With RuntimeOptions.Storage
 // set, the store, ledger, and executor are rebuilt from the recovered
 // durable state — snapshot restore followed by WAL replay through the
@@ -641,9 +650,15 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		// Unauthenticated by design.
 		return true, true
 	case *VCRequest:
-		// Signature and entries are validated by the view-change path on
-		// the event loop (rare, off the normal case); here the envelope only
-		// becomes owned so digest memoization stays replica-local.
+		// Only its author sends a VC-REQUEST, so the claimed sender must be
+		// the transport identity: a straggler's request is answered with
+		// the cached NV-PROPOSE before its signature is checked. Signature
+		// and entries are validated by the view-change path on the event
+		// loop (rare, off the normal case); here the envelope only becomes
+		// owned so digest memoization stays replica-local.
+		if !env.From.IsReplica() || env.From.Replica() != m.From {
+			return false, true
+		}
 		cp := m
 		if !env.Owned {
 			c := *m

@@ -204,6 +204,28 @@ func TestViewChangeNewViewFromLowestIDsAndReplay(t *testing.T) {
 	}
 }
 
+// TestViewChangeRequestSenderPinned: view 1's primary replays its cached
+// NV-PROPOSE to whoever a VC-REQUEST names, before checking its signature,
+// so the inbound check must drop a request that does not come from the
+// replica it names — from another replica or from a client.
+func TestViewChangeRequestSenderPinned(t *testing.T) {
+	f := newSkelFixture(t, 1)
+	for _, id := range []types.ReplicaID{3, 2, 0} {
+		f.sk.OnVCRequest(f.vc(id, 0))
+	}
+	f.wantNormal(1)
+	sent := len(sentTo[*NVPropose](f, 3))
+	for _, from := range []types.NodeID{types.ReplicaNode(2), types.ClientNode(types.ClientIDBase)} {
+		env := network.Envelope{From: from, To: types.ReplicaNode(1), Msg: &VCRequest{From: 3, View: 0}}
+		if keep, _ := f.rt.VerifyCommonInbound(&env); keep {
+			f.sk.Dispatch(env)
+		}
+		if got := len(sentTo[*NVPropose](f, 3)); got != sent {
+			t.Fatalf("a VC-REQUEST naming replica 3 sent by %v made the primary send it %d more NV-PROPOSEs", from, got-sent)
+		}
+	}
+}
+
 func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	f := newSkelFixture(t, 2)
 	f.sk.OnVCRequest(f.vc(3, 0))

@@ -106,12 +106,21 @@ type ExecuteAck struct {
 	Cert []byte
 }
 
-// ExecPayload is the payload state shares sign: position + ledger block
-// hash, which transitively binds the whole executed prefix. Exported so
-// clients can verify Inform.Cert.
-func ExecPayload(seq types.SeqNum, head types.Digest) []byte {
+// execPayload is the payload state shares sign: position + ledger block
+// hash, which transitively binds the whole executed prefix.
+func execPayload(seq types.SeqNum, head types.Digest) []byte {
 	d := types.DigestConcat([]byte("sbft-exec"), types.U64(uint64(seq)), head[:])
 	return d[:]
+}
+
+// CertifiedReply is SBFT's client reply check: one Inform completes a
+// request when it carries the executor's certificate, nf state shares over
+// its position and ledger head. ring, nf and scheme are the cluster's.
+func CertifiedReply(ring *crypto.KeyRing, nf int, scheme crypto.Scheme) func(m *protocol.Inform) bool {
+	v := crypto.NewVerifier(ring, nf, scheme == crypto.SchemeTS || scheme == crypto.SchemeED)
+	return func(m *protocol.Inform) bool {
+		return len(m.Cert) > 0 && v.Verify(execPayload(m.Seq, m.OrderProof), m.Cert)
+	}
 }
 
 // InView places each normal-case message in its view (protocol.ViewBound).
@@ -143,20 +152,10 @@ func Executor(cfg protocol.Config, v types.View) types.ReplicaID {
 	return types.ReplicaID((uint64(v) + 1) % uint64(cfg.N))
 }
 
-// Options configure an SBFT replica.
-type Options struct {
-	protocol.RuntimeOptions
-	// Adversary makes this replica a Byzantine primary/collector per the
-	// shared cross-protocol spec: equivocating or suppressed PRE-PREPAREs
-	// toward the listed backups, and — with SilenceCertificates — a
-	// collector that withholds FULL-COMMIT-PROOF so backups sign-share but
-	// never commit. Nil means honest.
-	Adversary *protocol.AdversarySpec
-	// CollectorTimeout is how long the collector waits for all n shares
-	// before falling back to the slow path (the paper's replica-side
-	// timeout, chosen small in §IV-D).
-	CollectorTimeout time.Duration
-}
+// collectorWait is how long the collector waits for all n shares before
+// falling back to the slow path (the paper's replica-side timeout, chosen
+// small in §IV-D).
+const collectorWait = 40 * time.Millisecond
 
 // Replica is one SBFT replica. Sequencing, request intake, the view-change
 // skeleton and the failure detector are the embedded protocol.Skeleton's;
@@ -183,7 +182,7 @@ type slot struct {
 	proofSent  bool
 	committed  bool
 	// executor-side, kept by the executor only
-	stateShares crypto.Quorum // SIGN-STATE, over ExecPayload
+	stateShares crypto.Quorum // SIGN-STATE, over execPayload
 	ackSent     bool
 	execHead    types.Digest
 	results     []types.Result
@@ -191,21 +190,21 @@ type slot struct {
 }
 
 // New creates an SBFT replica.
-func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
+// opts.Adversary makes the replica a Byzantine primary/collector per the
+// shared cross-protocol spec: equivocating or suppressed PRE-PREPAREs toward
+// the listed backups, and — with SilenceCertificates — a collector that
+// withholds FULL-COMMIT-PROOF so backups sign-share but never commit.
+func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts protocol.Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
 	rt := protocol.NewRuntime(cfg, ring, net, opts.RuntimeOptions)
-	ct := opts.CollectorTimeout
-	if ct == 0 {
-		ct = 50 * time.Millisecond
-	}
 	r := &Replica{
 		rt:          rt,
 		adv:         opts.Adversary,
 		slots:       make(map[types.SeqNum]*slot),
-		collTimeout: ct,
+		collTimeout: collectorWait,
 	}
 	r.Skeleton = protocol.NewSkeleton(rt, r)
 	rt.Sync.AfterInstall = r.afterInstall
@@ -511,7 +510,7 @@ func (r *Replica) afterExecution(events []protocol.Executed) {
 		}
 		// The SIGN-STATE share is signed on the egress loop; the executor
 		// replica's own share loops back onto the event loop.
-		payload := ExecPayload(ev.Rec.Seq, headHash)
+		payload := execPayload(ev.Rec.Seq, headHash)
 		ss := &SignState{View: view, Seq: ev.Rec.Seq}
 		var local func()
 		if isExec {
@@ -547,7 +546,7 @@ func (r *Replica) noteExecution(ev protocol.Executed, headHash types.Digest) {
 	s.execHead = headHash
 	s.results = ev.Results
 	s.rec = ev.Rec
-	payload := ExecPayload(ev.Rec.Seq, headHash)
+	payload := execPayload(ev.Rec.Seq, headHash)
 	r.rt.Pipeline.NoteDigest(kindState, r.View(), ev.Rec.Seq, payload)
 	// State shares that arrived before this replica executed are validated
 	// now.

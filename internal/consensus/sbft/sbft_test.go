@@ -38,10 +38,11 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time
 			ViewTimeout: 400 * time.Millisecond,
 		}
 		tr := net.Join(types.ReplicaNode(cfg.ID))
-		r, err := New(cfg, ring, tr, Options{CollectorTimeout: collTimeout})
+		r, err := New(cfg, ring, tr, protocol.Options{})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
+		r.collTimeout = collTimeout
 		c.replicas = append(c.replicas, r)
 		c.cfgs = append(c.cfgs, cfg)
 		wg.Add(1)
@@ -61,27 +62,14 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time
 	return c
 }
 
-// certAccept verifies SBFT's aggregated execute-ack certificate.
-func certAccept(ring *crypto.KeyRing, cfg protocol.Config) func(m *protocol.Inform) bool {
-	verifier := crypto.NewVerifier(ring, cfg.N-cfg.F,
-		cfg.Scheme == crypto.SchemeTS || cfg.Scheme == crypto.SchemeED)
-	return func(m *protocol.Inform) bool {
-		if len(m.Cert) == 0 {
-			return false
-		}
-		return verifier.Verify(ExecPayload(m.Seq, m.OrderProof), m.Cert)
-	}
-}
-
 func (c *cluster) newClient(i int) *client.Client {
 	c.t.Helper()
 	cfg := c.cfgs[0]
 	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 	cl, err := client.New(client.Config{
 		ID: id, N: cfg.N, F: cfg.F, Scheme: cfg.Scheme,
-		Quorum:     1, // a single certificate-bearing reply suffices
-		CertAccept: certAccept(c.ring, cfg),
-		Timeout:    300 * time.Millisecond,
+		Rule:    client.Certified(CertifiedReply(c.ring, cfg.N-cfg.F, cfg.Scheme)),
+		Timeout: 300 * time.Millisecond,
 	}, c.ring, c.net.Join(types.ClientNode(id)))
 	if err != nil {
 		c.t.Fatalf("client: %v", err)

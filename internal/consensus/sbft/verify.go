@@ -13,7 +13,7 @@ import "github.com/poexec/poe/internal/network"
 const (
 	kindSign   uint8 = 0 // h = D(k||v||D(batch))
 	kindShare2 uint8 = 1 // D("sbft-share2" || h)
-	kindState  uint8 = 2 // ExecPayload(seq, ledger head hash)
+	kindState  uint8 = 2 // execPayload(seq, ledger head hash)
 )
 
 func (r *Replica) verifyInbound(env *network.Envelope) bool {

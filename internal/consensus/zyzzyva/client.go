@@ -2,273 +2,129 @@ package zyzzyva
 
 import (
 	"context"
-	"errors"
-	"fmt"
-	"sync"
-	"sync/atomic"
-	"time"
 
+	"github.com/poexec/poe/internal/client"
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/types"
 )
 
-// ClientConfig parameterizes a Zyzzyva client.
-type ClientConfig struct {
-	ID     types.ClientID
-	N, F   int
-	Scheme crypto.Scheme
-	// SpecTimeout is how long the client waits for all n matching
-	// speculative responses before falling back to the commit phase. This
-	// is the timeout whose calibration §IV-D discusses (the paper uses 3 s).
-	SpecTimeout time.Duration
-	// RetryTimeout is how long to wait in the commit phase before
-	// retransmitting.
-	RetryTimeout time.Duration
-}
-
 // Client implements Zyzzyva's client role, which actively participates in
 // the protocol: the client is the fast path's only completion point (all n
 // matching speculative responses) and drives the slow path by assembling and
 // distributing commit certificates. The paper's ingredient I2 discussion
 // contrasts this reliance on clients with PoE's design.
-type Client struct {
-	cfg  ClientConfig
-	keys *crypto.NodeKeys
-	net  network.Transport
+//
+// It is the shared client core under Zyzzyva's reply rule (tally), less the
+// tiered reads: a caller orders its reads like any write.
+type Client struct{ core }
 
-	nextSeq  atomic.Uint64
-	viewHint atomic.Uint64
-
-	mu      sync.Mutex
-	waiters map[uint64]*specWaiter
-
-	started sync.Once
-	done    chan struct{}
+// core is the part of client.Client that Client offers.
+type core interface {
+	Start(ctx context.Context)
+	NextSeq() uint64
+	Submit(ctx context.Context, ops []types.Op) (types.Result, error)
+	SubmitTxn(ctx context.Context, txn types.Transaction) (types.Result, error)
 }
 
-type specWaiter struct {
-	full   chan types.Result                            // all n matched
-	slow   chan types.Result                            // commit phase completed
-	tally  map[specKey]map[types.ReplicaID]crypto.Share // speculative responses
-	result map[specKey]types.Result
-	lcFrom map[types.ReplicaID]bool // local-commit senders
-	lcNeed int
-	lcDone bool
-}
-
-type specKey struct {
-	Digest    types.Digest
-	Seq       types.SeqNum
-	History   types.Digest
-	ValueHash types.Digest
-}
-
-// NewClient creates a Zyzzyva client.
-func NewClient(cfg ClientConfig, ring *crypto.KeyRing, net network.Transport) (*Client, error) {
-	if cfg.N <= 3*cfg.F {
-		return nil, fmt.Errorf("zyzzyva: need n > 3f, got n=%d f=%d", cfg.N, cfg.F)
-	}
-	if cfg.SpecTimeout == 0 {
-		cfg.SpecTimeout = 500 * time.Millisecond
-	}
-	if cfg.RetryTimeout == 0 {
-		cfg.RetryTimeout = cfg.SpecTimeout
-	}
-	return &Client{
-		cfg:     cfg,
-		keys:    ring.NodeKeys(types.ClientNode(cfg.ID)),
-		net:     net,
-		waiters: make(map[uint64]*specWaiter),
-		done:    make(chan struct{}),
-	}, nil
-}
-
-// Start launches the response-processing goroutine and announces the client
-// to every replica (see client.Client.Start); idempotent.
-func (c *Client) Start(ctx context.Context) {
-	c.started.Do(func() {
-		go c.readLoop(ctx)
-		network.Announce(c.net, c.cfg.N)
+// NewClient creates a Zyzzyva client. cfg.Timeout is how long a write waits
+// for all n matching speculative responses before the commit phase — the
+// timeout whose calibration §IV-D discusses (the paper uses 3 s); cfg.Rule
+// is replaced by Zyzzyva's.
+func NewClient(cfg client.Config, ring *crypto.KeyRing, net network.Transport) (*Client, error) {
+	keys := ring.NodeKeys(types.ClientNode(cfg.ID))
+	cfg.Rule = client.Custom(func(types.Request) client.Tally {
+		return &tally{
+			keys: keys, scheme: cfg.Scheme, n: cfg.N, nf: cfg.N - cfg.F, client: cfg.ID,
+			spec:    make(map[specKey]*spec),
+			commits: make(map[types.ReplicaID]bool),
+		}
 	})
-}
-
-// NextSeq allocates a client-local sequence number.
-func (c *Client) NextSeq() uint64 { return c.nextSeq.Add(1) }
-
-// ErrClosed mirrors client.ErrClosed.
-var ErrClosed = errors.New("zyzzyva: transport closed")
-
-// Submit drives one transaction to completion through the fast or slow path.
-func (c *Client) Submit(ctx context.Context, ops []types.Op) (types.Result, error) {
-	txn := types.Transaction{Client: c.cfg.ID, Seq: c.NextSeq(), Ops: ops, TimeNanos: time.Now().UnixNano()}
-	return c.SubmitTxn(ctx, txn)
-}
-
-// SubmitTxn submits a pre-built transaction.
-func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Result, error) {
-	req := protocol.SignRequest(c.keys, c.cfg.Scheme, c.cfg.N, txn)
-	w := &specWaiter{
-		full:   make(chan types.Result, 1),
-		slow:   make(chan types.Result, 1),
-		tally:  make(map[specKey]map[types.ReplicaID]crypto.Share),
-		result: make(map[specKey]types.Result),
-		lcFrom: make(map[types.ReplicaID]bool),
-		lcNeed: c.cfg.N - c.cfg.F,
+	c, err := client.New(cfg, ring, net)
+	if err != nil {
+		return nil, err
 	}
-	c.mu.Lock()
-	c.waiters[txn.Seq] = w
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, txn.Seq)
-		c.mu.Unlock()
-	}()
+	return &Client{c}, nil
+}
 
-	v := types.View(c.viewHint.Load())
-	c.net.Send(types.ReplicaNode(v.Primary(c.cfg.N)), &protocol.ClientRequest{Req: req})
+// tally is one write's speculative responses, grouped by what they claim,
+// with each sender's share, and the LOCAL-COMMITs acknowledging its commit
+// certificate.
+type tally struct {
+	keys   *crypto.NodeKeys
+	scheme crypto.Scheme
+	n, nf  int
+	client types.ClientID
 
-	timer := time.NewTimer(c.cfg.SpecTimeout)
-	defer timer.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return types.Result{}, ctx.Err()
-		case <-c.done:
-			return types.Result{}, ErrClosed
-		case res := <-w.full:
-			return res, nil
-		case res := <-w.slow:
-			return res, nil
-		case <-timer.C:
-			// The fast path expired. If some key has nf matching spec
-			// responses, enter the commit phase; otherwise broadcast the
-			// request so replicas forward it and arm failure detection.
-			if !c.tryCommitPhase(txn.Seq) {
-				network.Broadcast(c.net, c.cfg.N, &protocol.ClientRequest{Req: req}, false)
+	spec    map[specKey]*spec
+	cert    *spec // what the last commit certificate proved
+	commits map[types.ReplicaID]bool
+}
+
+// spec is the speculative responses that match one key: their result and
+// each sender's share.
+type spec struct {
+	res    types.Result
+	shares map[types.ReplicaID]crypto.Share
+}
+
+// specKey groups speculative responses by (request, position, result,
+// history); the history digest alone is what the commit certificate proves,
+// since it transitively binds the whole ordered prefix.
+type specKey struct {
+	protocol.ReplyKey
+	History types.Digest
+}
+
+// Add implements client.Tally: all n matching speculative responses
+// complete the write (the fast path), and so do nf LOCAL-COMMITs for its
+// commit certificate (the slow path).
+func (t *tally) Add(from types.ReplicaID, msg any) (types.Result, bool) {
+	switch m := msg.(type) {
+	case *protocol.Inform:
+		if !m.Speculative {
+			return types.Result{}, false
+		}
+		k := specKey{m.Key(), m.OrderProof}
+		sp, ok := t.spec[k]
+		if !ok {
+			sp = &spec{
+				res:    types.Result{Client: t.client, Seq: m.ClientSeq, Values: m.Values},
+				shares: make(map[types.ReplicaID]crypto.Share),
 			}
-			timer.Reset(c.cfg.RetryTimeout)
+			t.spec[k] = sp
+		}
+		sp.shares[from] = m.Share
+		return sp.res, len(sp.shares) >= t.n
+	case *LocalCommit:
+		d := localCommitPayload(m.ClientSeq, m.Seq)
+		if m.From != from || t.scheme != crypto.SchemeNone && !t.keys.CheckMAC(types.ReplicaNode(from), d[:], m.Tag) {
+			return types.Result{}, false
+		}
+		t.commits[from] = true
+		if len(t.commits) >= t.nf && t.cert != nil {
+			return t.cert.res, true
 		}
 	}
+	return types.Result{}, false
 }
 
-// tryCommitPhase sends a commit certificate if any response key reached nf
-// matching speculative responses. It reports whether a certificate was sent.
-func (c *Client) tryCommitPhase(clientSeq uint64) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.waiters[clientSeq]
-	if !ok {
-		return false
-	}
-	for key, votes := range w.tally {
-		if len(votes) < c.cfg.N-c.cfg.F {
+// Expired implements client.Tally: once the fast path has expired, a
+// response that nf replicas match becomes a commit certificate; without one
+// the request itself is broadcast, so replicas forward it and arm failure
+// detection.
+func (t *tally) Expired() any {
+	for k, sp := range t.spec {
+		if len(sp.shares) < t.nf {
 			continue
 		}
-		shares := make([]crypto.Share, 0, len(votes))
-		for _, sh := range votes {
+		t.cert = sp
+		shares := make([]crypto.Share, 0, len(sp.shares))
+		for _, sh := range sp.shares {
 			shares = append(shares, sh)
 		}
-		cr := &CommitReq{
-			Client:    c.cfg.ID,
-			ClientSeq: clientSeq,
-			Seq:       key.Seq,
-			History:   key.History,
-			Shares:    shares,
-		}
-		network.Broadcast(c.net, c.cfg.N, cr, false)
-		return true
+		return &CommitReq{Client: t.client, ClientSeq: k.ClientSeq, Seq: k.Seq, History: k.History, Shares: shares}
 	}
-	return false
-}
-
-func (c *Client) readLoop(ctx context.Context) {
-	defer close(c.done)
-	inbox := c.net.Inbox()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case env, ok := <-inbox:
-			if !ok {
-				return
-			}
-			if !env.From.IsReplica() {
-				continue
-			}
-			switch m := env.Msg.(type) {
-			case *protocol.Inform:
-				c.onInform(env.From.Replica(), m)
-			case *LocalCommit:
-				c.onLocalCommit(m)
-			}
-		}
-	}
-}
-
-func (c *Client) onInform(from types.ReplicaID, m *protocol.Inform) {
-	if m.From != from || !m.Speculative {
-		return
-	}
-	rk := m.Key()
-	if c.cfg.Scheme != crypto.SchemeNone && !c.keys.CheckMAC(types.ReplicaNode(from), rk.Digest[:], m.Tag) {
-		return
-	}
-	for {
-		cur := c.viewHint.Load()
-		if uint64(m.View) <= cur || c.viewHint.CompareAndSwap(cur, uint64(m.View)) {
-			break
-		}
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.waiters[m.ClientSeq]
-	if !ok {
-		return
-	}
-	// Responses are grouped by (txn digest, seq, history, value hash); the
-	// history digest alone is what the commit certificate proves, since it
-	// transitively binds the whole ordered prefix.
-	key := specKey{Digest: rk.Digest, Seq: m.Seq, History: m.OrderProof, ValueHash: rk.ValueHash}
-	votes, okKey := w.tally[key]
-	if !okKey {
-		votes = make(map[types.ReplicaID]crypto.Share)
-		w.tally[key] = votes
-		w.result[key] = types.Result{Client: c.cfg.ID, Seq: m.ClientSeq, Values: m.Values}
-	}
-	votes[from] = m.Share
-	if len(votes) >= c.cfg.N {
-		select {
-		case w.full <- w.result[key]:
-		default:
-		}
-	}
-}
-
-func (c *Client) onLocalCommit(m *LocalCommit) {
-	d := types.DigestConcat([]byte("zyz-lc"), types.U64(m.ClientSeq), types.U64(uint64(m.Seq)))
-	if c.cfg.Scheme != crypto.SchemeNone && !c.keys.CheckMAC(types.ReplicaNode(m.From), d[:], m.Tag) {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	w, ok := c.waiters[m.ClientSeq]
-	if !ok || w.lcDone {
-		return
-	}
-	w.lcFrom[m.From] = true
-	if len(w.lcFrom) >= w.lcNeed {
-		w.lcDone = true
-		// Deliver whichever tallied result reached nf speculative votes.
-		for key, votes := range w.tally {
-			if len(votes) >= c.cfg.N-c.cfg.F {
-				select {
-				case w.slow <- w.result[key]:
-				default:
-				}
-				return
-			}
-		}
-	}
+	return nil
 }

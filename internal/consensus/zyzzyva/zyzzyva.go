@@ -93,22 +93,18 @@ type LocalCommit struct {
 	Tag       []byte
 }
 
+// ForWrite names the write a LOCAL-COMMIT answers (client.Reply).
+func (m *LocalCommit) ForWrite() uint64 { return m.ClientSeq }
+
+// localCommitPayload is what a LOCAL-COMMIT's MAC covers.
+func localCommitPayload(clientSeq uint64, seq types.SeqNum) types.Digest {
+	return types.DigestConcat([]byte("zyz-lc"), types.U64(clientSeq), types.U64(uint64(seq)))
+}
+
 func init() {
 	wire.Register(func() wire.Message { return &OrderReq{} })
 	wire.Register(func() wire.Message { return &CommitReq{} })
 	wire.Register(func() wire.Message { return &LocalCommit{} })
-}
-
-// Options configure a Zyzzyva replica.
-type Options struct {
-	protocol.RuntimeOptions
-	// Adversary makes this replica a Byzantine primary per the shared
-	// cross-protocol spec: targeted backups receive a conflicting ORDER-REQ
-	// variant whose history digest is re-derived for the variant batch —
-	// so victims speculatively execute it and genuinely diverge, the attack
-	// the rollback machinery of §III exists for — or no ORDER-REQ at all.
-	// Nil means honest.
-	Adversary *protocol.AdversarySpec
 }
 
 // Replica is one Zyzzyva replica. Sequencing, request intake, the
@@ -133,7 +129,12 @@ type Replica struct {
 }
 
 // New creates a Zyzzyva replica.
-func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts Options) (*Replica, error) {
+// opts.Adversary makes the replica a Byzantine primary per the shared
+// cross-protocol spec: targeted backups receive a conflicting ORDER-REQ
+// variant whose history digest is re-derived for the variant batch — so
+// victims speculatively execute it and genuinely diverge, the attack the
+// rollback machinery of §III exists for — or no ORDER-REQ at all.
+func New(cfg protocol.Config, ring *crypto.KeyRing, net network.Transport, opts protocol.Options) (*Replica, error) {
 	cfg = cfg.WithDefaults()
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -322,7 +323,7 @@ func (r *Replica) onCommitReq(m *CommitReq) {
 		r.committedStable = m.Seq
 	}
 	lc := &LocalCommit{From: r.rt.Cfg.ID, ClientSeq: m.ClientSeq, Seq: m.Seq}
-	d := types.DigestConcat([]byte("zyz-lc"), types.U64(uint64(m.ClientSeq)), types.U64(uint64(m.Seq)))
+	d := localCommitPayload(m.ClientSeq, m.Seq)
 	lc.Tag = r.rt.Keys.MAC(types.ClientNode(m.Client), d[:])
 	r.rt.Net.Send(types.ClientNode(m.Client), lc)
 }

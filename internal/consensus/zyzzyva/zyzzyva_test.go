@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/poexec/poe/internal/client"
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
@@ -34,7 +35,7 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme) *cluster {
 			ViewTimeout: 300 * time.Millisecond,
 		}
 		tr := net.Join(types.ReplicaNode(cfg.ID))
-		r, err := New(cfg, ring, tr, Options{})
+		r, err := New(cfg, ring, tr, protocol.Options{})
 		if err != nil {
 			t.Fatalf("replica %d: %v", i, err)
 		}
@@ -53,9 +54,9 @@ func (c *cluster) newClient(i int, specTimeout time.Duration) *Client {
 	c.t.Helper()
 	cfg := c.cfgs[0]
 	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
-	cl, err := NewClient(ClientConfig{
+	cl, err := NewClient(client.Config{
 		ID: id, N: cfg.N, F: cfg.F, Scheme: cfg.Scheme,
-		SpecTimeout: specTimeout,
+		Timeout: specTimeout,
 	}, c.ring, c.net.Join(types.ClientNode(id)))
 	if err != nil {
 		c.t.Fatalf("client: %v", err)

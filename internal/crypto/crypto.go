@@ -75,6 +75,17 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme is the inverse of String: it maps a scheme's name (mac, ts,
+// ed or none) to the scheme.
+func ParseScheme(name string) (Scheme, error) {
+	for s := SchemeNone; s <= SchemeED; s++ {
+		if s.String() == name {
+			return s, nil
+		}
+	}
+	return 0, fmt.Errorf("crypto: unknown scheme %q", name)
+}
+
 // KeyRing is the trusted dealer: it derives every key in the system from a
 // master seed. Each node receives a NodeKeys view scoped to its identity;
 // the protocol code never touches another node's private material.

@@ -25,6 +25,18 @@ func TestDeterministicKeyDerivation(t *testing.T) {
 	}
 }
 
+func TestSchemeNameRoundTrip(t *testing.T) {
+	for _, s := range []Scheme{SchemeNone, SchemeMAC, SchemeTS, SchemeED} {
+		got, err := ParseScheme(s.String())
+		if err != nil || got != s {
+			t.Fatalf("ParseScheme(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := ParseScheme("cmac"); err == nil {
+		t.Fatal("ParseScheme accepted an unknown name")
+	}
+}
+
 func TestSignVerify(t *testing.T) {
 	r := ring(4)
 	k0 := r.NodeKeys(types.ReplicaNode(0))

@@ -11,22 +11,6 @@ import (
 	"github.com/poexec/poe/internal/types"
 )
 
-// SchemeFromName maps a cluster config scheme name to the crypto scheme.
-func SchemeFromName(name string) (crypto.Scheme, error) {
-	switch name {
-	case "mac":
-		return crypto.SchemeMAC, nil
-	case "ts":
-		return crypto.SchemeTS, nil
-	case "ed":
-		return crypto.SchemeED, nil
-	case "none":
-		return crypto.SchemeNone, nil
-	default:
-		return 0, fmt.Errorf("deploy: unknown scheme %q", name)
-	}
-}
-
 // ClientPoolOptions configure NewTCPClients.
 type ClientPoolOptions struct {
 	// Addrs are the replica addresses, index = replica id.
@@ -61,9 +45,9 @@ func NewTCPClients(ctx context.Context, opts ClientPoolOptions) ([]LoadClient, f
 	if opts.Listen == "" {
 		opts.Listen = "127.0.0.1:0"
 	}
-	scheme, err := SchemeFromName(opts.Scheme)
+	scheme, err := crypto.ParseScheme(opts.Scheme)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, fmt.Errorf("deploy: %w", err)
 	}
 	ring := crypto.NewKeyRing(n, []byte(opts.Seed))
 	f := (n - 1) / 3

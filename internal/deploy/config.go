@@ -23,6 +23,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"github.com/poexec/poe/internal/crypto"
 )
 
 // Duration is a time.Duration that (un)marshals as a Go duration string
@@ -158,10 +160,8 @@ func (c ClusterConfig) withDefaults() (ClusterConfig, error) {
 	if c.Scheme == "" {
 		c.Scheme = "mac"
 	}
-	switch c.Scheme {
-	case "mac", "ts", "ed", "none":
-	default:
-		return c, fmt.Errorf("deploy: unknown scheme %q", c.Scheme)
+	if _, err := crypto.ParseScheme(c.Scheme); err != nil {
+		return c, fmt.Errorf("deploy: %w", err)
 	}
 	if c.Seed == "" {
 		c.Seed = "poe-demo-seed"

@@ -14,12 +14,8 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/client"
-	"github.com/poexec/poe/internal/consensus/hotstuff"
-	"github.com/poexec/poe/internal/consensus/pbft"
-	"github.com/poexec/poe/internal/consensus/poe"
+	"github.com/poexec/poe/internal/consensus"
 	"github.com/poexec/poe/internal/consensus/protocol"
-	"github.com/poexec/poe/internal/consensus/sbft"
-	"github.com/poexec/poe/internal/consensus/zyzzyva"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/storage"
@@ -27,26 +23,8 @@ import (
 	"github.com/poexec/poe/internal/workload"
 )
 
-// sbftCollectorWait is how long an SBFT collector waits for all n shares
-// before taking the slow path (the paper's replica-side timeout, chosen
-// small in §IV-D).
-const sbftCollectorWait = 40 * time.Millisecond
-
-// replicaHandle abstracts the per-protocol replica for the harness.
-type replicaHandle interface {
-	Run(ctx context.Context)
-	Runtime() *protocol.Runtime
-}
-
-// submitter abstracts the two client implementations.
-type submitter interface {
-	SubmitTxn(ctx context.Context, txn types.Transaction) (types.Result, error)
-	NextSeq() uint64
-	Start(ctx context.Context)
-}
-
-// tieredReader is the optional read-path side of a submitter. Clients
-// without it (the Zyzzyva wrapper) get their reads downgraded to ORDERED.
+// tieredReader is the optional read-path side of a client. Clients without
+// it (Zyzzyva's) get their reads downgraded to ORDERED.
 type tieredReader interface {
 	ReadTxn(ctx context.Context, txn types.Transaction) (client.ReadAnswer, error)
 	NextReadSeq() uint64
@@ -57,7 +35,7 @@ type tieredReader interface {
 // goroutine — which may be mid-WAL-append — has exited. store is nil for a
 // volatile run and once the replica is killed.
 type replica struct {
-	replicaHandle
+	consensus.Replica
 	store  *storage.Store
 	cancel context.CancelFunc
 	done   chan struct{}
@@ -84,7 +62,7 @@ type cluster struct {
 	retainAll bool
 
 	replicas []*replica
-	clients  []submitter
+	clients  []consensus.Client
 	stopped  bool
 }
 
@@ -125,7 +103,10 @@ func (c *cluster) start() error {
 		}
 	}
 	for i := 0; i < c.opts.Clients; i++ {
-		s, err := buildClient(c.opts, i, c.ring, c.join)
+		id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
+		s, err := consensus.NewClient(c.opts.Protocol, client.Config{
+			ID: id, N: c.opts.N, F: c.opts.F, Scheme: c.opts.Scheme, Timeout: c.opts.ClientTimeout,
+		}, c.ring, c.join.Join(types.ClientNode(id)))
 		if err != nil {
 			return err
 		}
@@ -160,7 +141,8 @@ func (c *cluster) startReplica(i int) error {
 		CheckpointInterval: types.SeqNum(c.opts.CheckpointInterval),
 		ViewTimeout:        c.opts.ViewTimeout,
 	}
-	h, err := buildReplica(c.opts.Protocol, cfg, c.ring, c.join.Join(types.ReplicaNode(types.ReplicaID(i))), ropts, adv)
+	h, err := consensus.NewReplica(c.opts.Protocol, cfg, c.ring, c.join.Join(types.ReplicaNode(types.ReplicaID(i))),
+		protocol.Options{RuntimeOptions: ropts, Adversary: adv})
 	if err != nil {
 		if r.store != nil {
 			r.store.Close()
@@ -170,7 +152,7 @@ func (c *cluster) startReplica(i int) error {
 	if c.retainAll {
 		h.Runtime().Exec.RetainSlack = 1 << 30
 	}
-	r.replicaHandle = h
+	r.Replica = h
 	var ctx context.Context
 	ctx, r.cancel = context.WithCancel(c.ctx)
 	c.replicas[i] = r
@@ -323,13 +305,13 @@ func newLoad() *load { return &load{reads: newReadStats()} }
 // transactions until ctx ends and counting completions and latency while the
 // window is open; then it waits out warmup (the paper uses 60 s + 120 s;
 // scaled here) and opens the window.
-func (l *load) run(ctx context.Context, clients []submitter, wcfg workload.Config, outstanding int, zeroPayload bool, warmup time.Duration) {
+func (l *load) run(ctx context.Context, clients []consensus.Client, wcfg workload.Config, outstanding int, zeroPayload bool, warmup time.Duration) {
 	for i, s := range clients {
 		gen := workload.NewGenerator(wcfg, types.ClientID(types.ClientIDBase)+types.ClientID(i))
 		genMu := &sync.Mutex{}
 		for j := 0; j < outstanding; j++ {
 			l.wg.Add(1)
-			go func(s submitter) {
+			go func(s consensus.Client) {
 				defer l.wg.Done()
 				rd, canRead := s.(tieredReader)
 				for ctx.Err() == nil {
@@ -427,62 +409,4 @@ func (l *load) measured(p Protocol, n, batch int) Result {
 // replicaDir is replica i's data directory under a run's DataDir root.
 func replicaDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("replica-%d", i))
-}
-
-// buildReplica constructs one replica of the selected protocol. A non-nil
-// adv installs the shared Byzantine adversary spec on it (chaos scenarios).
-func buildReplica(p Protocol, cfg protocol.Config, ring *crypto.KeyRing, tr network.Transport, ropts protocol.RuntimeOptions, adv *protocol.AdversarySpec) (replicaHandle, error) {
-	switch p {
-	case PoE:
-		return poe.New(cfg, ring, tr, poe.Options{RuntimeOptions: ropts, Adversary: adv})
-	case PBFT:
-		return pbft.New(cfg, ring, tr, pbft.Options{RuntimeOptions: ropts, Adversary: adv})
-	case Zyzzyva:
-		return zyzzyva.New(cfg, ring, tr, zyzzyva.Options{RuntimeOptions: ropts, Adversary: adv})
-	case SBFT:
-		return sbft.New(cfg, ring, tr, sbft.Options{RuntimeOptions: ropts, Adversary: adv, CollectorTimeout: sbftCollectorWait})
-	case HotStuff:
-		return hotstuff.New(cfg, ring, tr, hotstuff.Options{RuntimeOptions: ropts, Adversary: adv})
-	default:
-		return nil, fmt.Errorf("harness: unknown protocol %q", p)
-	}
-}
-
-func buildClient(opts Options, i int, ring *crypto.KeyRing, net network.Net) (submitter, error) {
-	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
-	tr := net.Join(types.ClientNode(id))
-	switch opts.Protocol {
-	case Zyzzyva:
-		return zyzzyva.NewClient(zyzzyva.ClientConfig{
-			ID: id, N: opts.N, F: opts.F, Scheme: opts.Scheme,
-			SpecTimeout: opts.ClientTimeout,
-		}, ring, tr)
-	case SBFT:
-		verifier := crypto.NewVerifier(ring, opts.N-opts.F,
-			opts.Scheme == crypto.SchemeTS || opts.Scheme == crypto.SchemeED)
-		return client.New(client.Config{
-			ID: id, N: opts.N, F: opts.F, Scheme: opts.Scheme,
-			Quorum:  1,
-			Timeout: opts.ClientTimeout,
-			CertAccept: func(m *protocol.Inform) bool {
-				return len(m.Cert) > 0 && verifier.Verify(sbft.ExecPayload(m.Seq, m.OrderProof), m.Cert)
-			},
-		}, ring, tr)
-	case PBFT:
-		return client.New(client.Config{
-			ID: id, N: opts.N, F: opts.F, Scheme: opts.Scheme,
-			Quorum: opts.F + 1, Timeout: opts.ClientTimeout,
-		}, ring, tr)
-	case HotStuff:
-		return client.New(client.Config{
-			ID: id, N: opts.N, F: opts.F, Scheme: opts.Scheme,
-			Quorum: opts.F + 1, Timeout: opts.ClientTimeout,
-			BroadcastRequests: true,
-		}, ring, tr)
-	default: // PoE: nf identical replies — the proof of execution
-		return client.New(client.Config{
-			ID: id, N: opts.N, F: opts.F, Scheme: opts.Scheme,
-			Quorum: opts.N - opts.F, Timeout: opts.ClientTimeout,
-		}, ring, tr)
-	}
 }

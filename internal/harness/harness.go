@@ -32,21 +32,22 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/client"
+	"github.com/poexec/poe/internal/consensus"
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/types"
 )
 
 // Protocol names a consensus protocol under test.
-type Protocol string
+type Protocol = consensus.Protocol
 
 // The five protocols of the paper's evaluation.
 const (
-	PoE      Protocol = "poe"
-	PBFT     Protocol = "pbft"
-	Zyzzyva  Protocol = "zyzzyva"
-	SBFT     Protocol = "sbft"
-	HotStuff Protocol = "hotstuff"
+	PoE      = consensus.PoE
+	PBFT     = consensus.PBFT
+	Zyzzyva  = consensus.Zyzzyva
+	SBFT     = consensus.SBFT
+	HotStuff = consensus.HotStuff
 )
 
 // AllProtocols lists the evaluation order used in the paper's figures.
@@ -129,12 +130,7 @@ func (o Options) withDefaults() Options {
 		o.F = (o.N - 1) / 3
 	}
 	if o.Scheme == 0 && o.Protocol != "" {
-		o.Scheme = DefaultScheme(o.Protocol)
-		// Ingredient I3: PoE switches from MACs to threshold signatures for
-		// larger clusters (the paper's guidance is around 16 replicas).
-		if o.Protocol == PoE && o.N >= 16 {
-			o.Scheme = crypto.SchemeTS
-		}
+		o.Scheme = consensus.DefaultScheme(o.Protocol, o.N)
 	}
 	if o.BatchSize == 0 {
 		o.BatchSize = 100
@@ -179,23 +175,6 @@ func (o Options) withDefaults() Options {
 		o.Seed = 42
 	}
 	return o
-}
-
-// DefaultScheme returns the paper's authentication configuration for each
-// protocol (§IV-A): PBFT and Zyzzyva use MACs between replicas, PoE adapts
-// (MAC below 16 replicas, TS above — ingredient I3), SBFT and HotStuff are
-// threshold-signature protocols.
-func DefaultScheme(p Protocol) crypto.Scheme {
-	switch p {
-	case PBFT, Zyzzyva:
-		return crypto.SchemeMAC
-	case SBFT, HotStuff:
-		return crypto.SchemeTS
-	case PoE:
-		return crypto.SchemeMAC
-	default:
-		return crypto.SchemeMAC
-	}
 }
 
 // TimelinePoint is one sample of a throughput timeline (Fig 10).

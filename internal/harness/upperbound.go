@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/client"
+	"github.com/poexec/poe/internal/consensus"
 	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
@@ -108,12 +109,12 @@ func RunUpperBound(opts UpperBoundOptions) (Result, error) {
 		}()
 	}
 
-	clients := make([]submitter, upperBoundClients)
+	clients := make([]consensus.Client, upperBoundClients)
 	for i := range clients {
 		id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 		cl, err := client.New(client.Config{
 			ID: id, N: 1, F: 0, Scheme: crypto.SchemeNone,
-			Quorum: 1, Timeout: time.Second,
+			Timeout: time.Second,
 		}, ring, net.Join(types.ClientNode(id)))
 		if err != nil {
 			return Result{}, err

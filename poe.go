@@ -24,12 +24,8 @@ import (
 	"time"
 
 	"github.com/poexec/poe/internal/client"
-	"github.com/poexec/poe/internal/consensus/hotstuff"
-	"github.com/poexec/poe/internal/consensus/pbft"
-	poecore "github.com/poexec/poe/internal/consensus/poe"
+	"github.com/poexec/poe/internal/consensus"
 	"github.com/poexec/poe/internal/consensus/protocol"
-	"github.com/poexec/poe/internal/consensus/sbft"
-	"github.com/poexec/poe/internal/consensus/zyzzyva"
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/ledger"
 	"github.com/poexec/poe/internal/network"
@@ -60,15 +56,15 @@ const (
 )
 
 // Protocol selects the consensus protocol a cluster runs.
-type Protocol string
+type Protocol = consensus.Protocol
 
 // The five protocols of the paper.
 const (
-	ProtocolPoE      Protocol = "poe"
-	ProtocolPBFT     Protocol = "pbft"
-	ProtocolZyzzyva  Protocol = "zyzzyva"
-	ProtocolSBFT     Protocol = "sbft"
-	ProtocolHotStuff Protocol = "hotstuff"
+	ProtocolPoE      = consensus.PoE
+	ProtocolPBFT     = consensus.PBFT
+	ProtocolZyzzyva  = consensus.Zyzzyva
+	ProtocolSBFT     = consensus.SBFT
+	ProtocolHotStuff = consensus.HotStuff
 )
 
 // Scheme selects the authentication instantiation (the paper's ingredient
@@ -83,21 +79,6 @@ const (
 	SchemeNone Scheme = "none" // no authentication (benchmarking only)
 )
 
-func (s Scheme) internal() (crypto.Scheme, error) {
-	switch s {
-	case SchemeMAC, "":
-		return crypto.SchemeMAC, nil
-	case SchemeTS:
-		return crypto.SchemeTS, nil
-	case SchemeED:
-		return crypto.SchemeED, nil
-	case SchemeNone:
-		return crypto.SchemeNone, nil
-	default:
-		return 0, fmt.Errorf("poe: unknown scheme %q", s)
-	}
-}
-
 // ClusterConfig configures an in-process cluster.
 type ClusterConfig struct {
 	// Replicas is n; Faults is f. Defaults: n = 4, f = (n−1)/3. The system
@@ -106,8 +87,9 @@ type ClusterConfig struct {
 	Faults   int
 	// Protocol defaults to ProtocolPoE.
 	Protocol Protocol
-	// Scheme defaults to SchemeMAC below 16 replicas and SchemeTS at or
-	// above (the paper's guidance in ingredient I3).
+	// Scheme defaults to the protocol's own (§IV-A): SchemeMAC for PBFT and
+	// Zyzzyva, SchemeTS for SBFT and HotStuff, and for PoE SchemeMAC below
+	// 16 replicas and SchemeTS at or above (ingredient I3).
 	Scheme Scheme
 	// BatchSize defaults to 100 (the paper's default).
 	BatchSize int
@@ -124,14 +106,11 @@ type ClusterConfig struct {
 // Cluster is an in-process cluster of replicas on a fault-injectable
 // network. It is the programmatic equivalent of the paper's testbed.
 type Cluster struct {
-	cfg     ClusterConfig
-	scheme  crypto.Scheme
-	net     *network.ChanNet
-	ring    *crypto.KeyRing
-	handles []interface {
-		Run(ctx context.Context)
-		Runtime() *protocol.Runtime
-	}
+	cfg        ClusterConfig
+	scheme     crypto.Scheme
+	net        *network.ChanNet
+	ring       *crypto.KeyRing
+	handles    []consensus.Replica
 	cancel     context.CancelFunc
 	ctx        context.Context
 	nextClient int
@@ -148,22 +127,18 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Protocol == "" {
 		cfg.Protocol = ProtocolPoE
 	}
-	if cfg.Scheme == "" {
-		if cfg.Replicas >= 16 {
-			cfg.Scheme = SchemeTS
-		} else {
-			cfg.Scheme = SchemeMAC
-		}
-	}
 	if cfg.BatchSize == 0 {
 		cfg.BatchSize = 100
 	}
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	scheme, err := cfg.Scheme.internal()
-	if err != nil {
-		return nil, err
+	scheme := consensus.DefaultScheme(cfg.Protocol, cfg.Replicas)
+	if cfg.Scheme != "" {
+		var err error
+		if scheme, err = crypto.ParseScheme(string(cfg.Scheme)); err != nil {
+			return nil, fmt.Errorf("poe: %w", err)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &Cluster{
@@ -182,26 +157,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Window:      cfg.Window,
 			ViewTimeout: cfg.ViewTimeout,
 		}
-		ropts := protocol.RuntimeOptions{InitialTable: cfg.InitialTable}
 		tr := c.net.Join(types.ReplicaNode(pcfg.ID))
-		var h interface {
-			Run(ctx context.Context)
-			Runtime() *protocol.Runtime
-		}
-		switch cfg.Protocol {
-		case ProtocolPoE:
-			h, err = poecore.New(pcfg, c.ring, tr, poecore.Options{RuntimeOptions: ropts})
-		case ProtocolPBFT:
-			h, err = pbft.New(pcfg, c.ring, tr, pbft.Options{RuntimeOptions: ropts})
-		case ProtocolZyzzyva:
-			h, err = zyzzyva.New(pcfg, c.ring, tr, zyzzyva.Options{RuntimeOptions: ropts})
-		case ProtocolSBFT:
-			h, err = sbft.New(pcfg, c.ring, tr, sbft.Options{RuntimeOptions: ropts})
-		case ProtocolHotStuff:
-			h, err = hotstuff.New(pcfg, c.ring, tr, hotstuff.Options{RuntimeOptions: ropts})
-		default:
-			err = fmt.Errorf("poe: unknown protocol %q", cfg.Protocol)
-		}
+		h, err := consensus.NewReplica(cfg.Protocol, pcfg, c.ring, tr, protocol.Options{
+			RuntimeOptions: protocol.RuntimeOptions{InitialTable: cfg.InitialTable},
+		})
 		if err != nil {
 			cancel()
 			c.net.Close()
@@ -255,12 +214,8 @@ func (c *Cluster) ExecutedTxns(id ReplicaID) int64 {
 
 // Client is a handle for submitting transactions to the cluster.
 type Client struct {
-	inner interface {
-		SubmitTxn(ctx context.Context, txn types.Transaction) (types.Result, error)
-		NextSeq() uint64
-		Start(ctx context.Context)
-	}
-	id types.ClientID
+	inner consensus.Client
+	id    types.ClientID
 }
 
 // NewClient creates a client attached to the cluster, configured with the
@@ -271,32 +226,9 @@ func (c *Cluster) NewClient() (*Client, error) {
 	i := c.nextClient
 	c.nextClient++
 	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
-	tr := c.net.Join(types.ClientNode(id))
-	n, f := c.cfg.Replicas, c.cfg.Faults
-	var inner interface {
-		SubmitTxn(ctx context.Context, txn types.Transaction) (types.Result, error)
-		NextSeq() uint64
-		Start(ctx context.Context)
-	}
-	var err error
-	switch c.cfg.Protocol {
-	case ProtocolZyzzyva:
-		inner, err = zyzzyva.NewClient(zyzzyva.ClientConfig{ID: id, N: n, F: f, Scheme: c.scheme}, c.ring, tr)
-	case ProtocolSBFT:
-		verifier := crypto.NewVerifier(c.ring, n-f, c.scheme == crypto.SchemeTS || c.scheme == crypto.SchemeED)
-		inner, err = client.New(client.Config{
-			ID: id, N: n, F: f, Scheme: c.scheme, Quorum: 1,
-			CertAccept: func(m *protocol.Inform) bool {
-				return len(m.Cert) > 0 && verifier.Verify(sbft.ExecPayload(m.Seq, m.OrderProof), m.Cert)
-			},
-		}, c.ring, tr)
-	case ProtocolPBFT:
-		inner, err = client.New(client.Config{ID: id, N: n, F: f, Scheme: c.scheme, Quorum: f + 1}, c.ring, tr)
-	case ProtocolHotStuff:
-		inner, err = client.New(client.Config{ID: id, N: n, F: f, Scheme: c.scheme, Quorum: f + 1, BroadcastRequests: true}, c.ring, tr)
-	default:
-		inner, err = client.New(client.Config{ID: id, N: n, F: f, Scheme: c.scheme, Quorum: n - f}, c.ring, tr)
-	}
+	inner, err := consensus.NewClient(c.cfg.Protocol, client.Config{
+		ID: id, N: c.cfg.Replicas, F: c.cfg.Faults, Scheme: c.scheme,
+	}, c.ring, c.net.Join(types.ClientNode(id)))
 	if err != nil {
 		return nil, err
 	}

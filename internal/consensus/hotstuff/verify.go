@@ -30,22 +30,15 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		if !env.From.IsReplica() || env.From.Replica() == rt.Cfg.ID {
 			return false
 		}
-		p := m
-		if !env.Owned {
-			cp := *m
-			cp.Node.Batch = m.Node.Batch.Clone()
-			env.Msg = &cp
-			p = &cp
-		}
-		if !rt.VerifyBroadcast(env.From.Replica(), p.SignedPayload(), p.Auth) {
+		if !rt.VerifyBroadcast(env.From.Replica(), m.SignedPayload(), m.Auth) {
 			return false
 		}
-		if !rt.VerifyBatch(&p.Node.Batch) {
+		if !rt.VerifyBatch(&m.Node.Batch) {
 			return false
 		}
 		// Prove the justifying QC here; the handler's verifyQC re-check is a
 		// certificate-memo hit.
-		return r.verifyQC(p.Node.Justify)
+		return r.verifyQC(m.Node.Justify)
 	case *Vote:
 		if !env.From.IsReplica() || m.Share.Signer != env.From.Replica() || m.Share.Signer == rt.Cfg.ID {
 			return false
@@ -59,21 +52,11 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		}
 		return r.verifyQC(m.High)
 	case *NodeBundle:
-		b := m
-		if !env.Owned {
-			cp := *m
-			cp.Nodes = append([]Node(nil), m.Nodes...)
-			for i := range cp.Nodes {
-				cp.Nodes[i].Batch = cp.Nodes[i].Batch.Clone()
-			}
-			env.Msg = &cp
-			b = &cp
-		}
-		for i := range b.Nodes {
-			b.Nodes[i].Batch.MemoizeDigests()
+		for i := range m.Nodes {
+			m.Nodes[i].Batch.MemoizeDigests()
 			// Warm the certificate memo; the handler skips nodes whose QC
 			// fails, so an invalid entry doesn't condemn the bundle.
-			r.verifyQC(b.Nodes[i].Justify)
+			r.verifyQC(m.Nodes[i].Justify)
 		}
 		return true
 	}

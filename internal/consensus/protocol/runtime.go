@@ -560,51 +560,27 @@ func (rt *Runtime) VerifyBatch(b *types.Batch) bool {
 }
 
 // VerifyCommonInbound handles the message types shared by every protocol:
-// client requests (signature checked, envelope rewritten to an owned clone),
-// forwarded requests, and fetch replies and view-change messages (cloned so
-// digest memoization stays replica-local; certificates are still validated
-// by the handler through the memoized threshold scheme). It reports (keep, handled); handled false
-// means the message is protocol-specific and the caller must classify it.
+// client and forwarded requests (signature checked), and fetch replies and
+// view-change messages (digests memoized here, off the event loop;
+// certificates are still validated by the handler through the memoized
+// threshold scheme). The envelope's message is the receiver's own, so the
+// memos never touch another node's copy. It reports (keep, handled);
+// handled false means the message is protocol-specific and the caller must
+// classify it.
 func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled bool) {
 	switch m := env.Msg.(type) {
 	case *ClientRequest:
-		// Wire-decoded (Owned) envelopes are exclusively ours; in-process
-		// deliveries are cloned before digest memoization (see types.Request).
-		cp := m
-		if !env.Owned {
-			cp = &ClientRequest{Req: types.CloneRequest(m.Req)}
-			env.Msg = cp
-		}
-		if !env.From.IsClient() || cp.Req.Txn.Client != env.From.Client() {
+		if !env.From.IsClient() || m.Req.Txn.Client != env.From.Client() {
 			return false, true
 		}
-		if !rt.VerifyClientRequest(&cp.Req) {
-			return false, true
-		}
-		return true, true
+		return rt.VerifyClientRequest(&m.Req), true
 	case *ForwardRequest:
 		// Only replicas forward: a client sending one would reach the
 		// primary's batcher without the ClientRequest origin check.
-		if !env.From.IsReplica() {
-			return false, true
-		}
-		cp := m
-		if !env.Owned {
-			cp = &ForwardRequest{Req: types.CloneRequest(m.Req)}
-			env.Msg = cp
-		}
-		if !rt.VerifyClientRequest(&cp.Req) {
-			return false, true
-		}
-		return true, true
+		return env.From.IsReplica() && rt.VerifyClientRequest(&m.Req), true
 	case *FetchReply:
-		cp := m
-		if !env.Owned {
-			cp = &FetchReply{From: m.From, Records: types.CloneRecords(m.Records)}
-			env.Msg = cp
-		}
-		for i := range cp.Records {
-			cp.Records[i].Batch.MemoizeDigests()
+		for i := range m.Records {
+			m.Records[i].Batch.MemoizeDigests()
 		}
 		return true, true
 	case *Checkpoint:
@@ -613,27 +589,19 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		// identity is a spoof and must not reach it.
 		return m.From != rt.Cfg.ID, true
 	case *ReadRequest:
-		cp := m
-		if !env.Owned {
-			cp = &ReadRequest{Req: types.CloneRequest(m.Req)}
-			env.Msg = cp
-		}
-		if !env.From.IsClient() || cp.Req.Txn.Client != env.From.Client() {
+		if !env.From.IsClient() || m.Req.Txn.Client != env.From.Client() {
 			return false, true
 		}
 		// Only read-only transactions with a non-ordered tier belong here;
 		// anything else must pay for ordering and is dropped (the client's
 		// ordered retransmission path still works).
-		if !cp.Req.Txn.ReadOnly() || cp.Req.Txn.Consistency == types.ConsistencyOrdered {
+		if !m.Req.Txn.ReadOnly() || m.Req.Txn.Consistency == types.ConsistencyOrdered {
 			return false, true
 		}
 		// A read served locally convinces nobody but the serving replica;
 		// one that is ordered instead is signature-checked where it enters
 		// a batcher (Skeleton.FallbackRead).
-		if !rt.VerifyRequestForSelf(&cp.Req) {
-			return false, true
-		}
-		return true, true
+		return rt.VerifyRequestForSelf(&m.Req), true
 	case *LeaseGrant:
 		// Only the primary of the grant's view counts it (Lease.OnGrant),
 		// and the grant is addressed to it alone: its MAC is checked here,
@@ -654,27 +622,16 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 		// the transport identity: a straggler's request is answered with
 		// the cached NV-PROPOSE before its signature is checked. Signature
 		// and entries are validated by the view-change path on the event
-		// loop (rare, off the normal case); here the envelope only becomes
-		// owned so digest memoization stays replica-local.
+		// loop (rare, off the normal case); here only the entries' digests
+		// are memoized.
 		if !env.From.IsReplica() || env.From.Replica() != m.From {
 			return false, true
 		}
-		cp := m
-		if !env.Owned {
-			c := *m
-			cp = &c
-			env.Msg = cp
-		}
-		cp.own(env.Owned)
+		m.memoize()
 		return true, true
 	case *NVPropose:
-		cp := m
-		if !env.Owned {
-			cp = &NVPropose{NewView: m.NewView, Requests: append([]VCRequest(nil), m.Requests...)}
-			env.Msg = cp
-		}
-		for i := range cp.Requests {
-			cp.Requests[i].own(env.Owned)
+		for i := range m.Requests {
+			m.Requests[i].memoize()
 		}
 		return true, true
 	case *SnapshotRequest:
@@ -692,12 +649,8 @@ func (rt *Runtime) VerifyCommonInbound(env *network.Envelope) (keep, handled boo
 	return true, false
 }
 
-// own makes the request's entries exclusively the receiver's — cloned unless
-// the envelope was wire-decoded — and memoizes their digests.
-func (m *VCRequest) own(owned bool) {
-	if !owned {
-		m.Entries = types.CloneRecords(m.Entries)
-	}
+// memoize memoizes the digests of the request's entries.
+func (m *VCRequest) memoize() {
 	for i := range m.Entries {
 		m.Entries[i].Batch.MemoizeDigests()
 	}

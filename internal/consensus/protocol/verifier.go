@@ -28,18 +28,18 @@ import (
 // own frames, in the order it read them, concurrently with the others and
 // with the event loop.
 //
-// Ownership rule: the in-process transport delivers the *same* message
-// pointer to every addressee, so a VerifyFunc must never mutate the inbound
-// message. Messages carrying batches or requests are cloned (types.Batch
-// Clone / CloneRequest) and the envelope is rewritten to the owned copy;
-// digest memoization then happens on the clone, off the event loop, and the
-// memo travels with the value into slots, the executor, and replies.
+// Ownership rule: every transport hands each addressee its own decoded copy
+// of a message (TCPNet reads it off its connection, ChanNet decodes a copy
+// of the sender's frame), so the check memoizes the digests of the batches
+// and requests it carries in place, off the event loop, and the memo travels
+// with the value into slots, the executor, and replies.
 
 // VerifyFunc checks one inbound envelope. Returning false drops the message
 // before dispatch. The function runs on transport goroutines, several at
 // once: it must only touch immutable or internally synchronized state
 // (Config, NodeKeys, KeyRing, ThresholdScheme, the Verifier's digest table),
-// never replica state. It may rewrite env.Msg with an owned clone.
+// never replica state. It may memoize into env.Msg, which only this replica
+// holds.
 type VerifyFunc func(env *network.Envelope) bool
 
 // Verifier is the inbound authentication check of one replica, with the

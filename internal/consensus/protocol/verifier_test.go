@@ -12,7 +12,23 @@ import (
 	"github.com/poexec/poe/internal/crypto"
 	"github.com/poexec/poe/internal/network"
 	"github.com/poexec/poe/internal/types"
+	"github.com/poexec/poe/internal/wire"
 )
+
+// probe is a test message with a wire codec, so it can cross ChanNet.
+type probe struct{ N int }
+
+func (p *probe) WireID() uint16 { return 65000 } // test-only id, far from ids.go
+
+func (p *probe) MarshalTo(buf []byte) []byte { return wire.AppendI64(buf, int64(p.N)) }
+
+func (p *probe) Unmarshal(data []byte) error {
+	r := wire.NewReader(data)
+	p.N = int(r.I64())
+	return r.Close()
+}
+
+func init() { wire.Register(func() wire.Message { return &probe{} }) }
 
 func feedEnvelopes(in chan<- network.Envelope, n int) {
 	for i := 0; i < n; i++ {
@@ -160,12 +176,12 @@ func TestIngressQueuedBeforeRun(t *testing.T) {
 	checks := make(map[int]int)
 	verify := func(env *network.Envelope) bool {
 		mu.Lock()
-		checks[env.Msg.(int)]++
+		checks[env.Msg.(*probe).N]++
 		mu.Unlock()
-		return env.Msg.(int) > 0
+		return env.Msg.(*probe).N > 0
 	}
 	dispatched := make(chan int, 8)
-	dispatch := func(env network.Envelope) { dispatched <- env.Msg.(int) }
+	dispatch := func(env network.Envelope) { dispatched <- env.Msg.(*probe).N }
 	next := func(want int) {
 		t.Helper()
 		select {
@@ -178,8 +194,8 @@ func TestIngressQueuedBeforeRun(t *testing.T) {
 		}
 	}
 
-	peer.Send(types.ReplicaNode(0), -1)
-	peer.Send(types.ReplicaNode(0), 1)
+	peer.Send(types.ReplicaNode(0), &probe{N: -1})
+	peer.Send(types.ReplicaNode(0), &probe{N: 1})
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
@@ -187,8 +203,8 @@ func TestIngressQueuedBeforeRun(t *testing.T) {
 		close(done)
 	}()
 	next(1)
-	peer.Send(types.ReplicaNode(0), -2)
-	peer.Send(types.ReplicaNode(0), 2)
+	peer.Send(types.ReplicaNode(0), &probe{N: -2})
+	peer.Send(types.ReplicaNode(0), &probe{N: 2})
 	next(2)
 	cancel()
 	<-done

@@ -16,7 +16,7 @@ import (
 
 type cluster struct {
 	t        *testing.T
-	net      *network.ChanNet
+	net      *network.FaultNet // crashes go through its fabric
 	ring     *crypto.KeyRing
 	replicas []*Replica
 	cfgs     []protocol.Config
@@ -25,7 +25,8 @@ type cluster struct {
 
 func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time.Duration) *cluster {
 	t.Helper()
-	net := network.NewChanNet()
+	base := network.NewChanNet()
+	net := network.NewFaultNet(base)
 	ring := crypto.NewKeyRing(n, []byte("test-seed"))
 	ctx, cancel := context.WithCancel(context.Background())
 	c := &cluster{t: t, net: net, ring: ring}
@@ -58,6 +59,7 @@ func startCluster(t *testing.T, n, f int, scheme crypto.Scheme, collTimeout time
 	t.Cleanup(func() {
 		c.stop()
 		net.Close()
+		base.Close()
 	})
 	return c
 }

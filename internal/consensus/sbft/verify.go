@@ -29,17 +29,10 @@ func (r *Replica) verifyInbound(env *network.Envelope) bool {
 		if !env.From.IsReplica() || env.From.Replica() == rt.Cfg.ID {
 			return false
 		}
-		p := m
-		if !env.Owned {
-			cp := *m
-			cp.Batch = m.Batch.Clone()
-			env.Msg = &cp
-			p = &cp
-		}
-		if !rt.VerifyBroadcast(env.From.Replica(), p.SignedPayload(), p.Auth) {
+		if !rt.VerifyBroadcast(env.From.Replica(), m.SignedPayload(), m.Auth) {
 			return false
 		}
-		return rt.VerifyBatch(&p.Batch)
+		return rt.VerifyBatch(&m.Batch)
 	case *SignShare:
 		if !env.From.IsReplica() || m.Share.Signer != env.From.Replica() || m.Share.Signer == rt.Cfg.ID {
 			return false

@@ -176,7 +176,7 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 	if (opts.PartitionAt > 0) != (opts.HealAt > 0) || opts.HealAt < opts.PartitionAt {
 		return ChaosReport{}, fmt.Errorf("harness: need 0 < PartitionAt < HealAt (got %v, %v)", opts.PartitionAt, opts.HealAt)
 	}
-	c := newCluster(opts.Options, true)
+	c := newCluster(opts.Options)
 	defer c.stop()
 	adv, err := adversaryFor(opts, c.ring)
 	if err != nil {
@@ -184,10 +184,13 @@ func RunChaos(opts ChaosOptions) (ChaosReport, error) {
 	}
 	c.adv, c.faulty = adv, opts.Faulty
 	if !opts.Faults.IsZero() {
+		// A per-link rule replaces the default, so it carries NetDelay too.
+		lf := opts.Faults
+		lf.Delay += opts.NetDelay
 		for i := 0; i < opts.N; i++ {
 			for j := 0; j < opts.N; j++ {
 				if i != j {
-					c.fn.SetLink(types.ReplicaNode(types.ReplicaID(i)), types.ReplicaNode(types.ReplicaID(j)), opts.Faults)
+					c.fn.SetLink(types.ReplicaNode(types.ReplicaID(i)), types.ReplicaNode(types.ReplicaID(j)), lf)
 				}
 			}
 		}

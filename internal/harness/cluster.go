@@ -48,8 +48,7 @@ type cluster struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 	net    *network.ChanNet
-	fn     *network.FaultNet // the fault fabric over net; nil unless asked for
-	join   network.Net       // fn when set, else net
+	fn     *network.FaultNet // the fault fabric over net: every node joins through it
 	ring   *crypto.KeyRing
 	wcfg   workload.Config
 	table  map[string][]byte
@@ -67,21 +66,19 @@ type cluster struct {
 }
 
 // newCluster builds the network, key ring and initial table of a run
-// (opts already defaulted). faults routes every send through a FaultNet.
-func newCluster(opts Options, faults bool) *cluster {
+// (opts already defaulted). Every send passes through a FaultNet, whose
+// default link delay is opts.NetDelay.
+func newCluster(opts Options) *cluster {
 	c := &cluster{
 		load:     newLoad(),
 		opts:     opts,
-		net:      network.NewChanNet(network.WithSeed(opts.Seed), network.WithDelay(opts.NetDelay, 0), network.WithSendCost(opts.SendCost)),
+		net:      network.NewChanNet(network.WithSendCost(opts.SendCost)),
 		ring:     crypto.NewKeyRing(opts.N, []byte(fmt.Sprintf("harness-%d", opts.Seed))),
 		replicas: make([]*replica, opts.N),
 	}
+	c.fn = network.NewFaultNet(c.net, network.WithFaultSeed(opts.Seed))
+	c.fn.SetDefaultFaults(network.LinkFaults{Delay: opts.NetDelay})
 	c.ctx, c.cancel = context.WithCancel(context.Background())
-	c.join = c.net
-	if faults {
-		c.fn = network.NewFaultNet(c.net, network.WithFaultSeed(opts.Seed))
-		c.join = c.fn
-	}
 	c.wcfg = workload.DefaultConfig(opts.Records)
 	c.wcfg.Seed = opts.Seed
 	if opts.ReadFraction > 0 {
@@ -106,7 +103,7 @@ func (c *cluster) start() error {
 		id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 		s, err := consensus.NewClient(c.opts.Protocol, client.Config{
 			ID: id, N: c.opts.N, F: c.opts.F, Scheme: c.opts.Scheme, Timeout: c.opts.ClientTimeout,
-		}, c.ring, c.join.Join(types.ClientNode(id)))
+		}, c.ring, c.fn.Join(types.ClientNode(id)))
 		if err != nil {
 			return err
 		}
@@ -141,7 +138,7 @@ func (c *cluster) startReplica(i int) error {
 		CheckpointInterval: types.SeqNum(c.opts.CheckpointInterval),
 		ViewTimeout:        c.opts.ViewTimeout,
 	}
-	h, err := consensus.NewReplica(c.opts.Protocol, cfg, c.ring, c.join.Join(types.ReplicaNode(types.ReplicaID(i))),
+	h, err := consensus.NewReplica(c.opts.Protocol, cfg, c.ring, c.fn.Join(types.ReplicaNode(types.ReplicaID(i))),
 		protocol.Options{RuntimeOptions: ropts, Adversary: adv})
 	if err != nil {
 		if r.store != nil {
@@ -172,7 +169,7 @@ func (c *cluster) warmUp() {
 // crash drops all traffic to and from replica i; the replica keeps running,
 // cut off (the paper's crash failure).
 func (c *cluster) crash(i int) {
-	c.net.Crash(types.ReplicaNode(types.ReplicaID(i)))
+	c.fn.Crash(types.ReplicaNode(types.ReplicaID(i)))
 }
 
 // crashAfter crashes replica i d from now; zero means never.
@@ -203,7 +200,7 @@ func (c *cluster) restart(i int, wipe bool) error {
 			return fmt.Errorf("wipe replica %d: %w", i, err)
 		}
 	}
-	c.net.Recover(types.ReplicaNode(types.ReplicaID(i)))
+	c.fn.Recover(types.ReplicaNode(types.ReplicaID(i)))
 	return c.startReplica(i)
 }
 
@@ -219,9 +216,7 @@ func (c *cluster) stop() {
 	c.stopped = true
 	c.closeWindow()
 	c.cancel()
-	if c.fn != nil {
-		c.fn.Close()
-	}
+	c.fn.Close()
 	c.net.Close()
 	c.wg.Wait()
 	for _, r := range c.replicas {

@@ -90,15 +90,16 @@ type Options struct {
 	// (Fig 10). Zero disables sampling.
 	SampleEvery time.Duration
 
-	// SendCost is the per-message CPU cost charged to senders, standing in
-	// for the serialization/syscall cost of a real network stack (the cost
-	// that penalizes quadratic protocols). Negative disables it.
+	// SendCost is the per-destination CPU cost charged to senders, standing
+	// in for the syscall cost of a real network stack (the cost that
+	// penalizes quadratic protocols); serialization the in-process network
+	// pays for real. Negative disables it.
 	SendCost time.Duration
 
-	// NetDelay adds a one-way link delay to every message, turning the
-	// in-process network into a WAN-ish one. The out-of-order experiments
-	// (Fig 9k/l, window ablation) need it: with microsecond links the
-	// window never binds.
+	// NetDelay adds a one-way link delay to every message (the fault
+	// fabric's default link delay), turning the in-process network into a
+	// WAN-ish one. The out-of-order experiments (Fig 9k/l, window ablation)
+	// need it: with microsecond links the window never binds.
 	NetDelay time.Duration
 
 	// DataDir, when set, makes every replica durable: replica i logs its
@@ -379,7 +380,7 @@ func (s *readStats) audit(replicas []*replica) (checked, skipped, mismatches int
 // CrashPrimaryAfter count from the start of the run, before warmup.
 func Run(opts Options) (Result, error) {
 	opts = opts.withDefaults()
-	c := newCluster(opts, false)
+	c := newCluster(opts)
 	defer c.stop()
 	if err := c.start(); err != nil {
 		return Result{}, err

@@ -37,7 +37,7 @@ func startQuietCluster(t *testing.T, p Protocol, netDelay, clientTimeout time.Du
 		ViewTimeout: spuriousTimeout, ClientTimeout: clientTimeout,
 		NetDelay: netDelay, SendCost: -1,
 	}.withDefaults()
-	c := &quietCluster{cluster: newCluster(opts, true), t: t}
+	c := &quietCluster{cluster: newCluster(opts), t: t}
 	t.Cleanup(c.stop)
 	if err := c.start(); err != nil {
 		t.Fatal(err)

@@ -154,7 +154,7 @@ func runRestart(name string, opts Options, victim int, crashAfter, restartAfter 
 	if crashAfter <= 0 || restartAfter <= crashAfter {
 		return ColdJoinReport{}, nil, fmt.Errorf("harness: %s needs 0 < crash offset < restart offset", name)
 	}
-	c := newCluster(opts, false)
+	c := newCluster(opts)
 	defer c.stop()
 	c.retainAll = !wipe
 	if err := c.start(); err != nil {

@@ -118,6 +118,8 @@ type FaultNet struct {
 	stats    FaultStats
 }
 
+type linkKey struct{ from, to types.NodeID }
+
 type linkState struct {
 	faults    LinkFaults
 	hasFaults bool // SetLink was called; overrides the net-wide default

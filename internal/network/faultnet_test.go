@@ -36,7 +36,7 @@ func faultRun(t *testing.T, seed int64, lf LinkFaults, plan *Plan) (trace []Trac
 				if from == to {
 					continue
 				}
-				trs[from].Send(to, fmt.Sprintf("%v->%v#%d", from, to, i))
+				trs[from].Send(to, &blob{B: []byte(fmt.Sprintf("%v->%v#%d", from, to, i))})
 			}
 		}
 	}
@@ -45,7 +45,7 @@ func faultRun(t *testing.T, seed int64, lf LinkFaults, plan *Plan) (trace []Trac
 		for {
 			select {
 			case env := <-trs[n].Inbox():
-				got[n] = append(got[n], env.Msg.(string))
+				got[n] = append(got[n], text(env))
 				continue
 			default:
 			}
@@ -116,7 +116,7 @@ func TestReliablePartitionNeverDrops(t *testing.T) {
 	fn.Partition([]types.NodeID{a}, []types.NodeID{b}, true)
 	const n = 50
 	for i := 0; i < n; i++ {
-		ta.Send(b, i)
+		ta.Send(b, &ping{N: i})
 	}
 	select {
 	case env := <-tb.Inbox():
@@ -131,7 +131,7 @@ func TestReliablePartitionNeverDrops(t *testing.T) {
 	for i := 0; i < n; i++ {
 		select {
 		case env := <-tb.Inbox():
-			if env.Msg.(int) != i {
+			if env.Msg.(*ping).N != i {
 				t.Fatalf("out-of-order flush: got %v at position %d", env.Msg, i)
 			}
 		default:
@@ -142,8 +142,8 @@ func TestReliablePartitionNeverDrops(t *testing.T) {
 		t.Fatalf("want %d flushed, got %+v", n, st)
 	}
 	// The healed link carries fresh traffic normally.
-	ta.Send(b, "after")
-	if env := <-tb.Inbox(); env.Msg != "after" {
+	ta.Send(b, &blob{B: []byte("after")})
+	if env := <-tb.Inbox(); text(env) != "after" {
 		t.Fatalf("healed link delivered %v", env.Msg)
 	}
 }
@@ -158,7 +158,7 @@ func TestLossyPartitionDrops(t *testing.T) {
 	ta := fn.Join(a)
 	tb := fn.Join(b)
 	fn.Partition([]types.NodeID{a}, []types.NodeID{b}, false)
-	ta.Send(b, "lost")
+	ta.Send(b, &blob{B: []byte("lost")})
 	fn.Heal()
 	select {
 	case env := <-tb.Inbox():
@@ -183,14 +183,14 @@ func TestFaultNetMutatorSilence(t *testing.T) {
 	fn.SetMutator(a, func(to types.NodeID, msg any) (any, bool) {
 		return msg, to != b // b stays dark
 	})
-	ta.Send(b, "x")
-	ta.Send(c, "x")
+	ta.Send(b, &blob{B: []byte("x")})
+	ta.Send(c, &blob{B: []byte("x")})
 	select {
 	case env := <-tb.Inbox():
 		t.Fatalf("silenced peer received %v", env.Msg)
 	default:
 	}
-	if env := <-tc.Inbox(); env.Msg != "x" {
+	if env := <-tc.Inbox(); text(env) != "x" {
 		t.Fatalf("unsilenced peer got %v", env.Msg)
 	}
 }
@@ -205,8 +205,8 @@ func TestFaultNetCrashAndRecover(t *testing.T) {
 	ta := fn.Join(a)
 	tb := fn.Join(b)
 	fn.ApplyNow(NewPlan().CrashAt(0, b))
-	ta.Send(b, "dead")
-	tb.Send(a, "dead")
+	ta.Send(b, &blob{B: []byte("dead")})
+	tb.Send(a, &blob{B: []byte("dead")})
 	select {
 	case env := <-tb.Inbox():
 		t.Fatalf("crashed node received %v", env.Msg)
@@ -215,8 +215,8 @@ func TestFaultNetCrashAndRecover(t *testing.T) {
 	default:
 	}
 	fn.ApplyNow(NewPlan().RecoverAt(0, b))
-	ta.Send(b, "alive")
-	if env := <-tb.Inbox(); env.Msg != "alive" {
+	ta.Send(b, &blob{B: []byte("alive")})
+	if env := <-tb.Inbox(); text(env) != "alive" {
 		t.Fatalf("recovered node got %v", env.Msg)
 	}
 }
@@ -231,10 +231,10 @@ func TestFaultNetDelay(t *testing.T) {
 	tb := fn.Join(b)
 	fn.SetLink(a, b, LinkFaults{Delay: 5 * time.Millisecond})
 	start := time.Now()
-	ta.Send(b, "slow")
+	ta.Send(b, &blob{B: []byte("slow")})
 	select {
 	case env := <-tb.Inbox():
-		if env.Msg != "slow" {
+		if text(env) != "slow" {
 			t.Fatalf("got %v", env.Msg)
 		}
 		if since := time.Since(start); since < 4*time.Millisecond {
@@ -242,5 +242,65 @@ func TestFaultNetDelay(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("delayed message never arrived")
+	}
+}
+
+// TestFaultNetCutLinkOneWay: a cut link blocks one direction only; the
+// reverse direction keeps delivering, and HealLink restores the cut one.
+func TestFaultNetCutLinkOneWay(t *testing.T) {
+	base := NewChanNet()
+	defer base.Close()
+	fn := NewFaultNet(base)
+	a, b := types.ReplicaNode(0), types.ReplicaNode(1)
+	ta := fn.Join(a)
+	tb := fn.Join(b)
+	fn.CutLink(a, b, false)
+	ta.Send(b, &ping{N: 1})
+	tb.Send(a, &ping{N: 2})
+	select {
+	case env := <-ta.Inbox():
+		if env.Msg.(*ping).N != 2 {
+			t.Fatalf("reverse direction delivered %+v", env.Msg)
+		}
+	default:
+		t.Fatal("reverse direction should be intact")
+	}
+	select {
+	case env := <-tb.Inbox():
+		t.Fatalf("cut link delivered %+v", env.Msg)
+	default:
+	}
+	fn.HealLink(a, b)
+	ta.Send(b, &ping{N: 3})
+	select {
+	case env := <-tb.Inbox():
+		if env.Msg.(*ping).N != 3 {
+			t.Fatalf("healed link delivered %+v", env.Msg)
+		}
+	default:
+		t.Fatal("healed link did not deliver")
+	}
+}
+
+// TestFaultNetDropsAll: a drop probability of one loses every message on
+// the link, and the fabric counts each loss.
+func TestFaultNetDropsAll(t *testing.T) {
+	base := NewChanNet()
+	defer base.Close()
+	fn := NewFaultNet(base, WithFaultSeed(7))
+	a, b := types.ReplicaNode(0), types.ReplicaNode(1)
+	ta := fn.Join(a)
+	tb := fn.Join(b)
+	fn.SetDefaultFaults(LinkFaults{Drop: 1})
+	for i := 0; i < 10; i++ {
+		ta.Send(b, &ping{N: i})
+	}
+	select {
+	case env := <-tb.Inbox():
+		t.Fatalf("p=1 drop delivered %+v", env.Msg)
+	default:
+	}
+	if st := fn.Stats(); st.Dropped != 10 || st.Delivered != 0 {
+		t.Fatalf("want 10 dropped and none delivered, got %+v", st)
 	}
 }

@@ -39,84 +39,77 @@ func TestChanNetDelivery(t *testing.T) {
 	}
 }
 
-func TestChanNetCrashDropsTraffic(t *testing.T) {
-	net := NewChanNet()
-	defer net.Close()
-	a := net.Join(types.ReplicaNode(0))
-	b := net.Join(types.ReplicaNode(1))
-	net.Crash(types.ReplicaNode(1))
-	a.Send(types.ReplicaNode(1), &ping{})
-	select {
-	case <-b.Inbox():
-		t.Fatal("crashed node received a message")
-	case <-time.After(50 * time.Millisecond):
-	}
-	net.Recover(types.ReplicaNode(1))
-	a.Send(types.ReplicaNode(1), &ping{})
-	select {
-	case <-b.Inbox():
-	case <-time.After(time.Second):
-		t.Fatal("recovered node did not receive")
-	}
+// blob is a test message carrying bytes; it has a wire codec.
+type blob struct{ B []byte }
+
+func (b *blob) WireID() uint16 { return 65001 } // test-only id, far from ids.go
+
+func (b *blob) MarshalTo(buf []byte) []byte { return wire.AppendBytes(buf, b.B) }
+
+func (b *blob) Unmarshal(data []byte) error {
+	r := wire.NewReader(data)
+	b.B = r.Bytes()
+	return r.Close()
 }
 
-func TestChanNetCutAndHeal(t *testing.T) {
-	net := NewChanNet()
-	defer net.Close()
-	a := net.Join(types.ReplicaNode(0))
-	b := net.Join(types.ReplicaNode(1))
-	net.CutLink(types.ReplicaNode(0), types.ReplicaNode(1))
-	a.Send(types.ReplicaNode(1), &ping{})
-	// The reverse direction still works.
-	b.Send(types.ReplicaNode(0), &ping{})
-	select {
-	case <-a.Inbox():
-	case <-time.After(time.Second):
-		t.Fatal("reverse direction should be intact")
-	}
-	select {
-	case <-b.Inbox():
-		t.Fatal("cut link delivered")
-	case <-time.After(50 * time.Millisecond):
-	}
-	net.HealLink(types.ReplicaNode(0), types.ReplicaNode(1))
-	a.Send(types.ReplicaNode(1), &ping{})
-	select {
-	case <-b.Inbox():
-	case <-time.After(time.Second):
-		t.Fatal("healed link did not deliver")
-	}
-}
+func init() { wire.Register(func() wire.Message { return &blob{} }) }
 
-func TestChanNetDelay(t *testing.T) {
-	net := NewChanNet(WithDelay(50*time.Millisecond, 0))
-	defer net.Close()
-	a := net.Join(types.ReplicaNode(0))
-	b := net.Join(types.ReplicaNode(1))
-	start := time.Now()
-	a.Send(types.ReplicaNode(1), &ping{})
-	<-b.Inbox()
-	if elapsed := time.Since(start); elapsed < 45*time.Millisecond {
-		t.Fatalf("delivered after %v, want ≥50ms", elapsed)
-	}
-}
+// text reads a delivered blob as a string.
+func text(env Envelope) string { return string(env.Msg.(*blob).B) }
 
-func TestChanNetDrops(t *testing.T) {
-	net := NewChanNet(WithDropProb(1.0), WithSeed(7))
-	defer net.Close()
-	a := net.Join(types.ReplicaNode(0))
-	b := net.Join(types.ReplicaNode(1))
-	for i := 0; i < 10; i++ {
-		a.Send(types.ReplicaNode(1), &ping{})
-	}
-	select {
-	case <-b.Inbox():
-		t.Fatal("p=1 drop delivered a message")
-	case <-time.After(50 * time.Millisecond):
-	}
-	_, _, dropped := net.Stats()
-	if dropped != 10 {
-		t.Fatalf("dropped %d, want 10", dropped)
+// TestReceiversOwnTheirCopy: on both transports a broadcast hands every
+// receiver a message of its own, so one receiver mutating what it received
+// changes nothing the sender or another receiver sees; and a message type
+// with no wire codec is dropped and counted, not delivered.
+func TestReceiversOwnTheirCopy(t *testing.T) {
+	n0, n1, n2 := types.ReplicaNode(0), types.ReplicaNode(1), types.ReplicaNode(2)
+	for _, tc := range []struct {
+		name  string
+		nodes func(t *testing.T) []Transport
+	}{
+		{"chan", func(t *testing.T) []Transport {
+			cn := NewChanNet()
+			t.Cleanup(cn.Close)
+			return []Transport{cn.Join(n0), cn.Join(n1), cn.Join(n2)}
+		}},
+		{"tcp", func(t *testing.T) []Transport {
+			nets := tcpCluster(t, 3)
+			return []Transport{nets[0], nets[1], nets[2]}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			trs := tc.nodes(t)
+			recv := func(tr Transport) Envelope {
+				t.Helper()
+				select {
+				case env := <-tr.Inbox():
+					return env
+				case <-time.After(5 * time.Second):
+					t.Fatal("message not delivered")
+					return Envelope{}
+				}
+			}
+			sent := &blob{B: []byte("original")}
+			trs[0].Broadcast([]types.NodeID{n1, n2}, sent)
+			first, second := recv(trs[1]), recv(trs[2])
+			copy(first.Msg.(*blob).B, "MUTATED!")
+			if got := text(second); got != "original" {
+				t.Fatalf("a mutation by one receiver reached another: %q", got)
+			}
+			if got := string(sent.B); got != "original" {
+				t.Fatalf("a mutation by a receiver reached the sender: %q", got)
+			}
+
+			before := Unencodable()
+			trs[0].Send(n1, "no codec")
+			trs[0].Send(n1, &blob{B: []byte("after")})
+			if env := recv(trs[1]); text(env) != "after" {
+				t.Fatalf("got %+v, want the codec-less message dropped", env.Msg)
+			}
+			if got := Unencodable() - before; got != 1 {
+				t.Fatalf("Unencodable grew by %d, want 1", got)
+			}
+		})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"slices"
 	"sync"
@@ -60,13 +59,7 @@ type TCPNet struct {
 	closed   bool
 	wg       sync.WaitGroup
 
-	encodes     atomic.Int64
-	unencodable atomic.Int64
-
-	// warned tracks message types already logged as unencodable, so a
-	// missing codec is loud exactly once per type instead of per message.
-	warnedMu sync.Mutex
-	warned   map[string]bool
+	encodes atomic.Int64
 }
 
 // tcpPeer is one outgoing (or learned reply) stream. It carries no encoder
@@ -106,8 +99,7 @@ func NewTCPNet(node types.NodeID, peers map[types.NodeID]string) (*TCPNet, error
 		conns:    make(map[types.NodeID]*tcpPeer),
 		learned:  make(map[types.NodeID]*tcpPeer),
 		inbound:  make(map[net.Conn]struct{}),
-		inbox:    make(chan Envelope, 65536),
-		warned:   make(map[string]bool),
+		inbox:    make(chan Envelope, inboxSize),
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -126,31 +118,6 @@ func (t *TCPNet) Inbox() <-chan Envelope { return t.inbox }
 // Encodes returns the number of frame marshals this transport has performed
 // — the counter the marshal-once broadcast contract is asserted on.
 func (t *TCPNet) Encodes() int64 { return t.encodes.Load() }
-
-// Unencodable returns how many messages were dropped because their type
-// does not implement wire.Message (no codec, so nothing can go on the
-// wire). A nonzero value means some message type was never given a wire.go
-// implementation — a bug the in-process transports cannot surface, since
-// they pass pointers and need no codec.
-func (t *TCPNet) Unencodable() int64 { return t.unencodable.Load() }
-
-// noteUnencodable counts a dropped codec-less message and logs the type
-// once. The old gob path surfaced this class of bug as a per-type encode
-// error; silent dropping would make a missing codec a livelock with no
-// diagnostic.
-func (t *TCPNet) noteUnencodable(msg any) {
-	t.unencodable.Add(1)
-	name := fmt.Sprintf("%T", msg)
-	t.warnedMu.Lock()
-	seen := t.warned[name]
-	if !seen {
-		t.warned[name] = true
-	}
-	t.warnedMu.Unlock()
-	if !seen {
-		log.Printf("network: dropping %s: type does not implement wire.Message (missing wire codec)", name)
-	}
-}
 
 func (t *TCPNet) acceptLoop() {
 	defer t.wg.Done()
@@ -186,8 +153,8 @@ func (t *TCPNet) trackConn(conn net.Conn) bool {
 }
 
 // readFrame reads one length-delimited frame body from br. The returned
-// buffer is freshly allocated per frame: the decoded message aliases it and
-// owns it (Envelope.Owned). The buffer grows with the bytes that arrive
+// buffer is freshly allocated per frame: the decoded message aliases it, and
+// no one else holds it. The buffer grows with the bytes that arrive
 // (frameStep), not with the length the header declares.
 func readFrame(br *bufio.Reader) ([]byte, error) {
 	var hdr [4]byte
@@ -271,7 +238,7 @@ func (t *TCPNet) readLoop(conn net.Conn) {
 		if msg == nil {
 			continue // a hello frame: the route above is all it carried
 		}
-		env := Envelope{From: from, To: t.node, Msg: msg, Owned: true}
+		env := Envelope{From: from, To: t.node, Msg: msg}
 		if !t.pass(&env) {
 			continue
 		}
@@ -382,7 +349,7 @@ func (t *TCPNet) Send(to types.NodeID, msg any) {
 	}
 	m, ok := msg.(wire.Message)
 	if !ok {
-		t.noteUnencodable(msg)
+		noteUnencodable(msg)
 		return
 	}
 	p, err := t.route(to)
@@ -408,7 +375,7 @@ func (t *TCPNet) Broadcast(tos []types.NodeID, msg any) {
 			}
 		}
 		if !sent {
-			t.noteUnencodable(msg)
+			noteUnencodable(msg)
 		}
 		return
 	}

@@ -2,35 +2,41 @@
 // run over, and the fault-injection fabric the robustness scenarios drive
 // them through. Three pieces:
 //
-//   - ChanNet, the in-process channel network used by tests, benchmarks,
-//     and the harness: direct channel writes, an optional per-message
-//     send cost (restoring the serialization/syscall cost broadcasts pay
-//     in a real deployment — DESIGN.md §3), and basic built-in faults.
+//   - ChanNet, the in-process network used by tests, benchmarks, and the
+//     harness: a send marshals once with the wire codec (internal/wire) and
+//     every receiver decodes its own copy, as over TCP, plus an optional
+//     per-destination send cost standing for the syscall cost broadcasts
+//     pay in a real deployment (DESIGN.md §3). It injects no faults.
 //   - TCPNet, the wire-codec-over-TCP transport the cmd/ binaries use to
 //     spread a cluster across processes and machines. Messages travel as
-//     length-delimited frames of the hand-written zero-reflection codec
-//     (internal/wire); concrete message types must be wire.Register-ed.
-//   - FaultNet, the composable chaos fabric (DESIGN.md §6): it wraps any
-//     Net (or, via Wrap, any bare Transport, including TCPNet) and applies
-//     deterministic seeded fault rules on the sender side — per-link
-//     drop/delay/duplicate/reorder, dynamic partitions that lose or queue
-//     their traffic, crash markers, per-sender Byzantine mutators — with a
-//     Plan API for scheduling rule changes mid-run.
+//     length-delimited frames of the hand-written zero-reflection codec.
+//   - FaultNet, the composable chaos fabric (DESIGN.md §6) and the only
+//     place faults are injected: it wraps any Net (or, via Wrap, any bare
+//     Transport, including TCPNet) and applies deterministic seeded fault
+//     rules on the sender side — per-link drop/delay/duplicate/reorder,
+//     dynamic partitions that lose or queue their traffic, crash markers,
+//     per-sender Byzantine mutators — with a Plan API for scheduling rule
+//     changes mid-run.
 //
-// Protocols only see the Transport interface; harnesses compose networks
-// through Net. Authenticated communication is layered above the transport
-// by the protocols themselves (crypto package), matching the paper's model
-// where the network is unreliable and unauthenticated. Two consequences
-// shape the fault fabric: a receiving replica installs its authentication
-// check on its transport (SetCheck), which runs it where the message is
-// read or delivered — so whatever the fabric corrupts is verified, and
-// dropped, before it reaches the replica's inbox or event loop; and
-// network-level tampering can never forge protocol state, which is why
-// effective equivocation is injected above the transport via
-// protocol.AdversarySpec rather than by a FaultNet mutator.
+// Both transports carry only wire.Register-ed message types, and both hand
+// each receiver a message no other node holds, so a receiver may memoize
+// into what it received. Protocols only see the Transport interface;
+// harnesses compose networks through Net. Authenticated communication is
+// layered above the transport by the protocols themselves (crypto package),
+// matching the paper's model where the network is unreliable and
+// unauthenticated. Two consequences shape the fault fabric: a receiving
+// replica installs its authentication check on its transport (SetCheck),
+// which runs it where the message is read or delivered — so whatever the
+// fabric corrupts is verified, and dropped, before it reaches the replica's
+// inbox or event loop; and network-level tampering can never forge protocol
+// state, which is why effective equivocation is injected above the transport
+// via protocol.AdversarySpec rather than by a FaultNet mutator.
 package network
 
 import (
+	"fmt"
+	"log"
+	"sync"
 	"sync/atomic"
 
 	"github.com/poexec/poe/internal/types"
@@ -41,11 +47,9 @@ type Envelope struct {
 	From types.NodeID
 	To   types.NodeID
 	Msg  any
-	// Owned marks a message the receiver owns exclusively — one freshly
-	// decoded from wire bytes (TCPNet), never a pointer shared with the
-	// sender or other replicas. The inbound check skips its
-	// defensive ingress clone for owned envelopes: digest memoization on
-	// them can race nobody.
+	// Owned is read by nothing: every transport hands each receiver a
+	// message it owns exclusively. It remains only because the bench
+	// package's verifier probe sets it, and goes with that probe.
 	Owned bool
 	// Checked marks an envelope that passed the check the receiver
 	// installed with SetCheck. The receiver dispatches it without checking
@@ -74,7 +78,8 @@ type Transport interface {
 	// then on the transport runs it on the goroutine that reads or delivers
 	// each envelope, before the envelope enters the inbox: one that fails
 	// is dropped, one that passes arrives marked Checked. The check may
-	// rewrite env.Msg, and must be safe for concurrent use. Nil removes it.
+	// memoize into env.Msg, which no other node holds, and must be safe for
+	// concurrent use. Nil removes it.
 	SetCheck(check func(env *Envelope) bool)
 	// Close detaches the node from the network.
 	Close() error
@@ -107,6 +112,31 @@ func (in *ingress) pass(env *Envelope) bool {
 	}
 	env.Checked = true
 	return true
+}
+
+// unencodable counts the messages either transport dropped because their
+// type does not implement wire.Message; warned holds the type names already
+// logged.
+var (
+	unencodable atomic.Int64
+	warned      sync.Map
+)
+
+// Unencodable returns how many messages ChanNet and TCPNet have dropped,
+// process-wide, because their type does not implement wire.Message: nothing
+// can go on the wire, in process or over TCP. A nonzero value means some
+// message type was never given a wire.go implementation.
+func Unencodable() int64 { return unencodable.Load() }
+
+// noteUnencodable counts a dropped codec-less message and logs its type
+// once, so a missing codec is loud exactly once per type instead of a silent
+// livelock.
+func noteUnencodable(msg any) {
+	unencodable.Add(1)
+	name := fmt.Sprintf("%T", msg)
+	if _, seen := warned.LoadOrStore(name, true); !seen {
+		log.Printf("network: dropping %s: type does not implement wire.Message (missing wire codec)", name)
+	}
 }
 
 // Announce makes this node reachable from the replicas [0, n) before it has

@@ -201,10 +201,10 @@ func (t *Transaction) Digest() Digest {
 //
 // Request memoizes its digest and canonical encoding in unexported fields
 // (never serialized; carried by value copies). Memoization mutates the
-// struct, so a Request received from an in-process transport — whose pointer
-// may be shared with the sender and with other replicas — must be cloned
-// (Batch.Clone, CloneRequest) before its digest is first taken. The inbound check does this at
-// ingress; after that, a replica's event loop owns its copies exclusively.
+// struct, so only the request's owner may take its digest first. Every
+// transport hands each receiver its own decoded copy, so a received request
+// is the receiver's; the inbound check memoizes it at ingress, and after
+// that the replica's event loop owns its copies exclusively.
 type Request struct {
 	Txn Transaction
 	Sig []byte // client signature over Txn.Digest()
@@ -240,11 +240,6 @@ func (r *Request) Digest() Digest {
 	return r.digest
 }
 
-// CloneRequest returns a copy of the request that the caller owns: digest
-// memoization on the copy never touches the original. The transaction's op
-// slices are shared (they are immutable once created).
-func CloneRequest(r Request) Request { return r }
-
 // Batch aggregates client requests proposed under one sequence number
 // (§III "Batching"). A batch with an empty request list and ZeroPayload set
 // models the paper's zero-payload experiments: replicas execute dummy
@@ -264,9 +259,8 @@ type Batch struct {
 
 // Clone returns a batch whose Request structs (and digest memos) are owned
 // by the caller. The per-request payloads (keys, values, signatures) are
-// shared — they are immutable once created. Clone is what makes digest
-// memoization safe when an in-process transport delivers the same message
-// pointer to several replicas.
+// shared — they are immutable once created. Reordering or extending the
+// clone's requests leaves the original untouched.
 func (b Batch) Clone() Batch {
 	if b.Requests != nil {
 		b.Requests = append([]Request(nil), b.Requests...)
@@ -276,7 +270,7 @@ func (b Batch) Clone() Batch {
 
 // MemoizeDigests populates the batch's digest memo and every request's, so
 // later Digest calls anywhere downstream are loads. Call only on an owned
-// batch (see Clone).
+// batch (see Request).
 func (b *Batch) MemoizeDigests() { _ = b.Digest() }
 
 // Size returns the number of logical transactions the batch carries.
@@ -324,17 +318,4 @@ type ExecRecord struct {
 	Digest Digest // batch digest
 	Proof  []byte // certificate (threshold signature / support proof)
 	Batch  Batch
-}
-
-// CloneRecords copies a slice of execution records deeply enough that digest
-// memoization on the copies never touches the originals (see Request).
-func CloneRecords(recs []ExecRecord) []ExecRecord {
-	if recs == nil {
-		return nil
-	}
-	out := append([]ExecRecord(nil), recs...)
-	for i := range out {
-		out[i].Batch = out[i].Batch.Clone()
-	}
-	return out
 }

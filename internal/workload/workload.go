@@ -13,7 +13,7 @@
 // signature is checked off the event loop by the parallel authentication
 // pipeline (protocol.Verifier) — once per replica, memoized thereafter —
 // before the batcher aggregates requests into proposals. ValueSize × batch
-// size therefore controls the PROPOSE payload the pipeline clones and
+// size therefore controls the PROPOSE payload each replica decodes and
 // digests at ingress, which is why the harness's measured throughput is
 // sensitive to this package's configuration even though no workload code
 // runs on the hot path itself. Under chaos runs (harness.RunChaos), the

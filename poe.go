@@ -109,6 +109,7 @@ type Cluster struct {
 	cfg        ClusterConfig
 	scheme     crypto.Scheme
 	net        *network.ChanNet
+	fn         *network.FaultNet // the fault fabric over net: crashes
 	ring       *crypto.KeyRing
 	handles    []consensus.Replica
 	cancel     context.CancelFunc
@@ -144,11 +145,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{
 		cfg:    cfg,
 		scheme: scheme,
-		net:    network.NewChanNet(network.WithSeed(cfg.Seed)),
+		net:    network.NewChanNet(),
 		ring:   crypto.NewKeyRing(cfg.Replicas, []byte(fmt.Sprintf("cluster-%d", cfg.Seed))),
 		cancel: cancel,
 		ctx:    ctx,
 	}
+	c.fn = network.NewFaultNet(c.net, network.WithFaultSeed(cfg.Seed))
 	for i := 0; i < cfg.Replicas; i++ {
 		pcfg := protocol.Config{
 			ID: types.ReplicaID(i), N: cfg.Replicas, F: cfg.Faults,
@@ -157,13 +159,12 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			Window:      cfg.Window,
 			ViewTimeout: cfg.ViewTimeout,
 		}
-		tr := c.net.Join(types.ReplicaNode(pcfg.ID))
+		tr := c.fn.Join(types.ReplicaNode(pcfg.ID))
 		h, err := consensus.NewReplica(cfg.Protocol, pcfg, c.ring, tr, protocol.Options{
 			RuntimeOptions: protocol.RuntimeOptions{InitialTable: cfg.InitialTable},
 		})
 		if err != nil {
-			cancel()
-			c.net.Close()
+			c.Stop()
 			return nil, err
 		}
 		c.handles = append(c.handles, h)
@@ -175,15 +176,16 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 // Stop shuts the cluster down.
 func (c *Cluster) Stop() {
 	c.cancel()
+	c.fn.Close()
 	c.net.Close()
 }
 
 // CrashReplica simulates a crash of the given replica: all its traffic is
 // dropped.
-func (c *Cluster) CrashReplica(id ReplicaID) { c.net.Crash(types.ReplicaNode(id)) }
+func (c *Cluster) CrashReplica(id ReplicaID) { c.fn.Crash(types.ReplicaNode(id)) }
 
 // RecoverReplica undoes CrashReplica.
-func (c *Cluster) RecoverReplica(id ReplicaID) { c.net.Recover(types.ReplicaNode(id)) }
+func (c *Cluster) RecoverReplica(id ReplicaID) { c.fn.Recover(types.ReplicaNode(id)) }
 
 // LedgerHeight returns the block height of a replica's ledger.
 func (c *Cluster) LedgerHeight(id ReplicaID) int {
@@ -228,7 +230,7 @@ func (c *Cluster) NewClient() (*Client, error) {
 	id := types.ClientID(types.ClientIDBase) + types.ClientID(i)
 	inner, err := consensus.NewClient(c.cfg.Protocol, client.Config{
 		ID: id, N: c.cfg.Replicas, F: c.cfg.Faults, Scheme: c.scheme,
-	}, c.ring, c.net.Join(types.ClientNode(id)))
+	}, c.ring, c.fn.Join(types.ClientNode(id)))
 	if err != nil {
 		return nil, err
 	}

@@ -350,7 +350,7 @@ func (r *Replica) ValidEntries(m *protocol.VCRequest) bool { return r.rt.Certifi
 
 // NewViewState implements protocol.Rules.
 func (r *Replica) NewViewState(nv *protocol.NVPropose) {
-	kmax, events, err := r.rt.AdoptLongestPrefix(nv.Requests)
+	kmax, events, err := r.rt.AdoptLongestPrefix(nv)
 	if err != nil {
 		// nf replicas certified conflicting histories: a broken invariant.
 		panic(fmt.Sprintf("poe: view change rollback: %v", err))

@@ -114,12 +114,20 @@ func TestFarFutureCheckpointVotesBounded(t *testing.T) {
 	if n, bound := held(rt.cpVotes), rt.cpVotes.keep*cfg.N; n > bound {
 		t.Fatalf("checkpoint votes hold %d claims after %d far-future votes, want ≤ %d", n, probeMsgs, bound)
 	}
-	// The honest replicas' checkpoint still stabilizes on nf votes.
-	for _, from := range []types.ReplicaID{0, 2, 3} {
-		rt.OnCheckpoint(signedVote(ring, from, cfg.CheckpointInterval, types.Digest{7}))
+	// The honest replicas' checkpoint still stabilizes on nf votes for the
+	// state this replica executed.
+	k := cfg.CheckpointInterval
+	for seq := types.SeqNum(1); seq <= k; seq++ {
+		rt.Exec.Commit(seq, 0, types.Batch{}, nil)
 	}
-	if got := rt.Exec.StableCheckpointSeq(); got != cfg.CheckpointInterval {
-		t.Fatalf("stable checkpoint %d after nf honest votes, want %d", got, cfg.CheckpointInterval)
+	state, ledgerHead, _ := rt.Exec.DigestsAt(k)
+	for _, from := range []types.ReplicaID{0, 2, 3} {
+		cp := &Checkpoint{From: from, Seq: k, State: state, Ledger: ledgerHead}
+		cp.Sig = ring.NodeKeys(types.ReplicaNode(from)).Sign(cp.SignedPayload())
+		rt.OnCheckpoint(cp)
+	}
+	if got := rt.Exec.StableCheckpointSeq(); got != k {
+		t.Fatalf("stable checkpoint %d after nf honest votes, want %d", got, k)
 	}
 }
 

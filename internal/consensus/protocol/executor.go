@@ -296,6 +296,22 @@ func (e *Executor) AlreadyExecuted(client types.ClientID, seq uint64) bool {
 	return seq <= e.lastCli[client]
 }
 
+// DropPendingBefore discards the decisions of views before view that are
+// still waiting for a predecessor. A view change adopts executed history
+// only and re-decides every sequence number above it, so a batch an older
+// view decided that never ran here must not run once the new view fills the
+// gap below it: the new view may have given its sequence number to another
+// batch.
+func (e *Executor) DropPendingBefore(view types.View) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	for seq, d := range e.pending {
+		if d.view < view {
+			delete(e.pending, seq)
+		}
+	}
+}
+
 // Rollback reverts all executed batches above toSeq and discards pending
 // decisions above it. The deduplication history is rebuilt from the
 // remaining execution log so that rolled-back transactions can execute again.
@@ -384,11 +400,10 @@ func (e *Executor) MarkStable(seq types.SeqNum) {
 	if seq <= e.stable {
 		return
 	}
-	// A lagging replica can learn a checkpoint stabilized before executing
-	// up to it (nf others vouched; it is catching up via Fetch). It cannot
-	// snapshot state it does not have yet — the durable image advances at
-	// the next checkpoint it reaches with the state in hand, and the WAL
-	// keeps the full prefix recoverable in the meantime.
+	// Runtime.OnCheckpoint only stabilizes a checkpoint this replica has
+	// executed; a direct caller naming one it has not reached gets no
+	// snapshot of state it does not have, and the WAL keeps the full prefix
+	// recoverable until the next checkpoint it reaches.
 	if e.wal != nil && seq <= e.kv.LastApplied() {
 		if err := e.persistCheckpointLocked(seq); err != nil {
 			panic(fmt.Sprintf("protocol: persist checkpoint seq %d: %v", seq, err))

@@ -22,8 +22,9 @@ import (
 //     CanAdvanceView before starting or joining a view change; a blocked
 //     advance is retried from the regular tick, so the promise delays a view
 //     change by at most one LeaseDuration. A replica stops renewing once its
-//     own failure detector would fire within one LeaseDuration
-//     (Skeleton.TendReads), so its own suspicion is never held back.
+//     own failure detector would fire within one LeaseDuration, or while a
+//     join the promise refused is held (Skeleton.TendReads), so its own
+//     suspicion is never held back and a join waits one promise at most.
 //
 //   - As a *holder*, the primary counts a received grant as valid for only
 //     half the grantor's promise window, measured from receipt on its own

@@ -288,6 +288,44 @@ func TestCheckpointQuorum(t *testing.T) {
 	}
 }
 
+// TestCheckpointFreezesOnlyMatchingPrefix: nf votes for a checkpoint this
+// replica has not reached, or reached on a batch the others did not run, do
+// not freeze its prefix, so a view change can still roll it back. Once it
+// executes the voted state, its own vote stabilizes the checkpoint.
+func TestCheckpointFreezesOnlyMatchingPrefix(t *testing.T) {
+	ring := crypto.NewKeyRing(4, []byte("cp-match"))
+	cfg := Config{ID: 0, N: 4, F: 1, Scheme: crypto.SchemeMAC, CheckpointInterval: 2}
+	a1, a2, b2 := batchFor(types.ClientIDBase, 1), batchFor(types.ClientIDBase, 2), batchFor(types.ClientIDBase+1, 1)
+	ref := newExec()
+	ref.Commit(1, 0, a1, nil)
+	ref.Commit(2, 0, a2, nil)
+	state, ledgerHead, _ := ref.DigestsAt(2)
+	vote := func(from types.ReplicaID) *Checkpoint {
+		cp := &Checkpoint{From: from, Seq: 2, State: state, Ledger: ledgerHead}
+		cp.Sig = ring.NodeKeys(types.ReplicaNode(from)).Sign(cp.SignedPayload())
+		return cp
+	}
+
+	rt := NewRuntime(cfg, ring, fakeNet{}, RuntimeOptions{})
+	rt.Exec.Commit(1, 0, a1, nil)
+	for _, from := range []types.ReplicaID{1, 2, 3} {
+		if _, stable := rt.OnCheckpoint(vote(from)); stable {
+			t.Fatal("a checkpoint this replica has not reached became stable")
+		}
+	}
+	rt.Exec.Commit(2, 1, b2, nil) // a speculative batch the others did not run
+	if _, stable := rt.OnCheckpoint(vote(3)); stable {
+		t.Fatal("a checkpoint over a divergent batch became stable")
+	}
+	if err := rt.Exec.Rollback(1); err != nil {
+		t.Fatalf("rolling back the divergent batch: %v", err)
+	}
+	rt.Exec.Commit(2, 0, a2, nil)
+	if seq, stable := rt.OnCheckpoint(vote(0)); !stable || seq != 2 {
+		t.Fatalf("own matching vote gave (%d, %v), want checkpoint 2 stable", seq, stable)
+	}
+}
+
 // fakeNet is a transport that swallows everything (for runtime unit tests).
 type fakeNet struct{}
 

@@ -758,8 +758,9 @@ func (rt *Runtime) MaybeCheckpoint(seq types.SeqNum) {
 }
 
 // OnCheckpoint records a checkpoint vote. When nf distinct replicas vote the
-// same digests for a sequence number at or above the current stable
-// checkpoint, that checkpoint becomes stable. It returns the new stable
+// same digests for a sequence number above the current stable checkpoint,
+// and this replica executed that sequence number with those digests, that
+// checkpoint becomes stable. It returns the new stable
 // sequence number and true on the transition.
 func (rt *Runtime) OnCheckpoint(cp *Checkpoint) (types.SeqNum, bool) {
 	if cp.From != rt.Cfg.ID && !rt.Keys.VerifyFrom(types.ReplicaNode(cp.From), cp.SignedPayload(), cp.Sig) {
@@ -778,6 +779,14 @@ func (rt *Runtime) OnCheckpoint(cp *Checkpoint) (types.SeqNum, bool) {
 	// are the certificate snapshot offers carry (nf ≥ f+1 signed votes).
 	cert := rt.cpVotes.Matching(cp.Seq, d)
 	if len(cert) < rt.Cfg.NF() {
+		return 0, false
+	}
+	// Freeze only a prefix this replica has executed and that matches the
+	// certificate. One that has not reached cp.Seq, or reached it on a
+	// speculative suffix the cluster abandoned, may still have to roll back
+	// when a view change adopts a shorter history; MarkStable would forbid
+	// that. Its own vote, cast when it executes cp.Seq, re-runs this check.
+	if state, ledger, ok := rt.Exec.DigestsAt(cp.Seq); !ok || types.DigestConcat(state[:], ledger[:]) != d {
 		return 0, false
 	}
 	rt.stableCert, rt.stableCertSeq = cert, cp.Seq

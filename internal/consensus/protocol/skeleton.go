@@ -113,6 +113,11 @@ type Skeleton struct {
 	vcVotes    *Claims[types.View, *VCRequest] // by target view
 	lastNV     *NVPropose                      // cached by the new primary for late joiners
 
+	// heldJoin is a view change the join rules called for while this
+	// replica's read-lease promise still forbade it. Tick retries it, and
+	// TendReads stops renewing the promise meanwhile.
+	heldJoin types.View
+
 	// parked holds normal-case messages of the next view that arrived before
 	// this replica entered it; they are replayed once it has.
 	parked []network.Envelope
@@ -394,13 +399,14 @@ func (s *Skeleton) tryServeStrong(req *types.Request) bool {
 // up — and on every tick with Tick's verdict. A replica stops renewing once
 // its failure detector would fire within one LeaseDuration: the promise has
 // then lapsed by the time suspicion fires, and the view change starts on
-// that tick instead of waiting the promise out. Withholding a grant is
-// always safe; the primary merely orders its STRONG reads.
+// that tick instead of waiting the promise out. It also stops while a join
+// is held (see join). Withholding a grant is always safe; the primary merely
+// orders its STRONG reads.
 func (s *Skeleton) TendReads(now time.Time, suspecting bool) {
 	if s.status != statusNormal {
 		return
 	}
-	s.rt.MaybeGrantLease(s.View(), suspecting || s.suspectPrimary(now.Add(s.rt.Cfg.LeaseDuration)))
+	s.rt.MaybeGrantLease(s.View(), suspecting || s.heldJoin > s.View() || s.suspectPrimary(now.Add(s.rt.Cfg.LeaseDuration)))
 	if s.strongQ.Len() > 0 {
 		s.strongQ.Drain(now, s.rt.Cfg.LeaseDuration/2, s.tryServeStrong, s.FallbackRead)
 	}
@@ -491,11 +497,15 @@ func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 		if s.IsPrimary() && s.rt.Batcher.Ripe(now) {
 			s.ProposeReady(true)
 		}
-		if !s.suspectPrimary(now) {
-			return false
+		switch {
+		case s.suspectPrimary(now):
+			s.startViewChange(s.View() + 1)
+			return true
+		case s.heldJoin > s.View():
+			s.join(s.heldJoin)
+			return true
 		}
-		s.startViewChange(s.View() + 1)
-		return true
+		return false
 	}
 	lonely := s.vcVotes.Count(s.vcTarget, types.Digest{}) < s.rt.Cfg.FPlus1()
 	switch {
@@ -601,8 +611,8 @@ func (s *Skeleton) startViewChange(target types.View) {
 	if !s.rt.Lease.CanAdvanceView(target) {
 		// An outstanding read-lease promise forbids joining a higher view
 		// until it expires (at most one LeaseDuration). Every initiation path
-		// retries — the tick re-suspects, VC-REQUESTs are retransmitted — so
-		// the view change is delayed, never lost. Entering a view through a
+		// retries — the tick re-suspects or retries a held join — so the
+		// view change is delayed, never lost. Entering a view through a
 		// completed NV-PROPOSE is never gated: nf replicas advancing proves
 		// the lease quorum already drained.
 		return
@@ -678,7 +688,7 @@ func (s *Skeleton) OnVCRequest(m *VCRequest) {
 	// detected a failure (Fig 5, Line 8).
 	if s.vcVotes.Count(target, types.Digest{}) >= s.rt.Cfg.FPlus1() {
 		if s.status == statusNormal || s.vcTarget < target {
-			s.startViewChange(target)
+			s.join(target)
 		}
 	}
 	s.joinDivergedViewChange()
@@ -697,12 +707,26 @@ func (s *Skeleton) joinDivergedViewChange() {
 	if s.status == statusViewChange && s.vcTarget > cur {
 		cur = s.vcTarget
 	}
-	voters, join := s.vcVotes.AtOrAbove(cur + 1)
+	voters, target := s.vcVotes.AtOrAbove(cur + 1)
 	if voters < s.rt.Cfg.FPlus1() {
 		return
 	}
-	s.startViewChange(join)
-	s.maybeProposeNewView(join)
+	s.join(target)
+	s.maybeProposeNewView(target)
+}
+
+// join starts the view change to target that f+1 replicas' requests call
+// for. A grantor that does not suspect the primary itself would otherwise
+// keep renewing its read-lease promise on every tick and never be let go:
+// a refused join is held, so TendReads withholds the renewals and Tick
+// retries until the promise has lapsed.
+func (s *Skeleton) join(target types.View) {
+	s.startViewChange(target)
+	if s.status == statusViewChange && s.vcTarget >= target {
+		s.heldJoin = 0
+	} else if target > s.heldJoin {
+		s.heldJoin = target
+	}
 }
 
 // maybeProposeNewView broadcasts NV-PROPOSE once this replica is the next
@@ -779,6 +803,9 @@ func (s *Skeleton) EnterView(v types.View, kmax types.SeqNum) {
 	s.status = statusNormal
 	s.curTimeout = s.rt.Cfg.ViewTimeout
 	s.lastProgress = s.Now()
+	// A held join asked to leave a view before this one was installed; new
+	// requests re-arm it if the new view fails too.
+	s.heldJoin = 0
 	s.rt.Metrics.ViewChangesDone.Add(1)
 	// Grants from the old view must never validate a lease in the new one.
 	s.rt.Lease.ResetHolder(v)
@@ -860,15 +887,17 @@ func LongestPrefix(reqs []VCRequest) *VCRequest {
 	return best
 }
 
-// AdoptLongestPrefix makes the local execution match E′ = LongestPrefix(reqs):
-// it rolls back any speculative suffix that diverges from E′ or runs past its
-// end kmax (Fig 5, Line 14; Proposition 5 guarantees no client-visible
-// transaction is in such a suffix) and executes the batches of E′ this
-// replica is missing. It returns kmax, what it executed, and the rollback's
-// error if the executor refused it — which means rewinding below a stable
-// checkpoint, impossible for certified entries with n > 3f (Proposition 2).
-func (rt *Runtime) AdoptLongestPrefix(reqs []VCRequest) (kmax types.SeqNum, events []Executed, err error) {
-	best := LongestPrefix(reqs)
+// AdoptLongestPrefix makes the local execution match E′ =
+// LongestPrefix(nv.Requests): it rolls back any speculative suffix that
+// diverges from E′ or runs past its end kmax (Fig 5, Line 14; Proposition 5
+// guarantees no client-visible transaction is in such a suffix), drops the
+// older views' decisions that never executed here, and executes the batches
+// of E′ this replica is missing. It returns kmax, what it executed, and the
+// rollback's error if the executor refused it — which means rewinding below
+// a stable checkpoint, impossible for certified entries with n > 3f
+// (Proposition 2).
+func (rt *Runtime) AdoptLongestPrefix(nv *NVPropose) (kmax types.SeqNum, events []Executed, err error) {
+	best := LongestPrefix(nv.Requests)
 	kmax = best.End()
 	myLast := rt.Exec.LastExecuted()
 	rollbackTo := min(myLast, kmax)
@@ -889,6 +918,7 @@ func (rt *Runtime) AdoptLongestPrefix(reqs []VCRequest) (kmax types.SeqNum, even
 			rt.Metrics.Rollbacks.Add(1)
 		}
 	}
+	rt.Exec.DropPendingBefore(nv.NewView)
 	for i := range best.Entries {
 		e := &best.Entries[i]
 		if e.Seq > rt.Exec.LastExecuted() {

@@ -288,6 +288,35 @@ func TestViewChangeLeaseDelaysButNeverLosesStart(t *testing.T) {
 	f.wantViewChange(1)
 }
 
+// TestViewChangeLeaseHeldJoinLapses: a grantor that does not suspect the
+// primary itself still joins the view change f+1 others asked for. The join
+// waits out the outstanding promise, no grant renews it meanwhile, and the
+// tick joins without another VC-REQUEST arriving.
+func TestViewChangeLeaseHeldJoinLapses(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	lease := f.rt.Cfg.LeaseDuration
+	tick := func(d time.Duration) {
+		now := f.advance(d)
+		f.sk.TendReads(now, f.sk.Tick(now))
+	}
+	grants := func() int { return len(sentTo[*LeaseGrant](f, 0)) }
+	tick(0)
+	if grants() != 1 {
+		t.Fatalf("%d grants on the first tick, want 1", grants())
+	}
+	f.sk.OnVCRequest(f.vc(1, 0))
+	f.sk.OnVCRequest(f.vc(3, 0))
+	f.wantNormal(0) // the promise holds the join back
+	tick(lease / 2)
+	tick(lease/2 - time.Millisecond)
+	f.wantNormal(0)
+	if grants() != 1 {
+		t.Fatalf("%d grants while a join was held, want no renewal", grants())
+	}
+	tick(time.Millisecond)
+	f.wantViewChange(1)
+}
+
 func TestViewChangeInvalidNewViewMovesOn(t *testing.T) {
 	nf := func(f *skelFixture) *NVPropose {
 		return &NVPropose{NewView: 1, Requests: []VCRequest{*f.vc(0, 0), *f.vc(1, 0), *f.vc(3, 0)}}
@@ -415,6 +444,27 @@ func TestFailureDetectorInstallDropsPending(t *testing.T) {
 // TestQuickNewViewChoiceDeterministic: every replica must derive the same
 // E' from the same NV-PROPOSE regardless of request order — otherwise the
 // new view would fork.
+// TestAdoptLongestPrefixDropsUnexecutedDecisions: view 0 decided seq 2 but
+// this replica never executed it (seq 1 was missing), so it is not in the
+// adopted history. View 1 gives seq 2 to another batch, and that batch is
+// the one that runs once seq 1 arrives.
+func TestAdoptLongestPrefixDropsUnexecutedDecisions(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	stale, fresh := batchFor(types.ClientIDBase, 1), batchFor(types.ClientIDBase+1, 1)
+	f.rt.Exec.Commit(2, 0, stale, nil)
+	nv := &NVPropose{NewView: 1, Requests: []VCRequest{*f.vc(0, 0), *f.vc(1, 0), *f.vc(3, 0)}}
+	if kmax, _, err := f.rt.AdoptLongestPrefix(nv); err != nil || kmax != 0 {
+		t.Fatalf("AdoptLongestPrefix = kmax %d, %v; want 0, nil", kmax, err)
+	}
+	f.rt.Exec.Commit(2, 1, fresh, nil)
+	if evs := f.rt.Exec.Commit(1, 1, batchFor(types.ClientIDBase+2, 1), nil); len(evs) != 2 {
+		t.Fatalf("filling seq 1 executed %d batches, want 2", len(evs))
+	}
+	if rec, _ := f.rt.Exec.Record(2); rec.View != 1 || rec.Digest != fresh.Digest() {
+		t.Fatalf("seq 2 executed view %d's batch %x, want view 1's %x", rec.View, rec.Digest[:4], fresh.Digest())
+	}
+}
+
 func TestQuickNewViewChoiceDeterministic(t *testing.T) {
 	f := func(stables []uint8, lens []uint8, perm uint8) bool {
 		n := min(len(stables), len(lens))

@@ -356,7 +356,7 @@ func (r *Replica) ValidEntries(m *protocol.VCRequest) bool {
 // rollback below the stable checkpoint; the executor refuses it and the
 // replica follows the rest of the new view's history from where it stands.
 func (r *Replica) NewViewState(nv *protocol.NVPropose) {
-	kmax, events, _ := r.rt.AdoptLongestPrefix(nv.Requests)
+	kmax, events, _ := r.rt.AdoptLongestPrefix(nv)
 	r.EnterView(nv.NewView, kmax)
 	r.afterExecution(events)
 }

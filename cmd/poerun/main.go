@@ -57,7 +57,7 @@ func main() {
 	batch := flag.Int("batch", 0, "proposal batch size")
 	checkpointInterval := flag.Int("checkpoint-interval", 0, "sequence numbers between checkpoints")
 	window := flag.Int("window", 0, "out-of-order consensus window")
-	viewTimeout := flag.Duration("view-timeout", 0, "initial failure-detection timeout")
+	viewTimeout := flag.Duration("view-timeout", 0, "cap of the learned failure-detection gate, whose floor is a third of it")
 	seed := flag.String("seed", "", "shared key-ring seed")
 	dataRoot := flag.String("data-root", "", "root for per-replica durable data dirs; empty = volatile")
 	fsync := flag.Bool("fsync", false, "fsync the WAL on commit")

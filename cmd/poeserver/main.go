@@ -54,7 +54,7 @@ func main() {
 	fsync := flag.Bool("fsync", false, "fsync the WAL on every append (survives machine crashes, not just process crashes)")
 	checkpointInterval := flag.Int("checkpoint-interval", 0, "sequence numbers between checkpoints (0 = protocol default)")
 	window := flag.Int("window", 0, "out-of-order consensus window (0 = protocol default)")
-	viewTimeout := flag.Duration("view-timeout", 0, "initial failure-detection timeout (0 = protocol default)")
+	viewTimeout := flag.Duration("view-timeout", 0, "cap of the learned failure-detection gate, whose floor is a third of it (0 = protocol default)")
 	metricsJSON := flag.String("metrics-json", "", "write the replica's final metrics as JSON to this path on graceful shutdown")
 	faultDrop := flag.Float64("fault-drop", 0, "chaos: probability of dropping each outbound message")
 	faultDup := flag.Float64("fault-dup", 0, "chaos: probability of duplicating each outbound message")

@@ -44,8 +44,8 @@ type Config struct {
 	// Timeout bounds how long a write waits for its reply rule before the
 	// client broadcasts it to all replicas (paper: clients use coarse
 	// timeouts; §IV-D discusses the consequences). Once the client has
-	// measured its own reply latency it broadcasts sooner (rto.go); tiered
-	// reads and Custom rules always wait Timeout.
+	// measured its own reply latency it broadcasts sooner (protocol.RTO);
+	// tiered reads and Custom rules always wait Timeout.
 	Timeout time.Duration
 }
 
@@ -113,8 +113,11 @@ type Client struct {
 	nextSeq  atomic.Uint64
 	viewHint atomic.Uint64 // latest view observed in replies
 
-	// rto times the first retransmission of a write.
-	rto rto
+	// rto times the first retransmission of a write. Only writes answered
+	// on their first attempt are sampled (Karn's rule): a retransmitted
+	// write's reply cannot be matched to one attempt, and a view change
+	// would otherwise teach the client to wait out view changes.
+	rto protocol.RTO
 
 	// nextReadSeq numbers tiered reads. Reads run in their own client-local
 	// sequence space — they bypass ordering, so threading them through the
@@ -188,7 +191,6 @@ func New(cfg Config, ring *crypto.KeyRing, net network.Transport) (*Client, erro
 	}
 	return &Client{
 		cfg:         cfg,
-		rto:         rto{max: cfg.Timeout},
 		keys:        ring.NodeKeys(types.ClientNode(cfg.ID)),
 		net:         net,
 		waiters:     make(map[uint64]*waiter),
@@ -243,7 +245,7 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 		ch:     make(chan types.Result, 1),
 		votes:  make(votes),
 	}
-	backoff := c.rto.wait()
+	backoff := c.rto.Wait(c.cfg.Timeout)
 	if c.cfg.Rule.open != nil {
 		w.custom = c.cfg.Rule.open(req)
 		backoff = c.cfg.Timeout
@@ -275,7 +277,7 @@ func (c *Client) SubmitTxn(ctx context.Context, txn types.Transaction) (types.Re
 			return types.Result{}, ErrClosed
 		case res := <-w.ch:
 			if attempt == 1 {
-				c.rto.sample(time.Since(sent))
+				c.rto.Sample(time.Since(sent))
 			}
 			return res, nil
 		case <-timer.C:

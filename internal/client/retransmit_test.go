@@ -6,19 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"github.com/poexec/poe/internal/consensus/protocol"
 	"github.com/poexec/poe/internal/types"
 )
 
 // TestRetransmitWaitsTimeoutBeforeAnySample: a client that has not yet seen
 // a reply knows nothing about its latency and waits the configured Timeout.
 func TestRetransmitWaitsTimeoutBeforeAnySample(t *testing.T) {
-	e := rto{max: 500 * time.Millisecond}
-	if got := e.wait(); got != e.max {
-		t.Fatalf("wait %v before any sample, want Timeout %v", got, e.max)
+	const timeout = 500 * time.Millisecond
+	var e protocol.RTO
+	if got := e.Wait(timeout); got != timeout {
+		t.Fatalf("wait %v before any sample, want Timeout %v", got, timeout)
 	}
-	e.sample(8 * time.Millisecond)
+	e.Sample(8 * time.Millisecond)
 	// srtt 8 ms, rttvar 4 ms: max(8 + 16, 32) ms.
-	if got := e.wait(); got != 32*time.Millisecond {
+	if got := e.Wait(timeout); got != 32*time.Millisecond {
 		t.Fatalf("wait %v after one 8 ms sample, want 32ms", got)
 	}
 }
@@ -27,15 +29,16 @@ func TestRetransmitWaitsTimeoutBeforeAnySample(t *testing.T) {
 // the first retransmission never waits longer than Timeout.
 func TestRetransmitWaitNeverExceedsTimeout(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	e := rto{max: 100 * time.Millisecond}
+	const timeout = 100 * time.Millisecond
+	var e protocol.RTO
 	for i := 0; i < 10000; i++ {
-		e.sample(time.Duration(rng.ExpFloat64() * float64(40*time.Millisecond)))
-		if got := e.wait(); got <= 0 || got > e.max {
-			t.Fatalf("sample %d: wait %v outside (0, %v]", i, got, e.max)
+		e.Sample(time.Duration(rng.ExpFloat64() * float64(40*time.Millisecond)))
+		if got := e.Wait(timeout); got <= 0 || got > timeout {
+			t.Fatalf("sample %d: wait %v outside (0, %v]", i, got, timeout)
 		}
 	}
-	e.sample(10 * time.Second)
-	if got := e.wait(); got != e.max {
+	e.Sample(10 * time.Second)
+	if got := e.Wait(timeout); got != timeout {
 		t.Fatalf("wait %v after a 10 s sample, want the Timeout cap", got)
 	}
 }
@@ -54,7 +57,7 @@ func TestRetransmitFirstAttemptSampledRetriesNot(t *testing.T) {
 	if _, err := cl.Submit(ctx, ops); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.rto.wait(); got != cl.cfg.Timeout {
+	if got := cl.rto.Wait(cl.cfg.Timeout); got != cl.cfg.Timeout {
 		t.Fatalf("wait %v after a retransmitted write, want it unsampled (Timeout %v)", got, cl.cfg.Timeout)
 	}
 
@@ -65,7 +68,7 @@ func TestRetransmitFirstAttemptSampledRetriesNot(t *testing.T) {
 	if _, err := cl.Submit(ctx, ops); err != nil {
 		t.Fatal(err)
 	}
-	if got := cl.rto.wait(); got >= cl.cfg.Timeout {
+	if got := cl.rto.Wait(cl.cfg.Timeout); got >= cl.cfg.Timeout {
 		t.Fatalf("wait %v after a first-attempt reply, want it below Timeout %v", got, cl.cfg.Timeout)
 	}
 }

@@ -64,6 +64,12 @@ type Metrics struct {
 	FetchPages         atomic.Int64
 	StateSyncRetries   atomic.Int64
 
+	// DetectorGateNanos is the failure detector's timeout at its last tick:
+	// the learned age gate, doubled for every view change started since the
+	// replica last entered a view (Skeleton; HotStuff's pacemaker keeps its
+	// own timeout and leaves it 0).
+	DetectorGateNanos atomic.Int64
+
 	startNanos atomic.Int64
 }
 
@@ -107,6 +113,8 @@ type MetricsSnapshot struct {
 	FetchPages         int64 `json:"fetch_pages"`
 	StateSyncRetries   int64 `json:"state_sync_retries"`
 
+	DetectorGateMs float64 `json:"detector_gate_ms"`
+
 	// UptimeSeconds and ThroughputTxnS are measured since Start (0 when
 	// Start was never called).
 	UptimeSeconds  float64 `json:"uptime_seconds"`
@@ -148,6 +156,8 @@ func (m *Metrics) Snapshot() MetricsSnapshot {
 		SnapshotBytesRecv:  m.SnapshotBytesRecv.Load(),
 		FetchPages:         m.FetchPages.Load(),
 		StateSyncRetries:   m.StateSyncRetries.Load(),
+
+		DetectorGateMs: float64(m.DetectorGateNanos.Load()) / 1e6,
 	}
 	if start := m.startNanos.Load(); start != 0 {
 		s.UptimeSeconds = time.Since(time.Unix(0, start)).Seconds()

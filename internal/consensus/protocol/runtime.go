@@ -444,9 +444,12 @@ func (r *replyRing) newestSeq() types.SeqNum {
 }
 
 // ReplayReply re-sends the cached reply for a duplicate request, if any.
-// It returns true when a cached reply existed. Cached replies are durable by
+// It returns true when a cached reply was sent. Cached replies are durable by
 // construction (they are cached only after their WAL group committed), so
-// replaying never answers from volatile state.
+// replaying never answers from volatile state. A reply whose execution a
+// rollback undid is not replayed: the request is outstanding again, and its
+// retry must be ordered and tracked, not answered with a result that no
+// longer holds.
 func (rt *Runtime) ReplayReply(req *types.Request) bool {
 	d := req.Digest()
 	rt.replyMu.Lock()
@@ -456,7 +459,7 @@ func (rt *Runtime) ReplayReply(req *types.Request) bool {
 		last = ring.find(req.Txn.Seq, d)
 	}
 	rt.replyMu.Unlock()
-	if last == nil {
+	if last == nil || (!dedupExempt(&req.Txn) && !rt.Exec.AlreadyExecuted(req.Txn.Client, req.Txn.Seq)) {
 		return false
 	}
 	rt.Net.Send(types.ClientNode(req.Txn.Client), last)

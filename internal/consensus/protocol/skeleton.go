@@ -1,6 +1,8 @@
 package protocol
 
 import (
+	"cmp"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -15,7 +17,7 @@ import (
 // the view-change state machine and failure detector of §II-C (Fig 5):
 //
 //  1. Failure detection: a replica that suspects the primary (outstanding
-//     work older than the current timeout, or f+1 VC-REQUESTs from others —
+//     work older than the learned age gate, or f+1 VC-REQUESTs from others —
 //     the join rule) halts the normal case and broadcasts VC-REQUEST(v, E).
 //  2. New-view proposal: the next primary collects nf valid VC-REQUESTs and
 //     broadcasts them in NV-PROPOSE.
@@ -62,10 +64,29 @@ const (
 	statusViewChange
 )
 
-type pendingReq struct {
-	req   types.Request
+// tracked marks an item the failure detector waits on: when it was first
+// seen, and in which detector epoch. The epoch moves whenever a view change
+// starts or ends, so an item that executes in the epoch it was tracked in
+// timed one normal-case execution, and one that does not is never sampled
+// (Karn's rule).
+type tracked struct {
 	since time.Time
+	epoch uint64
 }
+
+type pendingReq struct {
+	req types.Request
+	tracked
+}
+
+// gateFactor is k in the failure detector's age gate, k·wait: a non-faulty
+// primary executes a tracked item within twice the wait learned from the
+// items it executed before.
+const gateFactor = 2
+
+// maxBackoff caps Theorem 7's doubling at 2^maxBackoff times the gate, far
+// beyond any view-change storm, so the shift cannot overflow.
+const maxBackoff = 20
 
 // Skeleton is one replica's view, sequencing, read gate, failure detector
 // and view-change state. Protocol replicas embed it. Event-loop owned.
@@ -88,23 +109,18 @@ type Skeleton struct {
 	// and on the tick, with a bounded wait before falling back to ordering.
 	strongQ StrongReads
 
-	// Failure detection: requests this replica knows are outstanding, slots
-	// it knows are open (each with the time it first saw them), the last
-	// time anything progressed, and the current (backed-off) timeout.
+	// Failure detection: requests this replica knows are outstanding and
+	// slots it knows are open, the last time anything progressed, how long
+	// a tracked item takes to execute (learned, behind the age gate), the
+	// view changes started since a view was last entered (each doubles the
+	// gate, Theorem 7), the detector epoch (see tracked), and the last tick.
 	pendingReqs  map[types.Digest]pendingReq
-	slotSince    map[types.SeqNum]time.Time
+	openSlots    map[types.SeqNum]tracked
 	lastProgress time.Time
-	curTimeout   time.Duration
-
-	// execHigh is the highest executed client sequence number per client.
-	// Pipelined clients retry by broadcast, and a retry of an already
-	// executed request can reach a backup after NoteExecuted cleared that
-	// request's pending entry — without this watermark the late copy would
-	// be tracked as pending forever, age past curTimeout once load stops,
-	// and drive spurious view changes until the stale set drains. The reply
-	// cache cannot stand in for it: it keeps only the latest replies per
-	// client, so retries of older in-flight sequences miss it.
-	execHigh map[types.ClientID]uint64
+	execWait     RTO
+	backoff      int
+	epoch        uint64
+	lastTick     time.Time
 
 	vcTarget   types.View // view we are trying to move to while view-changing
 	vcStarted  time.Time
@@ -141,10 +157,8 @@ func NewSkeleton(rt *Runtime, rules Rules) *Skeleton {
 		Now:          time.Now,
 		nextPropose:  rt.Exec.LastExecuted() + 1,
 		pendingReqs:  make(map[types.Digest]pendingReq),
-		slotSince:    make(map[types.SeqNum]time.Time),
-		execHigh:     make(map[types.ClientID]uint64),
+		openSlots:    make(map[types.SeqNum]tracked),
 		lastProgress: time.Now(),
-		curTimeout:   rt.Cfg.ViewTimeout,
 		vcVotes:      NewViewClaims[*VCRequest](rt.Cfg),
 	}
 	if rt.RecoveredSeq > 0 {
@@ -412,26 +426,37 @@ func (s *Skeleton) TendReads(now time.Time, suspecting bool) {
 	}
 }
 
+// trackPending starts waiting on a request this replica forwarded or holds
+// through a view change. Pipelined clients retry by broadcast, and a retry
+// of an already executed request can reach a backup after NoteExecuted
+// cleared its pending entry; tracked, the late copy would never execute
+// again, age past the gate once load stops and drive spurious view changes.
+// The executor's per-client dedup watermark rules those out (clients send
+// their sequences in order over FIFO links, so it is exact), and a rollback
+// lowers it, so the retry of a rolled-back request is tracked. The reply
+// cache cannot stand in for it: it keeps only the latest replies per client,
+// so retries of older in-flight sequences miss it.
 func (s *Skeleton) trackPending(req *types.Request) {
-	if req.Txn.Seq <= s.execHigh[req.Txn.Client] {
-		// Late retry of an already executed request (clients propose their
-		// sequences in order over FIFO links, so the watermark is exact).
+	if s.rt.Exec.AlreadyExecuted(req.Txn.Client, req.Txn.Seq) {
 		return
 	}
 	d := req.Digest()
 	if _, ok := s.pendingReqs[d]; !ok {
-		s.pendingReqs[d] = pendingReq{req: *req, since: s.Now()}
+		s.pendingReqs[d] = pendingReq{req: *req, tracked: s.track()}
 	}
 }
+
+// track marks an item first seen now.
+func (s *Skeleton) track() tracked { return tracked{since: s.Now(), epoch: s.epoch} }
 
 // --- progress the protocol reports ---
 
 // NoteSlot records that the slot at seq is open: the primary proposed it, or
 // part of its quorum arrived. An open slot that stays unexecuted beyond the
-// timeout is evidence against the primary.
+// gate is evidence against the primary.
 func (s *Skeleton) NoteSlot(seq types.SeqNum) {
-	if _, ok := s.slotSince[seq]; !ok && seq > s.rt.Exec.LastExecuted() {
-		s.slotSince[seq] = s.Now()
+	if _, ok := s.openSlots[seq]; !ok && seq > s.rt.Exec.LastExecuted() {
+		s.openSlots[seq] = s.track()
 	}
 }
 
@@ -439,20 +464,39 @@ func (s *Skeleton) NoteSlot(seq types.SeqNum) {
 func (s *Skeleton) Progress() { s.lastProgress = s.Now() }
 
 // NoteExecuted accounts for one executed batch: metrics, the progress clock,
-// and pruning of the failure-detection state its requests occupied.
+// and the failure-detection state its slot and requests occupied, each of
+// which teaches the age gate how long it took.
 func (s *Skeleton) NoteExecuted(rec *types.ExecRecord) {
-	s.lastProgress = s.Now()
+	now := s.Now()
+	s.lastProgress = now
 	s.rt.Metrics.ExecutedBatches.Add(1)
 	s.rt.Metrics.ExecutedTxns.Add(int64(rec.Batch.Size()))
 	for i := range rec.Batch.Requests {
-		txn := &rec.Batch.Requests[i].Txn
-		if txn.Seq > s.execHigh[txn.Client] {
-			s.execHigh[txn.Client] = txn.Seq
+		d := rec.Batch.Requests[i].Digest()
+		if p, ok := s.pendingReqs[d]; ok {
+			s.sampleExec(now, p.tracked)
+			delete(s.pendingReqs, d)
 		}
-		delete(s.pendingReqs, rec.Batch.Requests[i].Digest())
 	}
-	delete(s.slotSince, rec.Seq)
+	if t, ok := s.openSlots[rec.Seq]; ok {
+		s.sampleExec(now, t)
+		delete(s.openSlots, rec.Seq)
+	}
 }
+
+// sampleExec folds one tracked item's time to execution into the gate,
+// unless a view change started or ended since the item was tracked: the
+// sample would then time the view change, and the gate would learn to wait
+// out the failures it exists to detect (Karn's rule).
+func (s *Skeleton) sampleExec(now time.Time, t tracked) {
+	if t.epoch == s.epoch && s.status == statusNormal {
+		s.execWait.Sample(now.Sub(t.since))
+	}
+}
+
+// newEpoch restarts failure detection's clocks: a view change started or
+// ended, so nothing tracked before may be sampled.
+func (s *Skeleton) newEpoch() { s.epoch++ }
 
 // Installed is the shared half of resuming around an installed snapshot:
 // sequencing and the view jump forward with the snapshot and the failure
@@ -467,11 +511,12 @@ func (s *Skeleton) Installed(snap *storage.Snapshot) {
 		s.status = statusNormal
 	}
 	s.lastProgress = s.Now()
-	s.curTimeout = s.rt.Cfg.ViewTimeout
+	s.backoff = 0
+	s.newEpoch()
 	s.pendingReqs = make(map[types.Digest]pendingReq)
-	for seq := range s.slotSince {
+	for seq := range s.openSlots {
 		if seq <= snap.Seq {
-			delete(s.slotSince, seq)
+			delete(s.openSlots, seq)
 		}
 	}
 }
@@ -482,7 +527,16 @@ func (s *Skeleton) Installed(snap *storage.Snapshot) {
 // linger flush, failure detection, and view-change retransmission and
 // escalation. It reports whether this replica currently suspects the
 // primary, for TendReads.
+//
+// A tick that comes more than one tick period late does not suspect the
+// primary: the event loop was starved, so the messages that would show the
+// primary's progress may be waiting in its own inbox. The loop drains them
+// before the next tick on time, which judges again. Only the normal-case
+// suspicion is skipped; a pending view change's timers run as on any tick.
 func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
+	late := !s.lastTick.IsZero() && now.Sub(s.lastTick) > 2*s.rt.Cfg.Tick()
+	s.lastTick = now
+	s.rt.Metrics.DetectorGateNanos.Store(int64(s.timeout()))
 	if s.catchup {
 		s.catchup = false
 		s.rt.FetchFrom(s.rt.Exec.LastExecuted())
@@ -498,7 +552,7 @@ func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 			s.ProposeReady(true)
 		}
 		switch {
-		case s.suspectPrimary(now):
+		case !late && s.suspectPrimary(now):
 			s.startViewChange(s.View() + 1)
 			return true
 		case s.heldJoin > s.View():
@@ -515,25 +569,25 @@ func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 		// current view is demonstrably live — we were merely in the dark.
 		// Rejoin it instead of stalling in a lonely view change.
 		s.resumeNormal(now)
-		s.curTimeout = s.rt.Cfg.ViewTimeout
-	case lonely && now.Sub(s.vcStarted) > s.curTimeout:
+		s.backoff = 0
+	case lonely && now.Sub(s.vcStarted) > s.timeout():
 		// Lonely view change timed out: not even f other replicas suspect
 		// the primary, so at least one non-faulty replica is content with
 		// the current view — our own suspicion was spurious. Escalating
 		// would strand this replica dropping every message of a live view
-		// (fatal when it is needed for quorum). Return to normal —
-		// curTimeout stays doubled, so repeated spurious suspicion decays —
+		// (fatal when it is needed for quorum). Return to normal — the
+		// timeout stays doubled, so repeated spurious suspicion decays —
 		// and fetch: any slot we were suspicious about may have committed
 		// without us while we were view-changing (our share was already
 		// spent, so only the executed record can close it now).
 		s.resumeNormal(now)
 		s.rt.FetchFrom(s.rt.Exec.LastExecuted())
-	case now.Sub(s.vcStarted) > s.curTimeout:
+	case now.Sub(s.vcStarted) > s.timeout():
 		// The view change itself failed (the next primary is also faulty or
 		// unreachable): move one view further with a doubled timeout
 		// (exponential backoff, Theorem 7).
 		s.startViewChange(s.vcTarget + 1)
-	case now.Sub(s.vcResent) > s.rt.Cfg.ViewTimeout:
+	case now.Sub(s.vcResent) > s.gate():
 		s.broadcastVC(s.vcTarget)
 		s.maybeProposeNewView(s.vcTarget)
 	}
@@ -545,18 +599,33 @@ func (s *Skeleton) Tick(now time.Time) (suspecting bool) {
 // fresh full timeout of observation in normal status before it can justify
 // suspicion again — without this the still-stale marks re-trigger the view
 // change on the very next tick, leaving only a tick-wide window to actually
-// process messages.
+// process messages. The re-stamped items belong to an older epoch, so their
+// execution is not sampled.
 func (s *Skeleton) resumeNormal(now time.Time) {
 	s.status = statusNormal
 	s.lastProgress = now
+	s.newEpoch()
 	for d, p := range s.pendingReqs {
 		p.since = now
 		s.pendingReqs[d] = p
 	}
-	for seq := range s.slotSince {
-		s.slotSince[seq] = now
+	for seq, t := range s.openSlots {
+		t.since = now
+		s.openSlots[seq] = t
 	}
 }
+
+// gate is the failure detector's learned age gate: gateFactor times the
+// learned wait for a tracked item to execute, clamped to
+// [Config.GateFloor, ViewTimeout]. Until the first sample it is ViewTimeout.
+func (s *Skeleton) gate() time.Duration {
+	t := s.rt.Cfg.ViewTimeout
+	return min(max(gateFactor*s.execWait.Wait(t), s.rt.Cfg.GateFloor()), t)
+}
+
+// timeout is the gate with Theorem 7's doubling on top: once for every view
+// change started since this replica last entered a view.
+func (s *Skeleton) timeout() time.Duration { return s.gate() << min(s.backoff, maxBackoff) }
 
 // suspectPrimary reports whether outstanding work has been stuck beyond the
 // current timeout. The item itself must be older than the timeout, not just
@@ -568,17 +637,18 @@ func (s *Skeleton) resumeNormal(now time.Time) {
 // tick view-changes — before the quorum for that proposal can possibly have
 // formed — stranding it in a lonely view change.
 func (s *Skeleton) suspectPrimary(now time.Time) bool {
-	if now.Sub(s.lastProgress) <= s.curTimeout {
+	timeout := s.timeout()
+	if now.Sub(s.lastProgress) <= timeout {
 		return false
 	}
 	for _, p := range s.pendingReqs {
-		if now.Sub(p.since) > s.curTimeout {
+		if now.Sub(p.since) > timeout {
 			return true
 		}
 	}
 	lastExec := s.rt.Exec.LastExecuted()
-	for seq, since := range s.slotSince {
-		if seq > lastExec && now.Sub(since) > s.curTimeout {
+	for seq, t := range s.openSlots {
+		if seq > lastExec && now.Sub(t.since) > timeout {
 			return true
 		}
 	}
@@ -622,7 +692,8 @@ func (s *Skeleton) startViewChange(target types.View) {
 	s.vcTarget = target
 	s.vcStarted = now
 	s.vcExecMark = s.rt.Exec.LastExecuted()
-	s.curTimeout *= 2 // exponential backoff (Theorem 7)
+	s.backoff++ // exponential backoff (Theorem 7)
+	s.newEpoch()
 	s.rt.Metrics.ViewChanges.Add(1)
 	if s.vcVotes.Has(s.rt.Cfg.ID, target) {
 		return // already asked; the tick retransmits
@@ -801,7 +872,8 @@ func (s *Skeleton) validateNVPropose(m *NVPropose) bool {
 func (s *Skeleton) EnterView(v types.View, kmax types.SeqNum) {
 	s.view.Store(uint64(v))
 	s.status = statusNormal
-	s.curTimeout = s.rt.Cfg.ViewTimeout
+	s.backoff = 0
+	s.newEpoch()
 	s.lastProgress = s.Now()
 	// A held join asked to leave a view before this one was installed; new
 	// requests re-arm it if the new view fails too.
@@ -811,7 +883,7 @@ func (s *Skeleton) EnterView(v types.View, kmax types.SeqNum) {
 	s.rt.Lease.ResetHolder(v)
 	// Every open slot, and every share payload in the pipeline's digest
 	// table, belongs to the old view.
-	s.slotSince = make(map[types.SeqNum]time.Time)
+	s.openSlots = make(map[types.SeqNum]tracked)
 	s.rt.Pipeline.Reset()
 	s.rules.ResetSlots()
 	// The new view proposes from kmax+1 (Fig 5, §II-C3), or past whatever
@@ -824,17 +896,35 @@ func (s *Skeleton) EnterView(v types.View, kmax types.SeqNum) {
 		// new-view state, so the proposed-map is reset and pending requests
 		// re-enter the queue.
 		s.rt.Batcher.ResetProposed()
-		for _, p := range s.pendingReqs {
-			s.rt.Batcher.Add(p.req)
+		for _, req := range s.pendingInOrder() {
+			s.rt.Batcher.Add(req)
 		}
 		s.ProposeReady(true)
 		return
 	}
 	// Re-forward outstanding requests to the new primary; their
 	// failure-detection timers keep running.
-	for _, p := range s.pendingReqs {
-		s.rt.SendReplica(s.Primary(), &ForwardRequest{Req: p.req})
+	for _, req := range s.pendingInOrder() {
+		s.rt.SendReplica(s.Primary(), &ForwardRequest{Req: req})
 	}
+}
+
+// pendingInOrder returns the outstanding requests in client-sequence order.
+// Taken in map order, a client's later request could reach the new
+// primary's batch before an earlier one, and the per-client dedup watermark
+// would then drop the earlier one for good.
+func (s *Skeleton) pendingInOrder() []types.Request {
+	reqs := make([]types.Request, 0, len(s.pendingReqs))
+	for _, p := range s.pendingReqs {
+		reqs = append(reqs, p.req)
+	}
+	slices.SortFunc(reqs, func(a, b types.Request) int {
+		if c := cmp.Compare(a.Txn.Client, b.Txn.Client); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Txn.Seq, b.Txn.Seq)
+	})
+	return reqs
 }
 
 // --- new-view state shared by the longest-prefix protocols ---

@@ -30,14 +30,18 @@ type stubRules struct {
 	applied  []*NVPropose
 	resets   int
 	proposed []types.SeqNum
+	batches  []types.Batch
 	handled  []network.Envelope
 }
 
 func (r *stubRules) VCEntries(executed []types.ExecRecord) []types.ExecRecord { return executed }
 func (r *stubRules) ValidEntries(m *VCRequest) bool                           { return !r.reject[m.From] }
 func (r *stubRules) ResetSlots()                                              { r.resets++ }
-func (r *stubRules) Propose(seq types.SeqNum, _ types.Batch)                  { r.proposed = append(r.proposed, seq) }
-func (r *stubRules) Handle(env network.Envelope)                              { r.handled = append(r.handled, env) }
+func (r *stubRules) Propose(seq types.SeqNum, b types.Batch) {
+	r.proposed = append(r.proposed, seq)
+	r.batches = append(r.batches, b)
+}
+func (r *stubRules) Handle(env network.Envelope) { r.handled = append(r.handled, env) }
 func (r *stubRules) NewViewState(nv *NVPropose) {
 	r.applied = append(r.applied, nv)
 	r.sk.EnterView(nv.NewView, LongestPrefix(nv.Requests).End())
@@ -78,6 +82,38 @@ func (f *skelFixture) singleBatches() {
 func (f *skelFixture) advance(d time.Duration) time.Time {
 	f.now = f.now.Add(d)
 	return f.now
+}
+
+// ticks advances the clock by d one tick period at a time, as the event
+// loop's ticker would, and reports whether any tick suspected the primary.
+func (f *skelFixture) ticks(d time.Duration) (suspected bool) {
+	for d > 0 {
+		step := min(f.rt.Cfg.Tick(), d)
+		d -= step
+		if f.sk.Tick(f.advance(step)) {
+			suspected = true
+		}
+	}
+	return suspected
+}
+
+// execute runs batch at seq through the executor and reports what executed
+// to the skeleton, as a protocol does when a slot completes.
+func (f *skelFixture) execute(seq types.SeqNum, batch types.Batch) {
+	for _, ev := range f.rt.Exec.Commit(seq, f.sk.View(), batch, nil) {
+		f.sk.NoteExecuted(ev.Rec)
+	}
+}
+
+// executeSlots opens n slots after the last executed one and executes each
+// lat after it opened, teaching the failure detector that latency.
+func (f *skelFixture) executeSlots(n int, lat time.Duration) {
+	for i := 0; i < n; i++ {
+		seq := f.rt.Exec.LastExecuted() + 1
+		f.sk.NoteSlot(seq)
+		f.advance(lat)
+		f.execute(seq, batchFor(types.ClientIDBase, uint64(seq)))
+	}
 }
 
 // vc returns replica from's signed request to leave view failed.
@@ -126,7 +162,7 @@ func (f *skelFixture) request(c types.ClientID, seq uint64, tier types.Consisten
 func (f *skelFixture) stuckRequest() {
 	c := types.ClientID(types.ClientIDBase)
 	f.sk.OnClientRequest(types.ClientNode(c), &types.Request{Txn: types.Transaction{Client: c, Seq: 1}})
-	f.advance(f.sk.curTimeout + time.Millisecond)
+	f.advance(f.sk.timeout() + time.Millisecond)
 }
 
 func TestViewChangeJoinRule(t *testing.T) {
@@ -231,8 +267,8 @@ func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	f.sk.OnVCRequest(f.vc(3, 0))
 	f.sk.Suspect() // with 3's request that is f+1: not a lonely view change
 	f.wantViewChange(1)
-	if f.sk.curTimeout != 2*skelTimeout {
-		t.Fatalf("timeout %v after one view change, want doubled", f.sk.curTimeout)
+	if f.sk.timeout() != 2*skelTimeout {
+		t.Fatalf("timeout %v after one view change, want doubled", f.sk.timeout())
 	}
 	f.sk.Tick(f.advance(skelTimeout / 2))
 	if n := len(sentTo[*VCRequest](f, 1)); n != 1 {
@@ -247,8 +283,8 @@ func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	// faulty too. Move on, doubling again.
 	f.sk.Tick(f.advance(skelTimeout))
 	f.wantViewChange(2)
-	if f.sk.curTimeout != 4*skelTimeout {
-		t.Fatalf("timeout %v after two view changes, want quadrupled", f.sk.curTimeout)
+	if f.sk.timeout() != 4*skelTimeout {
+		t.Fatalf("timeout %v after two view changes, want quadrupled", f.sk.timeout())
 	}
 	// A client request arrives mid view change: one request, far short of a
 	// full batch.
@@ -258,8 +294,8 @@ func TestViewChangeRetransmitBackoffAndReset(t *testing.T) {
 	f.sk.OnVCRequest(f.vc(0, 1))
 	f.sk.OnVCRequest(f.vc(1, 1))
 	f.wantNormal(2)
-	if f.sk.curTimeout != skelTimeout {
-		t.Fatalf("timeout %v after entering a view, want it reset", f.sk.curTimeout)
+	if f.sk.timeout() != skelTimeout {
+		t.Fatalf("timeout %v after entering a view, want it reset", f.sk.timeout())
 	}
 	if f.rules.resets != 1 {
 		t.Fatalf("entering the view reset slots %d times, want once", f.rules.resets)
@@ -308,13 +344,41 @@ func TestViewChangeLeaseHeldJoinLapses(t *testing.T) {
 	f.sk.OnVCRequest(f.vc(3, 0))
 	f.wantNormal(0) // the promise holds the join back
 	tick(lease / 2)
-	tick(lease/2 - time.Millisecond)
+	tick(lease - lease/2 - time.Millisecond)
 	f.wantNormal(0)
 	if grants() != 1 {
 		t.Fatalf("%d grants while a join was held, want no renewal", grants())
 	}
 	tick(time.Millisecond)
 	f.wantViewChange(1)
+}
+
+// TestViewChangeNewPrimaryProposesPendingInOrder: the new primary re-batches
+// the requests it was tracking in client-sequence order. Out of order, the
+// batcher's per-client watermark would drop every request a later one of
+// the same client overtook.
+func TestViewChangeNewPrimaryProposesPendingInOrder(t *testing.T) {
+	f := newSkelFixture(t, 1) // view 1's primary
+	c := types.ClientID(types.ClientIDBase)
+	const n = 6
+	for seq := uint64(1); seq <= n; seq++ {
+		f.sk.OnClientRequest(types.ClientNode(c), f.request(c, seq, types.ConsistencyOrdered))
+	}
+	f.sk.OnVCRequest(f.vc(0, 0))
+	f.sk.OnVCRequest(f.vc(3, 0)) // f+1: replica 1 joins, and with its own that is nf
+	f.wantNormal(1)
+	if len(f.rules.batches) != 1 {
+		t.Fatalf("%d batches proposed on entering the view, want 1", len(f.rules.batches))
+	}
+	got := f.rules.batches[0].Requests
+	if len(got) != n {
+		t.Fatalf("the new primary proposed %d of the %d outstanding requests", len(got), n)
+	}
+	for i := range got {
+		if got[i].Txn.Seq != uint64(i+1) {
+			t.Fatalf("request %d of the batch has client seq %d, want %d", i, got[i].Txn.Seq, i+1)
+		}
+	}
 }
 
 func TestViewChangeInvalidNewViewMovesOn(t *testing.T) {
@@ -376,17 +440,17 @@ func TestViewChangeLonelyResumes(t *testing.T) {
 	// spurious: back to view 0, and fetch what may have committed meanwhile.
 	f.sk.Tick(f.advance(2*skelTimeout + time.Millisecond))
 	f.wantNormal(0)
-	if f.sk.curTimeout != 2*skelTimeout {
-		t.Fatalf("timeout %v after a lonely view change, want it to stay doubled", f.sk.curTimeout)
+	if f.sk.timeout() != 2*skelTimeout {
+		t.Fatalf("timeout %v after a lonely view change, want it to stay doubled", f.sk.timeout())
 	}
 	if n := len(sentTo[*Fetch](f, 3)) + len(sentTo[*Fetch](f, 1)) + len(sentTo[*Fetch](f, 0)); n != 1 {
 		t.Fatalf("%d fetches after resuming, want 1", n)
 	}
 	// The stuck request gets a fresh full timeout before it counts again.
-	if f.sk.Tick(f.advance(2 * skelTimeout)) {
+	if f.ticks(2 * skelTimeout) {
 		t.Fatal("suspecting again before the re-stamped request aged past the timeout")
 	}
-	f.sk.Tick(f.advance(2 * time.Millisecond))
+	f.ticks(2 * time.Millisecond)
 	f.wantViewChange(1)
 }
 
@@ -397,27 +461,52 @@ func TestFailureDetectorIdleLullGrace(t *testing.T) {
 	f := newSkelFixture(t, 2)
 	f.advance(10 * skelTimeout)
 	f.sk.NoteSlot(1)
-	if f.sk.Tick(f.advance(skelTimeout / 2)) {
+	if f.ticks(skelTimeout / 2) {
 		t.Fatal("suspected the primary for a slot opened half a timeout ago")
 	}
-	if !f.sk.Tick(f.advance(skelTimeout)) {
+	if !f.ticks(skelTimeout) {
 		t.Fatal("a slot open past the timeout is not suspicious")
 	}
 }
 
-// TestFailureDetectorExecutedRetryNotTracked pins the execHigh watermark: a
-// broadcast retry that arrives after its request executed must not be
+// TestFailureDetectorExecutedRetryNotTracked pins the executed-request check:
+// a broadcast retry that arrives after its request executed must not be
 // tracked as pending.
 func TestFailureDetectorExecutedRetryNotTracked(t *testing.T) {
 	f := newSkelFixture(t, 2)
 	c := types.ClientID(types.ClientIDBase)
-	req := types.Request{Txn: types.Transaction{Client: c, Seq: 4}}
-	f.sk.NoteExecuted(&types.ExecRecord{Seq: 1, Batch: types.Batch{Requests: []types.Request{req}}})
-	older := types.Request{Txn: types.Transaction{Client: c, Seq: 3}}
+	executed := batchFor(c, 4)
+	f.execute(1, executed)
+	req := executed.Requests[0]
+	older := batchFor(c, 3).Requests[0]
 	f.sk.OnClientRequest(types.ClientNode(c), &req)
 	f.sk.OnClientRequest(types.ClientNode(c), &older)
 	if n := len(f.sk.pendingReqs); n != 0 {
 		t.Fatalf("%d executed requests tracked as pending", n)
+	}
+}
+
+// TestFailureDetectorRolledBackRetryTracked: a request that executed
+// speculatively and was then rolled back has not executed any more, so a
+// retry of it is outstanding work the detector must wait on, not a
+// duplicate to answer from the reply cache.
+func TestFailureDetectorRolledBackRetryTracked(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	c := types.ClientID(types.ClientIDBase)
+	b := batchFor(c, 1)
+	for _, ev := range f.rt.Exec.Commit(1, 0, b, nil) {
+		f.sk.NoteExecuted(ev.Rec)
+		f.rt.InformBatch(ev.Rec, ev.Results, true, nil, nil)
+	}
+	if !f.rt.ReplayReply(&b.Requests[0]) {
+		t.Fatal("the executed request's reply was not cached")
+	}
+	if err := f.rt.Exec.Rollback(0); err != nil {
+		t.Fatal(err)
+	}
+	f.sk.OnClientRequest(types.ClientNode(c), &b.Requests[0])
+	if n := len(f.sk.pendingReqs); n != 1 {
+		t.Fatalf("%d requests tracked after a retry of a rolled-back one, want 1", n)
 	}
 }
 
@@ -433,12 +522,191 @@ func TestFailureDetectorInstallDropsPending(t *testing.T) {
 	f.wantViewChange(1)
 	f.sk.Installed(&storage.Snapshot{Seq: 8, Head: ledger.Block{Seq: 8, View: 2}})
 	f.wantNormal(2)
-	if len(f.sk.pendingReqs) != 0 || len(f.sk.slotSince) != 1 || f.sk.curTimeout != skelTimeout {
-		t.Fatalf("after install: %d pending, %d open slots, timeout %v", len(f.sk.pendingReqs), len(f.sk.slotSince), f.sk.curTimeout)
+	if len(f.sk.pendingReqs) != 0 || len(f.sk.openSlots) != 1 || f.sk.timeout() != skelTimeout {
+		t.Fatalf("after install: %d pending, %d open slots, timeout %v", len(f.sk.pendingReqs), len(f.sk.openSlots), f.sk.timeout())
 	}
 	if f.sk.Tick(f.advance(skelTimeout / 2)) {
 		t.Fatal("suspecting on state the snapshot superseded")
 	}
+}
+
+// TestFailureDetectorLearnedGate pins the age gate's rule, clamp(2·wait,
+// GateFloor, ViewTimeout), where wait is the RTO of how long the slots and
+// forwarded requests this replica tracked took to execute.
+func TestFailureDetectorLearnedGate(t *testing.T) {
+	floor := skelTimeout / 3
+	t.Run("unsampled", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		if g := f.sk.gate(); g != skelTimeout {
+			t.Fatalf("gate %v before any execution, want ViewTimeout %v", g, skelTimeout)
+		}
+	})
+	t.Run("fast", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		f.executeSlots(20, time.Millisecond)
+		if g := f.sk.gate(); g != floor {
+			t.Fatalf("gate %v after 1 ms executions, want the floor %v", g, floor)
+		}
+		f.sk.NoteSlot(f.rt.Exec.LastExecuted() + 1)
+		if f.ticks(floor - time.Millisecond) {
+			t.Fatal("suspected the primary before the open slot aged past the gate")
+		}
+		if !f.ticks(2 * time.Millisecond) {
+			t.Fatal("a slot open past the gate is not suspicious")
+		}
+	})
+	t.Run("forwarded requests", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		for seq := uint64(1); seq <= 20; seq++ {
+			b := batchFor(types.ClientIDBase, seq)
+			f.sk.OnClientRequest(types.ClientNode(types.ClientIDBase), &b.Requests[0])
+			f.advance(time.Millisecond)
+			f.execute(types.SeqNum(seq), b)
+		}
+		if g := f.sk.gate(); g != floor {
+			t.Fatalf("gate %v after requests executed 1 ms after they were forwarded, want the floor %v", g, floor)
+		}
+	})
+	t.Run("slow", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		f.executeSlots(10, 5*time.Millisecond)
+		// srtt 5 ms and rttvar decayed far below it: wait = 4·srtt = 20 ms.
+		if g := f.sk.gate(); g != 40*time.Millisecond {
+			t.Fatalf("gate %v after 5 ms executions, want 2 × 20 ms", g)
+		}
+		f.sk.NoteSlot(f.rt.Exec.LastExecuted() + 1)
+		if f.ticks(30 * time.Millisecond) {
+			t.Fatal("suspected the primary past the floor but inside the learned gate")
+		}
+		if !f.ticks(20 * time.Millisecond) {
+			t.Fatal("a slot open past the learned gate is not suspicious")
+		}
+	})
+	t.Run("capped", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		f.executeSlots(3, skelTimeout)
+		if g := f.sk.gate(); g != skelTimeout {
+			t.Fatalf("gate %v after executions as slow as ViewTimeout, want the cap %v", g, skelTimeout)
+		}
+	})
+}
+
+// TestFailureDetectorLearnedGateBackoff: Theorem 7's doubling applies on top
+// of the learned gate, and entering a view resets the doubling but keeps
+// what the gate learned. The view change retransmits its request once a
+// gate passes, as the age gate does.
+func TestFailureDetectorLearnedGateBackoff(t *testing.T) {
+	f := newSkelFixture(t, 2)
+	floor := f.rt.Cfg.GateFloor()
+	f.executeSlots(20, time.Millisecond)
+	f.sk.OnVCRequest(f.vc(3, 0))
+	f.sk.Suspect() // with 3's request that is f+1: not a lonely view change
+	f.wantViewChange(1)
+	if got := f.sk.timeout(); got != 2*floor {
+		t.Fatalf("timeout %v after one view change, want 2 × the learned gate %v", got, floor)
+	}
+	f.ticks(floor + 5*time.Millisecond)
+	if n := len(sentTo[*VCRequest](f, 1)); n != 2 {
+		t.Fatalf("%d requests sent once the gate passed, want a retransmission", n)
+	}
+	f.ticks(floor)
+	f.wantViewChange(2)
+	if got := f.sk.timeout(); got != 4*floor {
+		t.Fatalf("timeout %v after two view changes, want 4 × the learned gate %v", got, floor)
+	}
+	// View 2's primary (replica 2 itself) completes once nf requests are in.
+	f.sk.OnVCRequest(f.vc(0, 1))
+	f.sk.OnVCRequest(f.vc(1, 1))
+	f.wantNormal(2)
+	f.ticks(f.rt.Cfg.Tick())
+	if got := f.sk.timeout(); got != floor {
+		t.Fatalf("timeout %v after entering a view, want the learned gate %v", got, floor)
+	}
+	if got := f.rt.Metrics.Snapshot().DetectorGateMs; got != float64(floor)/1e6 {
+		t.Fatalf("metrics report a gate of %v ms, want %v", got, floor)
+	}
+}
+
+// TestFailureDetectorNoSampleAcrossViewChange pins Karn's rule: an item
+// tracked before a view change started or ended and executed after it timed
+// the view change, not an execution, and must not teach the gate.
+func TestFailureDetectorNoSampleAcrossViewChange(t *testing.T) {
+	floor := skelTimeout / 3
+	t.Run("request across a new view", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		f.executeSlots(20, time.Millisecond)
+		c := types.ClientID(types.ClientIDBase + 1)
+		b := batchFor(c, 1)
+		f.sk.OnClientRequest(types.ClientNode(c), &b.Requests[0])
+		f.sk.OnVCRequest(f.vc(3, 0))
+		f.sk.Suspect()
+		f.advance(skelTimeout)
+		f.sk.OnNVPropose(types.ReplicaNode(1), &NVPropose{NewView: 1, Requests: []VCRequest{*f.vc(0, 0), *f.vc(1, 0), *f.vc(3, 0)}})
+		f.wantNormal(1)
+		f.execute(f.rt.Exec.LastExecuted()+1, b)
+		if len(f.sk.pendingReqs) != 0 {
+			t.Fatal("the executed request is still tracked")
+		}
+		if g := f.sk.gate(); g != floor {
+			t.Fatalf("gate %v after a request that waited out a view change, want it unsampled at %v", g, floor)
+		}
+	})
+	t.Run("slot across a lonely resume", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		f.executeSlots(20, time.Millisecond)
+		seq := f.rt.Exec.LastExecuted() + 1
+		f.sk.NoteSlot(seq)
+		f.sk.Suspect()
+		f.ticks(2*floor + f.rt.Cfg.Tick())
+		f.wantNormal(0) // nobody joined: back to view 0, the slot re-stamped
+		f.advance(skelTimeout)
+		f.execute(seq, batchFor(types.ClientIDBase, uint64(seq)))
+		if g := f.sk.gate(); g != floor {
+			t.Fatalf("gate %v after a slot that waited out a lonely view change, want it unsampled at %v", g, floor)
+		}
+	})
+}
+
+// TestFailureDetectorLateTickSuspectsNobody: a tick that comes more than one
+// tick period late shows a starved event loop, not a faulty primary. It
+// suspects nobody; the next tick on time judges again, after the loop has
+// drained what queued during the stall.
+func TestFailureDetectorLateTickSuspectsNobody(t *testing.T) {
+	t.Run("next tick judges", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		tick := f.rt.Cfg.Tick()
+		f.executeSlots(20, time.Millisecond)
+		f.sk.NoteSlot(f.rt.Exec.LastExecuted() + 1)
+		if f.ticks(2 * tick) {
+			t.Fatal("suspected the primary inside the gate")
+		}
+		// The loop stalls for three tick periods; the open slot is now
+		// older than the gate.
+		if f.sk.Tick(f.advance(3 * tick)) {
+			t.Fatal("a late tick suspected the primary")
+		}
+		f.wantNormal(0)
+		if !f.sk.Tick(f.advance(tick)) {
+			t.Fatal("the next tick on time did not suspect the primary")
+		}
+		f.wantViewChange(1)
+	})
+	t.Run("backlog shows progress", func(t *testing.T) {
+		f := newSkelFixture(t, 2)
+		tick := f.rt.Cfg.Tick()
+		f.executeSlots(20, time.Millisecond)
+		seq := f.rt.Exec.LastExecuted() + 1
+		f.sk.NoteSlot(seq)
+		f.sk.Tick(f.advance(tick))
+		if f.sk.Tick(f.advance(10 * tick)) {
+			t.Fatal("a late tick suspected the primary")
+		}
+		// The slot's execution was waiting in the inbox behind the stall.
+		f.execute(seq, batchFor(types.ClientIDBase, uint64(seq)))
+		if f.ticks(tick) {
+			t.Fatal("suspected the primary after the backlog showed its progress")
+		}
+	})
 }
 
 // TestQuickNewViewChoiceDeterministic: every replica must derive the same
@@ -689,37 +957,58 @@ func TestSkeletonFanOut(t *testing.T) {
 // TestSkeletonLeaseLapsesBeforeSuspicion: a backup stops renewing its lease
 // grant once its failure detector would fire within one LeaseDuration, so
 // when suspicion fires the promise has already lapsed and the view change
-// starts on that very tick.
+// starts on that very tick. It holds at ViewTimeout, the gate before any
+// sample, and at the learned gate's floor, the smallest the lease must stay
+// below.
 func TestSkeletonLeaseLapsesBeforeSuspicion(t *testing.T) {
-	f := newSkelFixture(t, 2)
-	lease := f.rt.Cfg.LeaseDuration
-	tick := func(d time.Duration) {
-		now := f.advance(d)
-		f.sk.TendReads(now, f.sk.Tick(now))
+	for _, tc := range []struct {
+		name    string
+		learned bool
+	}{{"unsampled", false}, {"learned floor", true}} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newSkelFixture(t, 2)
+			if tc.learned {
+				f.executeSlots(20, time.Millisecond)
+			}
+			gate, lease := f.sk.gate(), f.rt.Cfg.LeaseDuration
+			// tick advances by d one tick period at a time, as the event loop
+			// ticks, tending reads on each tick.
+			tick := func(d time.Duration) {
+				for {
+					step := min(f.rt.Cfg.Tick(), d)
+					now := f.advance(step)
+					f.sk.TendReads(now, f.sk.Tick(now))
+					if d -= step; d <= 0 {
+						return
+					}
+				}
+			}
+			grants := func() int { return len(sentTo[*LeaseGrant](f, 0)) }
+			c := types.ClientID(types.ClientIDBase + 1)
+			f.sk.OnClientRequest(types.ClientNode(c), &types.Request{Txn: types.Transaction{Client: c, Seq: 1}})
+			tick(0)
+			if grants() != 1 {
+				t.Fatalf("%d grants on the first tick, want 1", grants())
+			}
+			// The request is gate − LeaseDuration − 1ms old: the detector is
+			// still more than a lease away from firing, so the grant is renewed.
+			tick(gate - lease - time.Millisecond)
+			renewed := grants()
+			if renewed < 2 {
+				t.Fatalf("%d grants a lease before the detector fires, want a renewal", renewed)
+			}
+			// A renewal falls due, but the detector would now fire within one lease.
+			tick(lease/3 + time.Millisecond)
+			if grants() != renewed {
+				t.Fatalf("%d grants within a lease of suspicion, want none after the %dth", grants(), renewed)
+			}
+			f.wantNormal(0)
+			// The request ages past the gate: the last promise ran out two
+			// milliseconds ago, so the view change starts at once.
+			tick(lease - lease/3 + time.Millisecond)
+			f.wantViewChange(1)
+		})
 	}
-	grants := func() int { return len(sentTo[*LeaseGrant](f, 0)) }
-	c := types.ClientID(types.ClientIDBase)
-	f.sk.OnClientRequest(types.ClientNode(c), &types.Request{Txn: types.Transaction{Client: c, Seq: 1}})
-	tick(0)
-	if grants() != 1 {
-		t.Fatalf("%d grants on the first tick, want 1", grants())
-	}
-	// The request is curTimeout − LeaseDuration − 1ms old: the detector is
-	// still more than a lease away from firing, so the grant is renewed.
-	tick(skelTimeout - lease - time.Millisecond)
-	if grants() != 2 {
-		t.Fatalf("%d grants a lease before the detector fires, want a renewal", grants())
-	}
-	// A renewal falls due, but the detector would now fire within one lease.
-	tick(lease/3 + time.Millisecond)
-	if grants() != 2 {
-		t.Fatalf("%d grants within a lease of suspicion, want none after the second", grants())
-	}
-	f.wantNormal(0)
-	// The request ages past the timeout: the last promise ran out two
-	// milliseconds ago, so the view change starts at once.
-	tick(lease - lease/3 + time.Millisecond)
-	f.wantViewChange(1)
 }
 
 // viewMsg is the smallest normal-case message.

@@ -72,9 +72,11 @@ func TestReadPathAuditHolds(t *testing.T) {
 // TestPrimaryCrashTimeline crashes the view-0 primary mid-run (Fig 10) on
 // every protocol that runs the shared view change. The cluster must change
 // views and resume, and the longest stretch without a completed request must
-// stay within two view-change time-outs: the client's retransmission, the
-// failure detector's age gate and the lease promise overlap instead of
-// stacking.
+// stay within one ViewTimeout: the client's retransmission time-out, the
+// learned age gate (ViewTimeout/3 on a cluster that executes in a few
+// milliseconds), one tick and the view change add up to well below it,
+// because the lease promise lapses before suspicion fires instead of
+// stacking on top.
 func TestPrimaryCrashTimeline(t *testing.T) {
 	const viewTimeout = 300 * time.Millisecond
 	for _, p := range []Protocol{PoE, PBFT, SBFT, Zyzzyva} {
@@ -114,8 +116,8 @@ func TestPrimaryCrashTimeline(t *testing.T) {
 			if rate == 0 {
 				t.Fatalf("no recovery after view change: %+v", res.Timeline)
 			}
-			if res.LongestGap > 2*viewTimeout {
-				t.Fatalf("longest gap without a completion %v, want at most 2 × ViewTimeout = %v", res.LongestGap, 2*viewTimeout)
+			if res.LongestGap > viewTimeout {
+				t.Fatalf("longest gap without a completion %v, want at most ViewTimeout = %v", res.LongestGap, viewTimeout)
 			}
 		})
 	}

@@ -95,7 +95,8 @@ type ClusterConfig struct {
 	BatchSize int
 	// Window is the out-of-order window; 1 disables out-of-order processing.
 	Window int
-	// ViewTimeout is the failure-detection timeout (doubles per view change).
+	// ViewTimeout caps the failure detector's learned age gate (which
+	// doubles per view change); see protocol.Config.ViewTimeout.
 	ViewTimeout time.Duration
 	// InitialTable pre-loads every replica's store.
 	InitialTable map[string][]byte
